@@ -9,12 +9,14 @@ Z/nZ (or on (Z/nZ)^2 for the Heisenberg group):
 - ``zwrz``   psi(a): x -> x + 1,            psi(b): x -> m^-1 x
 - ``metab``  psi(a): x -> q^-1 (x + 1),     psi(b): x -> p^-1 x
 
-Each map is an exact homomorphism of its family; :func:`verify` confirms
-the zero homomorphism defect and checks the distance-from-identity
-condition over a finite set S at a tolerance delta, with exact rational
-arithmetic throughout.  Amplified specs (block-diagonal copies of a smaller
-spec, see :func:`amplify_spec`) evaluate through the base spec, which keeps
-the homomorphism defect at zero while the identity-distance condition
+Each map is affine, so an image is held as an :class:`AffineImage` of a few
+integer coefficients and built as a full table only on request.  Each map
+is an exact homomorphism of its family; :func:`verify` confirms the zero
+homomorphism defect and checks the distance-from-identity condition over a
+finite set S at a tolerance delta, with exact arithmetic throughout and
+closed-form agreement counts, so its cost does not depend on n.  Amplified
+specs (block-diagonal copies of a smaller spec, see :func:`amplify_spec`)
+keep the homomorphism defect at zero while the identity-distance condition
 degrades by at most 1/(q+1) for q full blocks.
 """
 
@@ -24,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -43,11 +46,13 @@ from .groups import (
 from .perm import Perm
 
 __all__ = [
+    "AffineImage",
     "ApproxSpec",
     "VerifyReport",
     "PolyConditionResult",
     "HeisFixedReport",
     "make_approx",
+    "image",
     "eval",
     "verify",
     "amplify_spec",
@@ -73,14 +78,91 @@ def to_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+@dataclass(frozen=True)
+class AffineImage:
+    """An affine permutation kept as its coefficients, reduced mod ``n``.
+
+    ``coeffs`` is ``(u, v)`` for x -> u*x + v on Z/n (u a unit), or
+    ``(a, b, c)`` for (x, y) -> (x + a*y + b, y + c) on (Z/n)^2 with (x, y)
+    encoded as x*n + y.  ``npoints`` is the degree: q = npoints // base
+    copies of the map on consecutive blocks of the base degree (n or n^2),
+    then the identity on the rest, as :func:`soficperm.perm.amplify` lays
+    them out.  Composition and agreement counts are exact integer
+    arithmetic, so neither costs anything that grows with ``n``.
+    """
+
+    n: int
+    coeffs: tuple[int, ...]
+    npoints: int
+
+    def _require_same_space(self, other: "AffineImage") -> None:
+        if (self.n, len(self.coeffs), self.npoints) != (
+                other.n, len(other.coeffs), other.npoints):
+            raise ValueError("images act on different point sets")
+
+    def compose(self, other: "AffineImage") -> "AffineImage":
+        """Right-to-left, as :func:`soficperm.perm.compose`: ``other`` first."""
+        self._require_same_space(other)
+        n = self.n
+        if len(self.coeffs) == 2:
+            u1, v1 = self.coeffs
+            u2, v2 = other.coeffs
+            coeffs = (u1 * u2 % n, (u1 * v2 + v1) % n)
+        else:
+            a1, b1, c1 = self.coeffs
+            a2, b2, c2 = other.coeffs
+            coeffs = ((a1 + a2) % n, (a1 * c2 + b1 + b2) % n, (c1 + c2) % n)
+        return AffineImage(n, coeffs, self.npoints)
+
+    def agree_count(self, other: "AffineImage") -> int:
+        """Number of points where the two maps agree.
+
+        On a block the maps agree where (u1 - u2) x = v2 - v1 (mod n): g =
+        gcd(u1 - u2, n) solutions if g divides v2 - v1, else none.  On the
+        plane the y-shifts must match and (a1 - a2) y = b2 - b1 (mod n) has g
+        solutions, each with x free.  The identity tail always agrees.
+        """
+        self._require_same_space(other)
+        n = self.n
+        if len(self.coeffs) == 2:
+            u1, v1 = self.coeffs
+            u2, v2 = other.coeffs
+            g = math.gcd(u1 - u2, n)
+            per_block = g if (v2 - v1) % g == 0 else 0
+            block = n
+        else:
+            a1, b1, c1 = self.coeffs
+            a2, b2, c2 = other.coeffs
+            g = math.gcd(a1 - a2, n)
+            per_block = n * g if (c1 - c2) % n == 0 and (b2 - b1) % g == 0 else 0
+            block = n * n
+        blocks, tail = divmod(self.npoints, block)
+        return blocks * per_block + tail
+
+    def perm(self) -> Perm:
+        """The full image table."""
+        n = self.n
+        if len(self.coeffs) == 2:
+            u, v = self.coeffs
+            table = (u * np.arange(n, dtype=np.int64) + v) % n
+        else:
+            a, b, c = self.coeffs
+            idx = np.arange(n * n, dtype=np.int64)
+            x, y = idx // n, idx % n
+            table = ((x + a * y + b) % n) * n + (y + c) % n
+        f = Perm(table, _trusted=True)
+        return f if f.n == self.npoints else permmod.amplify(f, self.npoints)
+
+
 @dataclass(frozen=True, eq=False)
 class ApproxSpec:
-    """A family tag, its parameters, and the two generator images.
+    """A family tag and its parameters; the generator images derive from them.
 
     ``n`` is the modulus; ``npoints`` the degree of the permutations
     (n for all families except heis, which acts on n^2 points encoded as
     x*n + y).  When ``base`` is set the spec is a block-diagonal
-    amplification of ``base`` and evaluation routes through it.
+    amplification of ``base`` to ``npoints`` points.  ``psi_a`` and
+    ``psi_b`` are built as full tables the first time they are read.
     """
 
     family: str
@@ -89,8 +171,6 @@ class ApproxSpec:
     p: Optional[int]
     q: Optional[int]
     m: Optional[int]
-    psi_a: Perm
-    psi_b: Perm
     base: Optional["ApproxSpec"] = None
 
     def params(self) -> dict:
@@ -103,20 +183,13 @@ class ApproxSpec:
             out["amplified_to"] = self.npoints
         return out
 
+    @cached_property
+    def psi_a(self) -> Perm:
+        return eval(self, groups.generator(self.family, "a", m=self.m))
 
-def _affine_perm(n: int, u: int, v: int) -> Perm:
-    """x -> u*x + v mod n as a Perm (requires gcd(u, n) = 1)."""
-    u, v = u % n, v % n
-    images = (u * np.arange(n, dtype=np.int64) + v) % n
-    return Perm(images, _trusted=True)
-
-
-def _heis_perm(n: int, lam: int, mu: int, nu: int) -> Perm:
-    """(x, y) -> (x + mu*y - nu, y + lam) on n^2 points encoded x*n + y."""
-    lam, mu, nu = lam % n, mu % n, nu % n
-    idx = np.arange(n * n, dtype=np.int64)
-    x, y = idx // n, idx % n
-    return Perm(((x + mu * y - nu) % n) * n + (y + lam) % n, _trusted=True)
+    @cached_property
+    def psi_b(self) -> Perm:
+        return eval(self, groups.generator(self.family, "b", m=self.m))
 
 
 def make_approx(
@@ -127,7 +200,7 @@ def make_approx(
     q: int | None = None,
     m: int | None = None,
 ) -> ApproxSpec:
-    """Build the generator images for one family at modulus n."""
+    """Check the parameters of one family at modulus n and build its spec."""
     if family not in groups.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
@@ -135,11 +208,9 @@ def make_approx(
     if family == "z2":
         if p is None or q is None:
             raise ValueError("z2 needs translation amounts p and q")
-        return ApproxSpec("z2", n, n, p, q, None,
-                          _affine_perm(n, 1, p % n), _affine_perm(n, 1, q % n))
+        return ApproxSpec("z2", n, n, p, q, None)
     if family == "heis":
-        return ApproxSpec("heis", n, n * n, None, None, None,
-                          _heis_perm(n, 1, 0, 0), _heis_perm(n, 0, 1, 0))
+        return ApproxSpec("heis", n, n * n, None, None, None)
     if family in ("bs", "zwrz"):
         if m is None:
             raise ValueError(f"{family} needs the parameter m")
@@ -147,22 +218,17 @@ def make_approx(
             raise ValueError("|m| must be >= 2")
         if math.gcd(m, n) != 1:
             raise ValueError(f"m={m} must be coprime to n={n}")
-        minv = pow(m, -1, n)
-        return ApproxSpec(family, n, n, None, None, m,
-                          _affine_perm(n, 1, 1), _affine_perm(n, minv, 0))
+        return ApproxSpec(family, n, n, None, None, m)
     # metab
     if p is None or q is None:
         raise ValueError("metab needs parameters p and q")
     if math.gcd(p, n) != 1 or math.gcd(q, n) != 1:
         raise ValueError(f"p={p} and q={q} must be coprime to n={n}")
-    qinv = pow(q, -1, n)
-    pinv = pow(p, -1, n)
-    return ApproxSpec("metab", n, n, p, q, None,
-                      _affine_perm(n, qinv, qinv), _affine_perm(n, pinv, 0))
+    return ApproxSpec("metab", n, n, p, q, None)
 
 
-def _metab_affine(spec: ApproxSpec, w: GenWord) -> tuple[int, int]:
-    """Fold a word over {a, b} into the affine map (u, v): x -> u*x + v."""
+def _metab_image(spec: ApproxSpec, w: GenWord) -> AffineImage:
+    """Fold a word over {a, b} into one affine map of Z/n."""
     n = spec.n
     qinv = pow(spec.q, -1, n)
     pinv = pow(spec.p, -1, n)
@@ -172,46 +238,48 @@ def _metab_affine(spec: ApproxSpec, w: GenWord) -> tuple[int, int]:
         ("b", 1): (pinv, 0),
         ("b", -1): (spec.p % n, 0),         # x -> p*x
     }
-    u, v = 1, 0
+    acc = AffineImage(n, (1 % n, 0), spec.npoints)
     for gen, exp in w.letters:
-        step = 1 if exp > 0 else -1
-        gu, gv = gen_maps[(gen, step)]
+        step = AffineImage(n, gen_maps[(gen, 1 if exp > 0 else -1)], spec.npoints)
         for _ in range(abs(exp)):
-            # acc = acc o gen_image (gen image applied first)
-            u, v = (u * gu) % n, (u * gv + v) % n
-    return u, v
+            # the accumulated word acts after the new letter
+            acc = acc.compose(step)
+    return acc
 
 
-def eval(spec: ApproxSpec, x: GroupElem | GenWord) -> Perm:  # noqa: A001
-    """The image permutation of ``x`` under the spec's homomorphism."""
-    if spec.base is not None:
-        return permmod.amplify(eval(spec.base, x), spec.npoints)
+def image(spec: ApproxSpec, x: GroupElem | GenWord) -> AffineImage:
+    """The image of ``x`` under the spec's homomorphism, as coefficients."""
     n = spec.n
     if isinstance(x, GenWord):
         if spec.family != "metab":
-            x_elem = groups.eval_word(x, spec.family, m=spec.m)
-            return eval(spec, x_elem)
-        x = FreeWord(x)
+            x = groups.eval_word(x, spec.family, m=spec.m)
+        else:
+            x = FreeWord(x)
     fam = groups.family_of(x)
     if fam != spec.family:
         raise ValueError(f"family mismatch: element is {fam}, spec is {spec.family}")
     if isinstance(x, Z2Elem):
-        return _affine_perm(n, 1, (x.lam * spec.p + x.mu * spec.q) % n)
-    if isinstance(x, HeisElem):
-        return _heis_perm(n, x.lam, x.mu, x.nu)
-    if isinstance(x, BSElem):
+        coeffs: tuple[int, ...] = (1 % n, (x.lam * spec.p + x.mu * spec.q) % n)
+    elif isinstance(x, HeisElem):
+        # a^lam b^mu c^nu: (x, y) -> (x + mu*y - nu, y + lam)
+        coeffs = (x.mu % n, -x.nu % n, x.lam % n)
+    elif isinstance(x, BSElem):
         if x.m != spec.m:
             raise ValueError(f"parameter mismatch: m={x.m} vs spec m={spec.m}")
         u = pow(spec.m, -x.pow, n)
-        v = (u * x.num * pow(spec.m, -x.den_exp, n)) % n
-        return _affine_perm(n, u, v)
-    if isinstance(x, WreathElem):
+        coeffs = (u, (u * x.num * pow(spec.m, -x.den_exp, n)) % n)
+    elif isinstance(x, WreathElem):
         tm = sum(c * pow(spec.m, e, n) for e, c in x.poly) % n
         u = pow(spec.m, -x.pow, n)
-        return _affine_perm(n, u, (u * tm) % n)
-    # metab word
-    u, v = _metab_affine(spec, x.word)
-    return _affine_perm(n, u, v)
+        coeffs = (u, (u * tm) % n)
+    else:
+        return _metab_image(spec, x.word)
+    return AffineImage(n, coeffs, spec.npoints)
+
+
+def eval(spec: ApproxSpec, x: GroupElem | GenWord) -> Perm:  # noqa: A001
+    """The image permutation of ``x`` under the spec's homomorphism."""
+    return image(spec, x).perm()
 
 
 def amplify_spec(spec: ApproxSpec, npoints: int) -> ApproxSpec:
@@ -221,12 +289,8 @@ def amplify_spec(spec: ApproxSpec, npoints: int) -> ApproxSpec:
     if spec.base is not None:
         raise ValueError("amplifying an amplified spec is not supported; "
                          "amplify the original instead")
-    return ApproxSpec(
-        spec.family, spec.n, npoints, spec.p, spec.q, spec.m,
-        permmod.amplify(spec.psi_a, npoints),
-        permmod.amplify(spec.psi_b, npoints),
-        base=spec,
-    )
+    return ApproxSpec(spec.family, spec.n, npoints, spec.p, spec.q, spec.m,
+                      base=spec)
 
 
 class ConjugatedSpec:
@@ -293,47 +357,54 @@ def _is_identity_elem(x: GroupElem, exact: bool) -> bool:
 def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyReport:
     """Check both approximation conditions of psi over S at tolerance delta.
 
-    For metab, S holds words; every nonempty word is taken to be nontrivial
-    on the caller's authority, since the word problem is out of scope here.
+    delta must lie in (0, 1].  For metab, S holds words; every nonempty word
+    is taken to be nontrivial on the caller's authority, since the word
+    problem is out of scope here.
     """
     delta = to_fraction(delta)
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     exact = S.exact if isinstance(S, Ball) else (spec.family != "metab")
     elements = sorted(set(S), key=groups.sort_key)
-    images = {g: eval(spec, g) for g in elements}
-    membership = {g: g for g in elements}
+    images = {g: image(spec, g) for g in elements}
+    npoints = spec.npoints
 
-    worst_defect = Fraction(0)
+    # distances are disagreement counts over npoints until the report
+    worst_defect = 0
     hom_witness: Optional[tuple[GroupElem, GroupElem]] = None
     pairs = 0
-    for g, h in itertools.product(elements, elements):
-        gh = groups.mul(g, h)
-        if gh not in membership:
-            continue
-        pairs += 1
-        d = permmod.hamming(permmod.compose(images[g], images[h]), images[gh])
-        if d > worst_defect:
-            worst_defect, hom_witness = d, (g, h)
+    for g in elements:
+        image_g = images[g]
+        for h in elements:
+            image_gh = images.get(groups.mul(g, h))
+            if image_gh is None:
+                continue
+            pairs += 1
+            d = npoints - image_g.compose(images[h]).agree_count(image_gh)
+            if d > worst_defect:
+                worst_defect, hom_witness = d, (g, h)
 
-    ident = Perm.identity(spec.npoints)
-    worst_closeness: Optional[Fraction] = None
+    ident = image(spec, groups.identity(spec.family, m=spec.m))
+    worst_closeness: Optional[int] = None
     id_witness: Optional[GroupElem] = None
     for g in elements:
         if _is_identity_elem(g, exact):
             continue
-        d = permmod.hamming(images[g], ident)
+        d = npoints - images[g].agree_count(ident)
         if worst_closeness is None or d < worst_closeness:
             worst_closeness, id_witness = d, g
 
-    ok = worst_defect < delta and (
-        worst_closeness is None or worst_closeness > 1 - delta
-    )
+    defect = Fraction(worst_defect, npoints)
+    closeness = (None if worst_closeness is None
+                 else Fraction(worst_closeness, npoints))
+    ok = defect < delta and (closeness is None or closeness > 1 - delta)
     return VerifyReport(
         family=spec.family,
-        npoints=spec.npoints,
+        npoints=npoints,
         delta=delta,
-        worst_hom_defect=worst_defect,
+        worst_hom_defect=defect,
         hom_witness=hom_witness,
-        worst_id_closeness=worst_closeness,
+        worst_id_closeness=closeness,
         id_witness=id_witness,
         passed=ok,
         elements_checked=len(elements),
@@ -450,8 +521,9 @@ def heis_fixed_bound(n: int, lam: int, mu: int, nu: int) -> HeisFixedReport:
         raise ValueError("n must be >= 1")
     if lam % n == 0 and mu % n == 0 and nu % n == 0:
         raise ValueError("element is trivial mod n")
-    image = _heis_perm(n, lam, mu, nu)
-    count = int(np.count_nonzero(image.images == np.arange(n * n, dtype=np.int64)))
+    spec = make_approx("heis", n)
+    count = image(spec, HeisElem(lam, mu, nu)).agree_count(
+        image(spec, groups.identity("heis")))
     bound = abs(lam) * n
     bound_ok = None if lam == 0 else count <= bound
     return HeisFixedReport(n, lam, mu, nu, count, bound, bound_ok)

@@ -26,7 +26,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Optional
 
 from . import approx as approxmod
@@ -86,8 +85,6 @@ class ExperimentConfig:
 
 def _fnum(x) -> str:
     """Plot-ready cell: exact rationals and floats as repr'd floats."""
-    if isinstance(x, Fraction):
-        return repr(float(x))
     return repr(float(x))
 
 
@@ -518,35 +515,46 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _emit(ns, config: ExperimentConfig, result, rows: list[dict]) -> None:
-    if ns.format == "json":
-        record = {
-            "schema": SCHEMA_VERSION,
-            "command": ns.command,
-            "seed": ns.seed,
-            "config": config.to_obj(),
-            "result": result,
-        }
-        text = json.dumps(record, indent=2) + "\n"
-    else:
-        config_cell = json.dumps(config.to_obj(), sort_keys=True,
-                                 separators=(",", ":"))
-        buf = io.StringIO()
-        lead = ["schema", "command", "seed"]
-        tail = ["config"]
-        fields = lead + (list(rows[0].keys()) if rows else []) + tail
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            full = {"schema": SCHEMA_VERSION, "command": ns.command,
-                    "seed": ns.seed, "config": config_cell}
-            full.update(row)
-            writer.writerow(full)
-        text = buf.getvalue()
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # exact counts (count-orders, heuristic) run past the default 4300-digit
+    # cap on int -> str conversion; the cap exists only from Python 3.11 on
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        saved = sys.get_int_max_str_digits()
+        set_digits(0)
+    try:
+        if ns.format == "json":
+            record = {
+                "schema": SCHEMA_VERSION,
+                "command": ns.command,
+                "seed": ns.seed,
+                "config": config.to_obj(),
+                "result": result,
+            }
+            text = json.dumps(record, indent=2) + "\n"
+        else:
+            config_cell = json.dumps(config.to_obj(), sort_keys=True,
+                                     separators=(",", ":"))
+            buf = io.StringIO()
+            lead = ["schema", "command", "seed"]
+            tail = ["config"]
+            fields = lead + (list(rows[0].keys()) if rows else []) + tail
+            writer = csv.DictWriter(buf, fieldnames=fields,
+                                    lineterminator="\n")
+            writer.writeheader()
+            for row in rows:
+                full = {"schema": SCHEMA_VERSION, "command": ns.command,
+                        "seed": ns.seed, "config": config_cell}
+                full.update(row)
+                writer.writerow(full)
+            text = buf.getvalue()
+        if ns.out:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    finally:
+        if set_digits is not None:
+            set_digits(saved)
 
 
 def run(argv) -> int:

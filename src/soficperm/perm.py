@@ -44,6 +44,8 @@ __all__ = [
 # Exact counts get big fast; plain Python ints already are arbitrary precision.
 BigCount = int
 
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
 
 class Perm:
     """A permutation of {0, ..., n-1} held as a read-only int64 image array."""
@@ -51,20 +53,27 @@ class Perm:
     __slots__ = ("_images", "_hash")
 
     def __init__(self, images: Sequence[int] | np.ndarray, *, _trusted: bool = False):
-        arr = np.asarray(images, dtype=np.int64)
+        arr = np.asarray(images, dtype=np.int64 if _trusted else None)
         if arr.ndim != 1:
             raise ValueError("images must be one-dimensional")
         if not _trusted:
             n = arr.shape[0]
             if n == 0:
                 raise ValueError("degree must be positive")
+            # the int64 cast would truncate floats, and numpy reads bools
+            # mixed into ints as 0 and 1
+            if arr.dtype.kind not in "iu" or (
+                    not isinstance(images, np.ndarray)
+                    and not _BOOL_TYPES.isdisjoint(map(type, images))):
+                raise ValueError("images must be integers")
+            arr = arr.astype(np.int64)
             seen = np.zeros(n, dtype=bool)
             if arr.min(initial=0) < 0 or arr.max(initial=-1) >= n:
                 raise ValueError("images must lie in [0, n)")
             seen[arr] = True
             if not seen.all():
                 raise ValueError("images contain duplicates; not a bijection")
-        if arr.base is not None or not _trusted:
+        if arr.base is not None:
             arr = arr.copy()
         arr.setflags(write=False)
         self._images = arr

@@ -92,7 +92,7 @@ def perm_to_obj(p: Perm) -> list[int]:
 
 
 def perm_from_obj(obj) -> Perm:
-    return Perm([int(v) for v in obj])
+    return Perm(obj)
 
 
 def genword_to_obj(w: GenWord) -> list:

@@ -1,5 +1,6 @@
 """Generator images per family: exactness, verification, bounds."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,25 @@ class TestVerify:
         rep = ap.verify(spec, [gr.identity("z2")], Fraction(1, 10))
         assert rep.passed
         assert rep.worst_id_closeness is None
+
+    @pytest.mark.parametrize("delta", [0, -1, 2, Fraction(3, 2)])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        spec = ap.make_approx("z2", 10, p=2, q=3)
+        with pytest.raises(ValueError, match="delta"):
+            ap.verify(spec, gr.ball("z2", 2), delta)
+
+    def test_delta_one_accepted(self):
+        spec = ap.make_approx("z2", 10, p=2, q=3)
+        assert ap.verify(spec, gr.ball("z2", 2), 1).passed
+
+    def test_cost_does_not_depend_on_n(self):
+        # a table on 10^12 points could not even be allocated
+        spec = ap.make_approx("z2", 10**12 + 39, p=3, q=5)
+        t0 = time.perf_counter()
+        rep = ap.verify(spec, gr.ball("z2", 4), "1/10")
+        assert time.perf_counter() - t0 < 1
+        assert rep.passed and rep.worst_hom_defect == 0
+        assert rep.worst_id_closeness == 1 and rep.pairs_checked == 949
 
     def test_metab_empty_word_is_identity(self):
         spec = ap.make_approx("metab", 29, p=2, q=3)

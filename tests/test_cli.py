@@ -3,17 +3,32 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
 from soficperm import cli
 from soficperm.cli import ExperimentConfig, run
+from soficperm.perm import count_order_dividing
 
 
 def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unlimited_digits(fn, *args):
+    """fn(*args) with the interpreter's int <-> str digit cap lifted."""
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        return fn(*args)
+    saved = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        set_digits(saved)
 
 
 def spec_file(tmp_path, capsys, *args):
@@ -81,6 +96,38 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["result"]["passed"] is False
         assert "failure" in err
+
+    @pytest.mark.parametrize("delta", ["0", "-1", "2"])
+    def test_verify_delta_outside_unit_interval_is_2(self, tmp_path, capsys,
+                                                     delta):
+        spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "10",
+                         "--p", "2", "--q", "3")
+        code, out, err = invoke(capsys, ["verify", "--spec", spec, "--ball",
+                                         "2", f"--delta={delta}"])
+        assert code == 2
+        assert out == ""
+        assert "delta" in err
+
+    def test_non_integer_perm_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "perm.json"
+        path.write_text("[0.5, 1]")
+        code, out, err = invoke(capsys, ["amplify", "--perm", str(path),
+                                         "--target-n", "4"])
+        assert code == 2
+        assert "integers" in err
+
+    def test_counts_past_the_int_digit_cap(self, capsys):
+        # count(5000, 4) has over 4300 digits, the default int -> str cap
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = invoke(capsys, ["count-orders", "--n", "5000",
+                                       "--k", "4"])
+        assert code == 0
+        record = unlimited_digits(json.loads, out)
+        assert record["result"]["count"] == count_order_dividing(5000, 4)
+        code, out, _ = invoke(capsys, ["heuristic", "--n", "5000", "--k", "4",
+                                       "--format", "csv"])
+        assert code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
     def test_exact_search_miss_is_1(self, capsys):
         code, out, err = invoke(capsys, [

@@ -67,6 +67,13 @@ class TestPermBasics:
         with pytest.raises(ValueError):
             Perm([])
 
+    @pytest.mark.parametrize("images", [
+        [0.5, 1], [1.0, 0.0], [True, False], [True, 0], ["1", "0"],
+        [1, None], [2 ** 70, 0]])
+    def test_validation_rejects_non_integers(self, images):
+        with pytest.raises(ValueError):
+            Perm(images)
+
     def test_from_cycles(self):
         f = Perm.from_cycles(5, [(0, 1, 2)])
         assert f.tolist() == [1, 2, 0, 3, 4]

@@ -33,6 +33,12 @@ class TestScalars:
         with pytest.raises(ValueError):
             ser.perm_from_obj([0, 0, 1])
 
+    @pytest.mark.parametrize("obj", [[0.5, 1], [1.0, 0.0], [True, 0],
+                                     ["1", "0"]])
+    def test_perm_rejects_non_integers(self, obj):
+        with pytest.raises(ValueError):
+            ser.perm_from_obj(json_roundtrip(obj))
+
     def test_genword(self):
         w = gr.genword([("a", 2), ("b", -1)])
         assert ser.genword_from_obj(json_roundtrip(ser.genword_to_obj(w))) == w
