@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
@@ -161,7 +161,8 @@ class ApproxSpec:
     ``n`` is the modulus; ``npoints`` the degree of the permutations
     (n for all families except heis, which acts on n^2 points encoded as
     x*n + y).  When ``base`` is set the spec is a block-diagonal
-    amplification of ``base`` to ``npoints`` points.  ``psi_a`` and
+    amplification of ``base`` to ``npoints`` points, and when ``sigma`` is
+    set its points are relabelled (:func:`conjugate_spec`).  ``psi_a`` and
     ``psi_b`` are built as full tables the first time they are read.
     """
 
@@ -172,6 +173,7 @@ class ApproxSpec:
     q: Optional[int]
     m: Optional[int]
     base: Optional["ApproxSpec"] = None
+    sigma: Optional[Perm] = None
 
     def params(self) -> dict:
         out: dict = {"n": self.n}
@@ -248,7 +250,9 @@ def _metab_image(spec: ApproxSpec, w: GenWord) -> AffineImage:
 
 
 def image(spec: ApproxSpec, x: GroupElem | GenWord) -> AffineImage:
-    """The image of ``x`` under the spec's homomorphism, as coefficients."""
+    """The image of ``x`` under the spec's homomorphism, as coefficients,
+    before the relabelling ``sigma``: relabelling changes no Hamming
+    distance, so a conjugated spec verifies exactly like its base."""
     n = spec.n
     if isinstance(x, GenWord):
         if spec.family != "metab":
@@ -278,14 +282,22 @@ def image(spec: ApproxSpec, x: GroupElem | GenWord) -> AffineImage:
 
 
 def eval(spec: ApproxSpec, x: GroupElem | GenWord) -> Perm:  # noqa: A001
-    """The image permutation of ``x`` under the spec's homomorphism."""
-    return image(spec, x).perm()
+    """The image permutation of ``x``, sigma^-1 psi(x) sigma when the spec
+    carries a relabelling ``sigma``."""
+    f = image(spec, x).perm()
+    if spec.sigma is not None:
+        sigma = spec.sigma
+        f = permmod.compose(permmod.compose(permmod.inverse(sigma), f), sigma)
+    return f
 
 
 def amplify_spec(spec: ApproxSpec, npoints: int) -> ApproxSpec:
     """Block-diagonal amplification: q = npoints // spec.npoints copies."""
     if npoints < spec.npoints:
         raise ValueError("target degree smaller than the spec degree")
+    if spec.sigma is not None:
+        raise ValueError("amplifying a relabelled (conjugated) spec is not "
+                         "supported; amplify first, then relabel")
     if spec.base is not None:
         raise ValueError("amplifying an amplified spec is not supported; "
                          "amplify the original instead")
@@ -293,33 +305,16 @@ def amplify_spec(spec: ApproxSpec, npoints: int) -> ApproxSpec:
                       base=spec)
 
 
-class ConjugatedSpec:
-    """rho2 = sigma^-1 rho1 sigma; used to exercise alignment search."""
+def conjugate_spec(spec: ApproxSpec, sigma: Perm) -> ApproxSpec:
+    """The same map on relabelled points, x -> sigma^-1 psi(x) sigma.
 
-    def __init__(self, base: ApproxSpec, sigma: Perm):
-        if sigma.n != base.npoints:
-            raise ValueError("degree mismatch")
-        self.base = base
-        self.sigma = sigma
-        self.family = base.family
-        self.npoints = base.npoints
-
-    def eval(self, x: GroupElem | GenWord) -> Perm:
-        inner = eval(self.base, x)
-        return permmod.compose(
-            permmod.compose(permmod.inverse(self.sigma), inner), self.sigma
-        )
-
-
-def conjugate_spec(spec: ApproxSpec, sigma: Perm) -> ConjugatedSpec:
-    return ConjugatedSpec(spec, sigma)
-
-
-def eval_any(spec, x) -> Perm:
-    """eval() for either ApproxSpec or ConjugatedSpec."""
-    if isinstance(spec, ConjugatedSpec):
-        return spec.eval(x)
-    return eval(spec, x)
+    Relabelling an already relabelled spec composes the two relabellings.
+    """
+    if sigma.n != spec.npoints:
+        raise ValueError("degree mismatch")
+    if spec.sigma is not None:
+        sigma = permmod.compose(spec.sigma, sigma)
+    return replace(spec, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -354,6 +349,14 @@ def _is_identity_elem(x: GroupElem, exact: bool) -> bool:
     return groups.is_trivial(x)
 
 
+def _check_delta(delta) -> Fraction:
+    """The tolerance as an exact rational; it must lie in (0, 1]."""
+    delta = to_fraction(delta)
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    return delta
+
+
 def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyReport:
     """Check both approximation conditions of psi over S at tolerance delta.
 
@@ -361,9 +364,7 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     is taken to be nontrivial on the caller's authority, since the word
     problem is out of scope here.
     """
-    delta = to_fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    delta = _check_delta(delta)
     exact = S.exact if isinstance(S, Ball) else (spec.family != "metab")
     elements = sorted(set(S), key=groups.sort_key)
     images = {g: image(spec, g) for g in elements}
@@ -486,8 +487,7 @@ def wreath_ball_constant(S: Iterable[WreathElem], delta) -> int:
     """The polynomial bound C that makes check_poly_condition(n, m, C)
     sufficient for verify() to pass on S at delta (for prime-free gcd
     situations it covers both the pure-Laurent and the shifted cases)."""
-    delta = to_fraction(delta)
-    C = math.floor(1 / delta) + 1
+    C = math.floor(1 / _check_delta(delta)) + 1
     for g in S:
         if g.poly:
             exps = [e for e, _ in g.poly]

@@ -252,15 +252,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (options, result_obj, csv_rows)
+# subcommand bodies: each returns (result_obj, csv_rows); the record's
+# options are the parsed flags themselves (see run)
 # ---------------------------------------------------------------------------
 
 def _cmd_count_orders(ns):
-    options = {"n": ns.n, "k": ns.k}
     count = permmod.count_order_dividing(ns.n, ns.k)
     result = {"n": ns.n, "k": ns.k, "count": count}
     rows = [{"n": ns.n, "k": ns.k, "count": count}]
-    return options, result, rows
+    return result, rows
 
 
 def _spec_row(spec: approxmod.ApproxSpec) -> dict:
@@ -277,13 +277,11 @@ def _spec_row(spec: approxmod.ApproxSpec) -> dict:
 
 
 def _cmd_make_approx(ns):
-    options = {"group": ns.group, "n": ns.n, "p": ns.p, "q": ns.q, "m": ns.m}
     spec = approxmod.make_approx(ns.group, ns.n, p=ns.p, q=ns.q, m=ns.m)
-    return options, ser.spec_to_obj(spec), [_spec_row(spec)]
+    return ser.spec_to_obj(spec), [_spec_row(spec)]
 
 
 def _cmd_verify(ns):
-    options = {"spec": ns.spec, "ball": ns.ball, "delta": ns.delta}
     spec = _load_spec(ns.spec)
     delta = approxmod.to_fraction(ns.delta)
     S = groupsmod.ball(spec.family, ns.ball, m=spec.m)
@@ -302,8 +300,8 @@ def _cmd_verify(ns):
         "pairs_checked": report.pairs_checked,
     }]
     if not report.passed:
-        raise _Failure(options, result, rows, "verification failed")
-    return options, result, rows
+        raise _Failure(result, rows, "verification failed")
+    return result, rows
 
 
 def _search_problem(ns) -> conjmod.ConjProblem:
@@ -341,33 +339,26 @@ def _search_rows(rep: conjmod.SearchReport) -> list[dict]:
     }]
 
 
+def _search_kwargs(ns) -> dict[str, Any]:
+    """The seed, plus --iters and --restarts where given (else defaults)."""
+    given = {"iters": ns.iters, "restarts": ns.restarts}
+    return {"seed": ns.seed, **{k: v for k, v in given.items() if v is not None}}
+
+
 def _cmd_search(ns):
-    options = {
-        "spec": ns.spec, "alpha": ns.alpha, "beta": ns.beta,
-        "group": ns.group, "n": ns.n, "p": ns.p, "q": ns.q, "m": ns.m,
-        "k": ns.k, "algo": ns.algo, "iters": ns.iters,
-        "restarts": ns.restarts,
-    }
     prob = _search_problem(ns)
     if ns.algo == "exact":
         report = conjmod.exact_search(prob)
         if report is None:
-            raise _Failure(options, None, [],
-                           "no exact order-k intertwiner exists here")
+            raise _Failure(None, [], "no exact order-k intertwiner exists here")
     elif ns.algo == "brute":
         report = conjmod.brute_force(prob)
     else:
-        kwargs: dict[str, Any] = {"seed": ns.seed}
-        if ns.iters is not None:
-            kwargs["iters"] = ns.iters
-        if ns.restarts is not None:
-            kwargs["restarts"] = ns.restarts
-        report = conjmod.local_search(prob, **kwargs)
-    return options, ser.search_report_to_obj(report), _search_rows(report)
+        report = conjmod.local_search(prob, **_search_kwargs(ns))
+    return ser.search_report_to_obj(report), _search_rows(report)
 
 
 def _cmd_defect(ns):
-    options = {"spec": ns.spec, "perm": ns.perm, "pairs": ns.pairs}
     spec = _load_spec(ns.spec)
     f = _load_perm(ns.perm)
     raw = _read_json(ns.pairs)
@@ -385,30 +376,22 @@ def _cmd_defect(ns):
         "defect_den": worst.denominator,
         "pairs": len(pairs),
     }]
-    return options, result, rows
+    return result, rows
 
 
 def _cmd_amplify(ns):
-    options = {"perm": ns.perm, "target_n": ns.target_n}
     f = _load_perm(ns.perm)
     g = permmod.amplify(f, ns.target_n)
     result = {"n": f.n, "target_n": ns.target_n, "perm": ser.perm_to_obj(g)}
     rows = [{"n": f.n, "target_n": ns.target_n, "perm": _join(g.images)}]
-    return options, result, rows
+    return result, rows
 
 
 def _cmd_align(ns):
-    options = {"spec1": ns.spec1, "spec2": ns.spec2, "ball": ns.ball,
-               "iters": ns.iters, "restarts": ns.restarts}
     spec1 = _load_spec(ns.spec1)
     spec2 = _load_spec(ns.spec2)
     S = groupsmod.ball(spec1.family, ns.ball, m=spec1.m)
-    kwargs: dict[str, Any] = {"seed": ns.seed}
-    if ns.iters is not None:
-        kwargs["iters"] = ns.iters
-    if ns.restarts is not None:
-        kwargs["restarts"] = ns.restarts
-    report = conjmod.align(spec1, spec2, S, **kwargs)
+    report = conjmod.align(spec1, spec2, S, **_search_kwargs(ns))
     result = ser.alignment_report_to_obj(report)
     rows = [
         {
@@ -419,15 +402,10 @@ def _cmd_align(ns):
         }
         for g, d in report.per_element
     ]
-    return options, result, rows
+    return result, rows
 
 
 def _cmd_higman_action(ns):
-    options = {
-        "p": ns.p, "f_table": ns.f_table, "lambda_table": ns.lambda_table,
-        "random": ns.random, "check": ns.check, "window": ns.window,
-        "probe_depth": ns.probe_depth,
-    }
     if ns.random:
         if ns.f_table or ns.lambda_table:
             raise ValueError("--random excludes explicit table files")
@@ -435,8 +413,8 @@ def _cmd_higman_action(ns):
     else:
         if not (ns.f_table and ns.lambda_table):
             raise ValueError("give --f-table and --lambda-table, or --random")
-        f_table = [int(v) for v in _read_json(ns.f_table)]
-        lambda_table = [int(v) for v in _read_json(ns.lambda_table)]
+        f_table = _read_json(ns.f_table)
+        lambda_table = _read_json(ns.lambda_table)
     act = higmod.make_action(ns.p, f_table, lambda_table)
     result: dict[str, Any] = ser.action_table_to_obj(act)
     rows: list[dict] = []
@@ -471,13 +449,11 @@ def _cmd_higman_action(ns):
         result["probe"] = None
 
     if relations is not None and not relations.passed:
-        raise _Failure(options, result, rows, "relation check failed")
-    return options, result, rows
+        raise _Failure(result, rows, "relation check failed")
+    return result, rows
 
 
 def _cmd_heuristic(ns):
-    options = {"n": ns.n, "k": ns.k, "eps": ns.eps,
-               "eps_prime": ns.eps_prime}
     report = heurmod.heuristic_report(ns.n, ns.k, ns.eps, ns.eps_prime)
     result = ser.heuristic_report_to_obj(report)
     rows = [{
@@ -494,7 +470,7 @@ def _cmd_heuristic(ns):
         "pk_model_coeff": _fnum(report.pk_model_coeff),
         "log_PK_model": ser.mpf_to_obj(report.log_PK_model),
     }]
-    return options, result, rows
+    return result, rows
 
 
 _COMMANDS = {
@@ -573,10 +549,10 @@ def run(argv) -> int:
     handler = _COMMANDS[ns.command]
     t0 = time.perf_counter()
     try:
-        options, result, rows = handler(ns)
+        result, rows = handler(ns)
         exit_code = 0
     except _Failure as failure:
-        options, result, rows, message = failure.args
+        result, rows, message = failure.args
         print(f"failure: {message}", file=sys.stderr)
         exit_code = 1
     except (ValueError, OSError, KeyError, TypeError,
@@ -585,8 +561,11 @@ def run(argv) -> int:
         return 2
     elapsed = time.perf_counter() - t0
 
+    # the options are every subcommand flag, in parser order, then --format;
     # --workers is intentionally not echoed: results may never depend on it,
     # so runs differing only in worker count must emit identical bytes
+    options = {k: v for k, v in vars(ns).items()
+               if k not in ("command", "format", "seed", "out", "workers")}
     config = ExperimentConfig(
         subcommand=ns.command,
         options=dict(options, format=ns.format),

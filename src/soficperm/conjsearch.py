@@ -76,7 +76,6 @@ class ConjProblem:
     k: int
     alpha: Perm
     beta: Perm
-    orientation: str = ORIENTATION
 
     def __post_init__(self):
         if self.alpha.n != self.n or self.beta.n != self.n:
@@ -420,8 +419,8 @@ def _align_counts(tau_images, tau_inv, rho1_list, rho2_list, n):
 
 
 def align(
-    spec1,
-    spec2,
+    spec1: ApproxSpec,
+    spec2: ApproxSpec,
     S: Iterable[GroupElem],
     seed: int = 0,
     iters: Optional[int] = None,
@@ -435,12 +434,12 @@ def align(
     """
     if spec1.npoints != spec2.npoints:
         raise ValueError("degree mismatch between the two specs")
-    if getattr(spec1, "family", None) != getattr(spec2, "family", None):
+    if spec1.family != spec2.family:
         raise ValueError("family mismatch between the two specs")
     n = spec1.npoints
     elements = sorted(set(S), key=groups.sort_key)
-    rho1 = [approxmod.eval_any(spec1, s).images for s in elements]
-    rho2 = [approxmod.eval_any(spec2, s).images for s in elements]
+    rho1 = [approxmod.eval(spec1, s).images for s in elements]
+    rho2 = [approxmod.eval(spec2, s).images for s in elements]
     if iters is None:
         iters = 50 * n
     t0 = time.perf_counter()

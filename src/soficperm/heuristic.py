@@ -44,15 +44,6 @@ class HeuristicReport:
     log_PK_model: mpmath.mpf
 
 
-def _log_factorial(n: int) -> mpmath.mpf:
-    # summing logs avoids building the factorial; exactness is not needed,
-    # only reproducibility at the fixed precision
-    total = mpmath.mpf(0)
-    for i in range(2, n + 1):
-        total += mpmath.ln(i)
-    return total
-
-
 def heuristic_report(n: int, k: int, eps, eps_prime, *,
                      max_n: int = 5000) -> HeuristicReport:
     """Exact-count ingredients of the independence estimate at (n, k)."""
@@ -71,7 +62,7 @@ def heuristic_report(n: int, k: int, eps, eps_prime, *,
     coeff = 2 * eps + eps_prime
     model_coeff = coeff - Fraction(1, k)
     with mpmath.workprec(PRECISION_BITS):
-        log_fact = _log_factorial(n)
+        log_fact = mpmath.loggamma(n + 1)
         log_count = mpmath.ln(mpmath.mpf(count))
         log_P = log_count - log_fact
         nlogn = mpmath.mpf(n) * mpmath.ln(n)

@@ -24,6 +24,7 @@ x*p^3 + y*p^2 + z*p + w.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -168,6 +169,9 @@ def _is_prime(p: int) -> bool:
 def _check_table(p: int, table: Sequence[int], name: str) -> tuple[int, ...]:
     if len(table) != p:
         raise ValueError(f"{name} must have one value per residue (length {p})")
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+           for v in table):
+        raise ValueError(f"{name} must hold integers")
     reduced = tuple(v % p for v in table)
     if any(v == 0 for v in reduced):
         raise ValueError(f"{name} must take nonzero values mod {p}")

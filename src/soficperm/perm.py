@@ -260,19 +260,20 @@ def amplify(f: Perm, n: int) -> Perm:
     return Perm(np.concatenate([blocks, tail]), _trusted=True)
 
 
+def _cycle_terms(a, r: int, divisors: list[int]):
+    """a[r] split by the length d of the cycle through the smallest point:
+    (r-1)!/(r-d)! ways to fill that cycle, times a[r-d] for the rest."""
+    return (math.perm(r - 1, d - 1) * a[r - d] for d in divisors if d <= r)
+
+
 @lru_cache(maxsize=None)
 def _order_dividing_table(n: int, k: int) -> tuple[int, ...]:
     """a[j] = #{f in Sym(j) : f^k = id} for j = 0..n, via the recurrence
-    a(j) = sum over d | k, d <= j of C(j-1, d-1) * (d-1)! * a(j-d)."""
+    a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d)."""
     divisors = [d for d in range(1, k + 1) if k % d == 0]
     a = [1] * (n + 1)
     for j in range(1, n + 1):
-        total = 0
-        for d in divisors:
-            if d > j:
-                break
-            total += math.comb(j - 1, d - 1) * math.factorial(d - 1) * a[j - d]
-        a[j] = total
+        a[j] = sum(_cycle_terms(a, j, divisors))
     return tuple(a)
 
 
@@ -290,7 +291,7 @@ def sample_order_k(n: int, k: int, seed: int) -> Perm:
 
     Sequential cycle construction: the smallest unplaced point opens a cycle
     whose length d | k is drawn with probability
-    C(r-1, d-1) * (d-1)! * a(r-d) / a(r), where r counts unplaced points.
+    (r-1)!/(r-d)! * a(r-d) / a(r), where r counts unplaced points.
     The weights are exactly the number of completions, so the draw is
     uniform without rejection.
     """
@@ -309,16 +310,8 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
     while free:
         r = len(free)
         u = rng.randrange(table[r])
-        chosen = None
-        acc = 0
-        for d in divisors:
-            if d > r:
-                break
-            acc += math.comb(r - 1, d - 1) * math.factorial(d - 1) * table[r - d]
-            if u < acc:
-                chosen = d
-                break
-        assert chosen is not None
+        cumulative = itertools.accumulate(_cycle_terms(table, r, divisors))
+        chosen = next(d for d, acc in zip(divisors, cumulative) if u < acc)
         start = free.pop(0)
         # ordered (d-1)-tuple of partners, uniform among remaining points
         cycle = [start]

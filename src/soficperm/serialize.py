@@ -15,6 +15,7 @@ the data rather than trusting it.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from typing import Any
 
@@ -60,13 +61,20 @@ MPF_DIGITS = 30
 # scalars
 # ---------------------------------------------------------------------------
 
+def _int(value) -> int:
+    """A decoded integer; floats, bools and strings are refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def fraction_to_obj(fr: Fraction) -> list:
     return [fr.numerator, fr.denominator]
 
 
 def fraction_from_obj(obj) -> Fraction:
     num, den = obj
-    return Fraction(int(num), int(den))
+    return Fraction(_int(num), _int(den))
 
 
 def _opt(fn, value):
@@ -100,7 +108,7 @@ def genword_to_obj(w: GenWord) -> list:
 
 
 def genword_from_obj(obj) -> GenWord:
-    return GenWord(tuple((str(g), int(e)) for g, e in obj))
+    return GenWord(tuple((str(g), _int(e)) for g, e in obj))
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +135,17 @@ def elem_to_obj(x) -> dict:
 def elem_from_obj(obj: dict):
     family = obj["family"]
     if family == "z2":
-        return Z2Elem(int(obj["lam"]), int(obj["mu"]))
+        return Z2Elem(_int(obj["lam"]), _int(obj["mu"]))
     if family == "heis":
-        return HeisElem(int(obj["lam"]), int(obj["mu"]), int(obj["nu"]))
+        return HeisElem(_int(obj["lam"]), _int(obj["mu"]), _int(obj["nu"]))
     if family == "bs":
-        return BSElem(int(obj["m"]), int(obj["num"]),
-                      int(obj["den_exp"]), int(obj["pow"]))
+        return BSElem(_int(obj["m"]), _int(obj["num"]),
+                      _int(obj["den_exp"]), _int(obj["pow"]))
     if family == "zwrz":
         return groupsmod._wreath_make(
-            {int(e): int(c) for e, c in obj["poly"]}, int(obj["pow"]))
+            {_int(e): _int(c) for e, c in obj["poly"]}, _int(obj["pow"]))
     if family == "metab":
-        return FreeWord(GenWord(tuple((str(g), int(e)) for g, e in obj["word"])))
+        return FreeWord(genword_from_obj(obj["word"]))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -148,22 +156,28 @@ def elem_from_obj(obj: dict):
 def spec_to_obj(spec: approxmod.ApproxSpec) -> dict:
     out: dict[str, Any] = {"family": spec.family}
     out.update(spec.params())
+    if spec.sigma is not None:
+        out["sigma"] = perm_to_obj(spec.sigma)
     out["psi_a"] = perm_to_obj(spec.psi_a)
     out["psi_b"] = perm_to_obj(spec.psi_b)
     return out
 
 
 def spec_from_obj(obj: dict) -> approxmod.ApproxSpec:
-    """Rebuild from parameters, then insist the stored images agree."""
+    """Rebuild from parameters and relabelling, then insist the stored
+    images agree."""
     spec = approxmod.make_approx(
-        obj["family"], int(obj["n"]),
-        p=_opt(int, obj.get("p")),
-        q=_opt(int, obj.get("q")),
-        m=_opt(int, obj.get("m")),
+        obj["family"], _int(obj["n"]),
+        p=_opt(_int, obj.get("p")),
+        q=_opt(_int, obj.get("q")),
+        m=_opt(_int, obj.get("m")),
     )
     amplified_to = obj.get("amplified_to")
     if amplified_to is not None:
-        spec = approxmod.amplify_spec(spec, int(amplified_to))
+        spec = approxmod.amplify_spec(spec, _int(amplified_to))
+    sigma = obj.get("sigma")
+    if sigma is not None:
+        spec = approxmod.conjugate_spec(spec, perm_from_obj(sigma))
     for name in ("psi_a", "psi_b"):
         stored = obj.get(name)
         if stored is not None and perm_from_obj(stored) != getattr(spec, name):
@@ -181,17 +195,17 @@ def problem_to_obj(prob: conjmod.ConjProblem) -> dict:
         "k": prob.k,
         "alpha": perm_to_obj(prob.alpha),
         "beta": perm_to_obj(prob.beta),
-        "orientation": prob.orientation,
+        "orientation": conjmod.ORIENTATION,
     }
 
 
 def problem_from_obj(obj: dict) -> conjmod.ConjProblem:
     prob = conjmod.ConjProblem(
-        int(obj["n"]), int(obj["k"]),
+        _int(obj["n"]), _int(obj["k"]),
         perm_from_obj(obj["alpha"]), perm_from_obj(obj["beta"]),
     )
     orientation = obj.get("orientation")
-    if orientation is not None and orientation != prob.orientation:
+    if orientation is not None and orientation != conjmod.ORIENTATION:
         raise ValueError(f"unsupported orientation {orientation!r}")
     return prob
 
@@ -214,17 +228,17 @@ def search_report_from_obj(obj: dict) -> conjmod.SearchReport:
     prob = problem_from_obj(obj["problem"])
     f = perm_from_obj(obj["f"])
     count = conjmod.agreement(f, prob)
-    if count != int(obj["agreement_count"]):
+    if count != _int(obj["agreement_count"]):
         raise ValueError("agreement_count disagrees with f")
     return conjmod.SearchReport(
         problem=prob,
         algorithm=str(obj["algorithm"]),
-        seed=_opt(int, obj.get("seed")),
+        seed=_opt(_int, obj.get("seed")),
         f=f,
-        order_of_f=int(obj["order_of_f"]),
+        order_of_f=_int(obj["order_of_f"]),
         agreement_count=count,
         agreement_fraction=fraction_from_obj(obj["agreement_fraction"]),
-        iterations=int(obj["iterations"]),
+        iterations=_int(obj["iterations"]),
         elapsed_s=0.0,
     )
 
@@ -265,7 +279,7 @@ def verify_report_from_obj(obj: dict) -> approxmod.VerifyReport:
     witness = obj.get("hom_witness")
     return approxmod.VerifyReport(
         family=str(obj["family"]),
-        npoints=int(obj["npoints"]),
+        npoints=_int(obj["npoints"]),
         delta=fraction_from_obj(obj["delta"]),
         worst_hom_defect=fraction_from_obj(obj["worst_hom_defect"]),
         hom_witness=None if witness is None else (
@@ -273,8 +287,8 @@ def verify_report_from_obj(obj: dict) -> approxmod.VerifyReport:
         worst_id_closeness=_opt(fraction_from_obj, obj.get("worst_id_closeness")),
         id_witness=_opt(elem_from_obj, obj.get("id_witness")),
         passed=bool(obj["passed"]),
-        elements_checked=int(obj["elements_checked"]),
-        pairs_checked=int(obj["pairs_checked"]),
+        elements_checked=_int(obj["elements_checked"]),
+        pairs_checked=_int(obj["pairs_checked"]),
     )
 
 
@@ -308,11 +322,7 @@ def action_table_to_obj(act: higmod.ActionTable) -> dict:
 
 
 def action_table_from_obj(obj: dict) -> higmod.ActionTable:
-    act = higmod.make_action(
-        int(obj["p"]),
-        [int(v) for v in obj["f_table"]],
-        [int(v) for v in obj["lambda_table"]],
-    )
+    act = higmod.make_action(_int(obj["p"]), obj["f_table"], obj["lambda_table"])
     stored = obj.get("perms")
     if stored is not None:
         for name, images in stored.items():

@@ -315,6 +315,14 @@ class TestBallConstants:
         S = list(gr.ball("zwrz", 2, m=2))
         assert ap.wreath_ball_constant(S, Fraction(1, 10)) == 11
 
+    @pytest.mark.parametrize("delta", [0, -1, 2])
+    def test_wreath_constant_delta_policy_matches_verify(self, delta):
+        S = list(gr.ball("zwrz", 1, m=2))
+        with pytest.raises(ValueError, match="delta must lie in"):
+            ap.wreath_ball_constant(S, delta)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            ap.verify(ap.make_approx("zwrz", 11, m=2), S, delta)
+
 
 class TestHeisFixedBound:
     @pytest.mark.parametrize("n", [5, 8, 12])

@@ -116,6 +116,32 @@ class TestExitCodes:
         assert code == 2
         assert "integers" in err
 
+    def test_non_integer_table_file_is_2(self, tmp_path, capsys):
+        ftab = tmp_path / "f.json"
+        ltab = tmp_path / "l.json"
+        ftab.write_text("[1.5, 2.9, 3, 4, 1]")
+        ltab.write_text("[1, 1, 1, 1, 1]")
+        code, out, err = invoke(capsys, [
+            "higman-action", "--p", "5", "--f-table", str(ftab),
+            "--lambda-table", str(ltab)])
+        assert code == 2
+        assert out == ""
+        assert "integers" in err
+
+    def test_non_integer_word_exponent_is_2(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "13",
+                         "--p", "1", "--q", "5")
+        perm = tmp_path / "f.json"
+        perm.write_text(json.dumps([(5 * x) % 13 for x in range(13)]))
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([[[["b", 1.5]], [["a", 1]]]]))
+        code, out, err = invoke(capsys, ["defect", "--spec", spec,
+                                         "--perm", str(perm),
+                                         "--pairs", str(pairs)])
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
     def test_counts_past_the_int_digit_cap(self, capsys):
         # count(5000, 4) has over 4300 digits, the default int -> str cap
         cap = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -108,6 +108,14 @@ class TestMakeAction:
         with pytest.raises(ValueError):
             hg.make_action(4, [1] * 4, [1] * 4)       # composite p
 
+    @pytest.mark.parametrize("table", [
+        [1.5, 2.9, 3, 4, 1], [1, 2, 3, 4, True], [1, 2, "3", 4, 1]])
+    def test_rejects_non_integer_tables(self, table):
+        with pytest.raises(ValueError, match="integers"):
+            hg.make_action(5, table, [1] * 5)
+        with pytest.raises(ValueError, match="integers"):
+            hg.make_action(5, [1] * 5, table)
+
     def test_perms_are_bijections(self):
         f, lam = hg.random_tables(5, seed=1)
         act = hg.make_action(5, f, lam)

@@ -94,6 +94,43 @@ class TestSpec:
             ser.spec_from_obj(obj)
 
 
+class TestStrictIntegers:
+    """Decoders refuse non-integer fields instead of truncating them."""
+
+    @pytest.mark.parametrize("decode,obj", [
+        (ser.elem_from_obj, {"family": "z2", "lam": 1.7, "mu": 0}),
+        (ser.elem_from_obj, {"family": "z2", "lam": True, "mu": 0}),
+        (ser.elem_from_obj, {"family": "heis", "lam": "1", "mu": 0, "nu": 0}),
+        (ser.elem_from_obj, {"family": "bs", "m": 2, "num": 1,
+                             "den_exp": 0.5, "pow": 0}),
+        (ser.elem_from_obj, {"family": "zwrz", "poly": [[0, 1.5]], "pow": 0}),
+        (ser.elem_from_obj, {"family": "metab", "word": [["a", 1.5]]}),
+        (ser.genword_from_obj, [["a", 1.5]]),
+        (ser.fraction_from_obj, [1.5, 2]),
+        (ser.fraction_from_obj, [1, True]),
+        (ser.spec_from_obj, {"family": "z2", "n": 10.9, "p": 2, "q": 3}),
+        (ser.spec_from_obj, {"family": "z2", "n": 10, "p": 2.0, "q": 3}),
+        (ser.spec_from_obj, {"family": "z2", "n": 10, "p": 2, "q": 3,
+                             "amplified_to": 20.5}),
+        (ser.problem_from_obj, {"n": 3.0, "k": 2, "alpha": [1, 2, 0],
+                                "beta": [1, 2, 0]}),
+        (ser.action_table_from_obj, {"p": 5, "f_table": [1.5, 2.9, 3, 4, 1],
+                                     "lambda_table": [1, 1, 1, 1, 1]}),
+        (ser.action_table_from_obj, {"p": 5, "f_table": [1, 1, 1, 1, 1],
+                                     "lambda_table": [1, 1, True, 1, 1]}),
+    ])
+    def test_rejected(self, decode, obj):
+        with pytest.raises(ValueError, match="integer"):
+            decode(obj)
+
+    def test_orientation_still_checked(self):
+        obj = ser.problem_to_obj(cj.translation_problem(5, 1, 2, 4))
+        assert obj["orientation"] == cj.ORIENTATION
+        obj["orientation"] = "beta.f=f.alpha"
+        with pytest.raises(ValueError, match="orientation"):
+            ser.problem_from_obj(obj)
+
+
 class TestReports:
     def test_verify_report(self):
         spec = ap.make_approx("z2", 10, p=2, q=3)
