@@ -357,6 +357,13 @@ def _check_delta(delta) -> Fraction:
     return delta
 
 
+def _passes(defect: Fraction, closeness: Optional[Fraction],
+            delta: Fraction) -> bool:
+    """The pass rule of :class:`VerifyReport`: defect < delta and, when some
+    element is nontrivial, closeness > 1 - delta."""
+    return defect < delta and (closeness is None or closeness > 1 - delta)
+
+
 def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyReport:
     """Check both approximation conditions of psi over S at tolerance delta.
 
@@ -398,7 +405,6 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     defect = Fraction(worst_defect, npoints)
     closeness = (None if worst_closeness is None
                  else Fraction(worst_closeness, npoints))
-    ok = defect < delta and (closeness is None or closeness > 1 - delta)
     return VerifyReport(
         family=spec.family,
         npoints=npoints,
@@ -407,7 +413,7 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
         hom_witness=hom_witness,
         worst_id_closeness=closeness,
         id_witness=id_witness,
-        passed=ok,
+        passed=_passes(defect, closeness, delta),
         elements_checked=len(elements),
         pairs_checked=pairs,
     )

@@ -20,8 +20,6 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -177,43 +175,18 @@ def exact_search(prob: ConjProblem) -> Optional[SearchReport]:
     return _make_report(prob, "exact", None, f, 1, 0.0)
 
 
-@lru_cache(maxsize=32)
-def _order_dividing_matrix(n: int, k: int) -> np.ndarray:
-    """All f in Sym(n) with f^k = id, stacked in lexicographic image order."""
-    rows = []
-    for tup in permutations(range(n)):
-        # cycle-length check without building a Perm
-        seen = [False] * n
-        ok = True
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = tup[x]
-                length += 1
-            if k % length != 0:
-                ok = False
-                break
-        if ok:
-            rows.append(tup)
-    return np.asarray(rows, dtype=np.int64)
-
-
 def brute_force(prob: ConjProblem, *, cap: int = 9) -> SearchReport:
     """Exact optimum by enumerating every f with f^k = id; ties go to the
     lexicographically smallest image array."""
     if prob.n > cap:
         raise ValueError(f"n={prob.n} over the brute-force cap {cap}")
     t0 = time.perf_counter()
-    F = _order_dividing_matrix(prob.n, prob.k)
+    F = permmod._order_dividing_rows(prob.n, prob.k)
     scores = np.count_nonzero(
         F[:, prob.alpha.images] == prob.beta.images[F], axis=1
     )
-    best = int(np.argmax(scores))  # first occurrence = lexicographically least
-    f = Perm(F[best], _trusted=True)
+    best = min(F[scores == scores.max()].tolist())
+    f = Perm(np.asarray(best, dtype=np.int64), _trusted=True)
     return _make_report(
         prob, "brute", None, f, len(F), time.perf_counter() - t0
     )

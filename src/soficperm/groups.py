@@ -325,9 +325,14 @@ def elem_power(x: GroupElem, e: int) -> GroupElem:
         return identity(fam, m=m)
     if e < 0:
         return elem_power(inverse(x), -e)
-    acc = x
-    for _ in range(e - 1):
-        acc = mul(acc, x)
+    # square-and-multiply: O(log e) products
+    acc = None
+    while e:
+        if e & 1:
+            acc = x if acc is None else mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
     return acc
 
 

@@ -98,12 +98,6 @@ def hig_presentation(k: int, family: str) -> HigPresentation:
 # the slot map into G^k
 # ---------------------------------------------------------------------------
 
-def _gen_power(family: str, gen: str, exp: int, m: Optional[int]) -> GroupElem:
-    if exp == 0:
-        return groups.identity(family, m=m)
-    return groups.generator(family, gen, exp, m=m)
-
-
 def mubar(g: GroupElem, l: int, k: int) -> tuple[GroupElem, ...]:
     """The k-tuple image of g sitting in copy l (slots 0-based mod k).
 
@@ -121,8 +115,9 @@ def mubar(g: GroupElem, l: int, k: int) -> tuple[GroupElem, ...]:
     m = getattr(g, "m", None)
     slots = [groups.identity(family, m=m) for _ in range(k)]
     slots[l % k] = g
-    slots[(l - 1) % k] = _gen_power(family, "b", a_sum, m)  # phi^-1 of a-shadow
-    slots[(l + 1) % k] = _gen_power(family, "a", b_sum, m)  # phi of b-shadow
+    # phi^-1 of the a-shadow and phi of the b-shadow; exponent 0 gives e
+    slots[(l - 1) % k] = groups.generator(family, "b", a_sum, m=m)
+    slots[(l + 1) % k] = groups.generator(family, "a", b_sum, m=m)
     return tuple(slots)
 
 

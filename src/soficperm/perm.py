@@ -8,6 +8,17 @@ at ``x``.  Composition is right-to-left throughout: ``compose(f, g)`` applies
 Distances are exact: :func:`hamming` returns a ``fractions.Fraction``;
 :func:`hamming_count` returns the raw disagreement count.  Floating point is
 for display only.
+
+The class {f in Sym(n) : f^k = id} is built here and nowhere else, by one
+recursion: the smallest free point opens a cycle of length d | k, its d - 1
+partners are an ordered choice among the other r - 1 free points, and the
+remaining r - d points are filled the same way.  There are
+(r-1)!/(r-d)! * a(r-d) ways down the branch for d (:func:`_cycle_terms`).
+Counting sums the branches (:func:`count_order_dividing`, one table per k
+grown on demand); sampling walks one path, choosing each branch with
+probability proportional to its size (:func:`sample_order_k`); enumeration
+writes every leaf as a row (:func:`_order_dividing_rows`, the brute-force
+search space).
 """
 
 from __future__ import annotations
@@ -97,8 +108,7 @@ class Perm:
                 if x in seen:
                     raise ValueError(f"point {x} appears in two cycles")
                 seen.add(x)
-            for i, x in enumerate(cycle):
-                images[x] = cycle[(i + 1) % len(cycle)]
+            _write_cycle(images, cycle)
         return cls(images, _trusted=True)
 
     @property
@@ -155,6 +165,12 @@ class CycleDecomposition:
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cycles)
+
+
+def _write_cycle(images, cycle: Sequence[int]) -> None:
+    """Set ``images[x]`` to the successor of each x along ``cycle``."""
+    for i, x in enumerate(cycle):
+        images[x] = cycle[(i + 1) % len(cycle)]
 
 
 def _require_same_degree(f: Perm, g: Perm) -> None:
@@ -242,8 +258,7 @@ def project_to_order(f: Perm, k: int) -> Perm:
     images = np.arange(f.n, dtype=np.int64)
     for cycle in cycle_decomposition(f).cycles:
         if k % len(cycle) == 0:
-            for i, x in enumerate(cycle):
-                images[x] = cycle[(i + 1) % len(cycle)]
+            _write_cycle(images, cycle)
     return Perm(images, _trusted=True)
 
 
@@ -260,21 +275,34 @@ def amplify(f: Perm, n: int) -> Perm:
     return Perm(np.concatenate([blocks, tail]), _trusted=True)
 
 
-def _cycle_terms(a, r: int, divisors: list[int]):
+@lru_cache(maxsize=None)
+def _divisors(k: int) -> tuple[int, ...]:
+    """The cycle lengths allowed in the class: every d | k, ascending."""
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return tuple(sorted({*small, *(k // d for d in small)}))
+
+
+def _cycle_terms(a, r: int, divisors: tuple[int, ...]):
     """a[r] split by the length d of the cycle through the smallest point:
     (r-1)!/(r-d)! ways to fill that cycle, times a[r-d] for the rest."""
     return (math.perm(r - 1, d - 1) * a[r - d] for d in divisors if d <= r)
 
 
 @lru_cache(maxsize=None)
-def _order_dividing_table(n: int, k: int) -> tuple[int, ...]:
-    """a[j] = #{f in Sym(j) : f^k = id} for j = 0..n, via the recurrence
+def _order_dividing_table(k: int) -> list[int]:
+    """a[j] = #{f in Sym(j) : f^k = id}; one list per k that
+    :func:`_counts` grows in place."""
+    return [1]
+
+
+def _counts(n: int, k: int) -> list[int]:
+    """The table for k, grown to cover j = 0..n by the recurrence
     a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d)."""
-    divisors = [d for d in range(1, k + 1) if k % d == 0]
-    a = [1] * (n + 1)
-    for j in range(1, n + 1):
-        a[j] = sum(_cycle_terms(a, j, divisors))
-    return tuple(a)
+    a = _order_dividing_table(k)
+    divisors = _divisors(k)
+    for j in range(len(a), n + 1):
+        a.append(sum(_cycle_terms(a, j, divisors)))
+    return a
 
 
 def count_order_dividing(n: int, k: int) -> BigCount:
@@ -283,7 +311,38 @@ def count_order_dividing(n: int, k: int) -> BigCount:
         raise ValueError("n must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _order_dividing_table(n, k)[n]
+    return _counts(n, k)[n]
+
+
+def _order_dividing_rows(n: int, k: int) -> np.ndarray:
+    """Every f in Sym(n) with f^k = id as a row of images, one row per leaf
+    of the cycle recursion, so there are count_order_dividing(n, k) rows.
+
+    The rows for r points come from the rows for r - d points, d | k: list
+    the points as ``labels`` (0, then d - 1 ordered partners, then the rest
+    ascending), and conjugate by that relabelling the row that cycles the
+    first d positions and acts on the others as the smaller row does.
+    """
+    blocks = [np.zeros((1, 0), dtype=np.int64)]
+    for r in range(1, n + 1):
+        parts = []
+        for d in _divisors(k):
+            if d > r:
+                break
+            labels = np.array([
+                (0, *p, *(x for x in range(1, r) if x not in p))
+                for p in itertools.permutations(range(1, r), d - 1)],
+                dtype=np.int64)
+            sub = blocks[r - d]
+            std = np.hstack([np.tile(np.roll(np.arange(d), -1), (len(sub), 1)),
+                             d + sub])
+            # row = labels o std o labels^-1, for every label list and std row
+            inv = np.argsort(labels, axis=1)
+            rows = std[np.arange(len(sub))[:, None], inv[:, None, :]]
+            parts.append(np.take_along_axis(labels[:, None, :], rows, axis=2)
+                         .reshape(-1, r))
+        blocks.append(np.concatenate(parts))
+    return blocks[n]
 
 
 def sample_order_k(n: int, k: int, seed: int) -> Perm:
@@ -303,8 +362,8 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
         raise ValueError("degree must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = _order_dividing_table(n, k)
-    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    table = _counts(n, k)
+    divisors = _divisors(k)
     images = np.empty(n, dtype=np.int64)
     free = list(range(n))  # unplaced points, ascending
     while free:
@@ -317,8 +376,7 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
         cycle = [start]
         for _ in range(chosen - 1):
             cycle.append(free.pop(rng.randrange(len(free))))
-        for i, x in enumerate(cycle):
-            images[x] = cycle[(i + 1) % len(cycle)]
+        _write_cycle(images, cycle)
     return Perm(images, _trusted=True)
 
 

@@ -68,6 +68,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _bool(value) -> bool:
+    """A decoded flag; only a JSON bool is accepted, not 0, 1 or a string."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected a bool, got {value!r}")
+    return value
+
+
 def fraction_to_obj(fr: Fraction) -> list:
     return [fr.numerator, fr.denominator]
 
@@ -276,8 +283,9 @@ def verify_report_to_obj(rep: approxmod.VerifyReport) -> dict:
 
 
 def verify_report_from_obj(obj: dict) -> approxmod.VerifyReport:
+    """Decode a report and check ``passed`` against its own figures."""
     witness = obj.get("hom_witness")
-    return approxmod.VerifyReport(
+    rep = approxmod.VerifyReport(
         family=str(obj["family"]),
         npoints=_int(obj["npoints"]),
         delta=fraction_from_obj(obj["delta"]),
@@ -286,10 +294,16 @@ def verify_report_from_obj(obj: dict) -> approxmod.VerifyReport:
             elem_from_obj(witness[0]), elem_from_obj(witness[1])),
         worst_id_closeness=_opt(fraction_from_obj, obj.get("worst_id_closeness")),
         id_witness=_opt(elem_from_obj, obj.get("id_witness")),
-        passed=bool(obj["passed"]),
+        passed=_bool(obj["passed"]),
         elements_checked=_int(obj["elements_checked"]),
         pairs_checked=_int(obj["pairs_checked"]),
     )
+    if rep.passed != approxmod._passes(
+            rep.worst_hom_defect, rep.worst_id_closeness, rep.delta):
+        raise ValueError(
+            f"passed={rep.passed} disagrees with worst_hom_defect, "
+            "worst_id_closeness and delta")
+    return rep
 
 
 def poly_result_to_obj(res: approxmod.PolyConditionResult) -> dict:

@@ -106,17 +106,39 @@ class TestBruteForce:
         prob = cj.translation_problem(5, 1, 2, 2)
         assert cj.brute_force(prob).agreement_count == 2
 
-    def test_tie_break_is_lexicographic(self):
-        prob = cj.translation_problem(5, 1, 2, 2)
+    @pytest.mark.parametrize("n,p,q,k", [
+        (5, 1, 2, 2), (4, 1, 3, 4), (6, 1, 5, 2), (6, 1, 2, 3), (6, 1, 5, 6),
+        (7, 1, 3, 4), (7, 2, 3, 12),
+    ])
+    def test_tie_break_is_lexicographic(self, n, p, q, k):
+        prob = cj.translation_problem(n, p, q, k)
         rep = cj.brute_force(prob)
         best = rep.agreement_count
-        for tup in iterperms(range(5)):  # lexicographic enumeration
-            if not orc.order_divides_k(tup, 2):
+        for tup in iterperms(range(n)):  # lexicographic enumeration
+            if not orc.order_divides_k(tup, k):
                 continue
-            score = sum(1 for x in range(5) if tup[prob.alpha(x)] == prob.beta(tup[x]))
+            score = sum(1 for x in range(n) if tup[prob.alpha(x)] == prob.beta(tup[x]))
             if score == best:
                 assert rep.f.tolist() == list(tup)
                 break
+
+    @pytest.mark.parametrize("prob,f,agreement,rows", [
+        (cj.translation_problem(6, 1, 5, 2), [0, 5, 4, 3, 2, 1], 6, 76),
+        (cj.translation_problem(7, 1, 3, 4), [0, 1, 3, 6, 2, 5, 4], 4, 1072),
+        (cj.multiplication_problem(7, 3, 6), [0, 1, 3, 2, 6, 4, 5], 5, 2052),
+        (cj.translation_problem(8, 1, 3, 4), [0, 3, 6, 1, 4, 7, 2, 5], 8, 6224),
+        (cj.multiplication_problem(8, 3, 2), [0, 4, 7, 5, 1, 3, 6, 2], 3, 764),
+        (cj.translation_problem(9, 1, 2, 4), [0, 1, 3, 2, 4, 6, 8, 5, 7], 6,
+         33616),
+        (cj.multiplication_problem(9, 2, 4), [0, 6, 3, 4, 8, 7, 5, 1, 2], 6,
+         33616),
+    ], ids=["trans:n6:k2", "trans:n7:k4", "mult:n7:k6", "trans:n8:k4",
+            "mult:n8:k2", "trans:n9:k4", "mult:n9:k4"])
+    def test_pinned_results(self, prob, f, agreement, rows):
+        # recorded from the n!-filter enumeration this search used before
+        rep = cj.brute_force(prob)
+        assert (rep.f.tolist(), rep.agreement_count, rep.iterations) == (
+            f, agreement, rows)
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soficperm import groups as gr
@@ -75,6 +75,24 @@ class TestGroupLaws:
         for _ in range(abs(e)):
             acc = gr.mul(acc, step)
         assert gr.elem_power(x, e) == acc
+
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
+           st.integers(-10**6, 10**6))
+    @example(2, -3, 5, 10**6)
+    @example(-1, 4, 0, -10**6)
+    def test_elem_power_closed_forms(self, lam, mu, nu, e):
+        # z2: (a^lam b^mu)^e = (lam e, mu e); heis: nu_e = e nu - lam mu e(e-1)/2
+        assert gr.elem_power(gr.Z2Elem(lam, mu), e) == gr.Z2Elem(lam * e, mu * e)
+        assert gr.elem_power(gr.HeisElem(lam, mu, nu), e) == gr.HeisElem(
+            lam * e, mu * e, e * nu - lam * mu * e * (e - 1) // 2)
+
+    def test_elem_power_takes_log_many_products(self, monkeypatch):
+        calls = []
+        mul = gr.mul
+        monkeypatch.setattr(gr, "mul", lambda x, y: calls.append(1) or mul(x, y))
+        x = gr.eval_word(gr.genword([("a", 1), ("b", -2)]), "zwrz", m=2)
+        gr.elem_power(x, 10**6)
+        assert len(calls) <= 2 * (10**6).bit_length()
 
     @given(family_words())
     def test_eval_word_is_multiplicative(self, fw):

@@ -37,15 +37,21 @@ MUBAR_CASES = [
 class TestMubar:
     @pytest.mark.parametrize("family,m", MUBAR_CASES)
     def test_slot_placement(self, family, m):
-        g = gr.eval_word(gr.genword([("a", 2), ("b", -1)]), family, m=m)
-        k = 5
-        slots = hg.mubar(g, 1, k)
-        assert len(slots) == k
-        assert slots[1] == g
-        assert slots[0] == gr.generator(family, "b", 2, m=m)   # a-exponent sum
-        assert slots[2] == gr.generator(family, "a", -1, m=m)  # b-exponent sum
         e = gr.identity(family, m=m)
-        assert slots[3] == e and slots[4] == e
+        b_sq = gr.generator(family, "b", 2, m=m)
+        a_inv = gr.generator(family, "a", -1, m=m)
+        for letters, left, right in [
+            ([("a", 2), ("b", -1)], b_sq, a_inv),  # exponent sums 2 and -1
+            ([("a", 1), ("b", 1), ("a", -1), ("b", -1)], e, e),  # sums 0 and 0
+        ]:
+            g = gr.eval_word(gr.genword(letters), family, m=m)
+            k = 5
+            slots = hg.mubar(g, 1, k)
+            assert len(slots) == k
+            assert slots[1] == g
+            assert slots[0] == left   # b^(a-exponent sum)
+            assert slots[2] == right  # a^(b-exponent sum)
+            assert slots[3] == e and slots[4] == e
 
     @pytest.mark.parametrize("family,m", MUBAR_CASES)
     @given(j=st.integers(-4, 4), l=st.integers(0, 7))

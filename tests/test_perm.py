@@ -1,8 +1,11 @@
 """Permutation arithmetic against brute-force references and metric axioms."""
 
+import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,8 @@ from soficperm.perm import (
     random_perm,
     sample_order_k,
 )
+
+from soficperm import perm as pm
 
 import oracles as orc
 
@@ -237,6 +242,67 @@ class TestCounting:
     def test_identity_only_for_k1(self):
         assert count_order_dividing(9, 1) == 1
 
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    def test_request_order_does_not_matter(self, order):
+        # the table per k grows in place; every request order must read the
+        # same values as a table built fresh for that single request
+        keys = [(n, k) for k in (2, 3, 4, 6) for n in range(41)]
+        fresh = {}
+        for n, k in keys:
+            pm._order_dividing_table.cache_clear()
+            fresh[n, k] = count_order_dividing(n, k)
+        if order == "ascending":
+            keys.sort()
+        elif order == "descending":
+            keys.sort(reverse=True)
+        else:
+            keys.sort(key=lambda nk: (nk[0] * 7919) % 41)
+        pm._order_dividing_table.cache_clear()
+        assert {nk: count_order_dividing(*nk) for nk in keys} == fresh
+        # telephone numbers: t(n) = t(n-1) + (n-1) t(n-2)
+        t = [1, 1]
+        for n in range(2, 41):
+            t.append(t[-1] + (n - 1) * t[-2])
+        assert [fresh[n, 2] for n in range(41)] == t
+
+
+def test_divisors():
+    for k in range(1, 2001):
+        assert pm._divisors(k) == tuple(d for d in range(1, k + 1) if k % d == 0)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
+    def test_rows_are_the_class(self, k):
+        for n in range(1, 8):
+            rows = pm._order_dividing_rows(n, k)
+            got = set(map(tuple, rows.tolist()))
+            want = {f for f in permutations(range(n)) if orc.order_divides_k(f, k)}
+            assert got == want
+            assert len(got) == len(rows) == count_order_dividing(n, k)
+
+
+def _perm_memos():
+    return [obj for obj in vars(pm).values() if hasattr(obj, "cache_info")]
+
+
+def test_cache_sweep_empties_perm_memos():
+    # the sweep perfbench/run.py runs before every timed call, so each call
+    # does its work as in a fresh process
+    from soficperm import conjsearch as cj
+    count_order_dividing(300, 4)
+    sample_order_k(50, 6, 1)
+    cj.brute_force(cj.translation_problem(6, 1, 5, 2))
+    assert len(_perm_memos()) >= 2
+    assert all(memo.cache_info().currsize > 0 for memo in _perm_memos())
+    for name, module in list(sys.modules.items()):
+        if name == "soficperm" or name.startswith("soficperm."):
+            for obj in list(vars(module).values()):
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear):
+                    clear()
+    assert all(memo.cache_info().currsize == 0 for memo in _perm_memos())
+
 
 class TestSampling:
     @given(st.integers(1, 30), st.sampled_from([2, 3, 4, 6]),
@@ -266,6 +332,35 @@ class TestSampling:
         expected = trials / len(target)
         for c in counts.values():
             assert abs(c - expected) < 6 * math.sqrt(expected)
+
+
+# sha256 over the little-endian int64 images of seeds 0, 1 and 7, recorded
+# before the order-dividing class moved into one recursion
+SAMPLE_DIGESTS = {
+    (6, 2): "ef35036b8a5356775ce249736489f4348b307da239671a650b149da5282f3e0d",
+    (6, 3): "62b935207fa21ca0f0b640a85f1647fc0ac82896f5675dd77efda338b98dba0b",
+    (6, 4): "d892127739069667af38925782ffc8bbb484ab2ec3e7a1ed9c720a9940639f18",
+    (6, 6): "cce3e5e90a8d1096af977406075add85af8db14b27aa9cb319ea32bfe6a73334",
+    (6, 12): "928d267abf33662a5e047e87665e3c42c2b51de8f51cf47be06b64d6cf1adb95",
+    (50, 2): "d23ca302fc701564544543b99a1ab6745772c9165e7794a0b7245b829208333c",
+    (50, 3): "200b972f0bb5daa9f741d2ebff513e5e15fd3da9eb0dc96c17e4cfa67c63d2fa",
+    (50, 4): "b493410be13a5c0e09690ba9490073f55c9aeb4fdff81fae99612f3f3f0463ac",
+    (50, 6): "75439efaaa4c2792a6b42a512990fab5b6f872c07ee3ff42c6a376fe72f0afd6",
+    (50, 12): "b786ea82c9ffd78eb46b0cb13d48fe39504fb46fdc757fe7819bcbaf4a8f803c",
+    (400, 2): "bcffa4592f389cdf5d41b694884e77d01a9221e95c5dbccbc0c39fbcdaffc06d",
+    (400, 3): "652a9a52d7aa54f6745f7129fc8ebf79fe2c8f9dbf8a0739d2c6e89ab2d902bc",
+    (400, 4): "281068083db95d216635bf28ae1a39e9fb54028f864555fa00ede85589927e22",
+    (400, 6): "1f451eb1dc933c0f73844c09f19baa87fe990aa055398fc55b7e69a86f0f7620",
+    (400, 12): "b036cb64721bb524b6b3d0e3a2e9a3448608a12bf187f4cf524abb8122d85dc4",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(SAMPLE_DIGESTS))
+def test_sample_digests_pinned(n, k):
+    h = hashlib.sha256()
+    for seed in (0, 1, 7):
+        h.update(sample_order_k(n, k, seed).images.astype("<i8").tobytes())
+    assert h.hexdigest() == SAMPLE_DIGESTS[n, k]
 
 
 def test_random_perm_deterministic():

@@ -134,10 +134,22 @@ class TestStrictIntegers:
 class TestReports:
     def test_verify_report(self):
         spec = ap.make_approx("z2", 10, p=2, q=3)
-        rep = ap.verify(spec, gr.ball("z2", 5), Fraction(1, 10))
-        back = ser.verify_report_from_obj(
-            json_roundtrip(ser.verify_report_to_obj(rep)))
-        assert back == rep
+        for radius, passed in [(5, False), (2, True)]:
+            rep = ap.verify(spec, gr.ball("z2", radius), Fraction(1, 10))
+            assert rep.passed is passed
+            back = ser.verify_report_from_obj(
+                json_roundtrip(ser.verify_report_to_obj(rep)))
+            assert back == rep
+
+    @pytest.mark.parametrize("radius", [5, 2])
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None, "flip"])
+    def test_verify_report_rejects_bad_passed(self, radius, bad):
+        spec = ap.make_approx("z2", 10, p=2, q=3)
+        obj = ser.verify_report_to_obj(
+            ap.verify(spec, gr.ball("z2", radius), Fraction(1, 10)))
+        obj["passed"] = (not obj["passed"]) if bad == "flip" else bad
+        with pytest.raises(ValueError, match="passed|bool"):
+            ser.verify_report_from_obj(json_roundtrip(obj))
 
     def test_search_report_drops_elapsed(self):
         prob = cj.translation_problem(13, 1, 5, 4)
