@@ -196,6 +196,13 @@ def brute_force(prob: ConjProblem, *, cap: int = 9) -> SearchReport:
 # hill climbing
 # ---------------------------------------------------------------------------
 
+def _check_budget(iters: int, restarts: int) -> None:
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+
+
 def _greedy_chain_start(prob: ConjProblem) -> Perm:
     """Extend f along alpha-orbits by f(alpha(x)) := beta(f(x)) until a value
     collides, patch the leftovers into a bijection, then project to order k."""
@@ -242,8 +249,17 @@ def _multiplicative_start(prob: ConjProblem) -> Optional[Perm]:
 
 def _climb(prob: ConjProblem, f_list: list[int], iters: int,
            rng: random.Random) -> tuple[list[int], int]:
-    """In-place hill climb; returns (f, score).  Moves are conjugations by a
-    transposition, evaluated incrementally on the <= 8 affected points."""
+    """In-place hill climb; returns (f, score).
+
+    Each iteration draws i and j with two ``rng.randrange(n)`` calls and
+    proposes f' = t f t for the transposition t = (i j).  f' differs from f
+    only on {i, j, f^-1(i), f^-1(j)}; those new images go into a dict of at
+    most four entries, and an empty dict is a no-op move.  The agreement at x
+    reads f(x) and f(alpha(x)), so the score changes only on the changed
+    points and their alpha-preimages, at most eight points, and the delta is
+    summed over them.  A move is taken when it gains, and a sideways move
+    (delta 0) when ``rng.random() < 0.25``, the only other draw.
+    """
     n = prob.n
     alpha = prob.alpha.images.tolist()
     beta = prob.beta.images.tolist()
@@ -256,29 +272,44 @@ def _climb(prob: ConjProblem, f_list: list[int], iters: int,
         finv[y] = x
     score = sum(1 for x in range(n) if f[alpha[x]] == beta[f[x]])
 
+    randrange = rng.randrange
     for _ in range(iters):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
+        i = randrange(n)
+        j = randrange(n)
         if i == j:
             continue
-
-        def tau(y: int) -> int:
-            return j if y == i else i if y == j else y
-
-        changed = {y for y in (i, j, finv[i], finv[j]) if tau(f[tau(y)]) != f[y]}
+        fi = f[i]
+        fj = f[j]
+        changed = {}
+        v = j if fj == i else i if fj == j else fj  # f'(i) = t(f(j))
+        if v != fi:
+            changed[i] = v
+        v = j if fi == i else i if fi == j else fi  # f'(j) = t(f(i))
+        if v != fj:
+            changed[j] = v
+        y = finv[i]  # f'(y) = t(i) = j off {i, j}; likewise for f^-1(j)
+        if y != i and y != j:
+            changed[y] = j
+        y = finv[j]
+        if y != i and y != j:
+            changed[y] = i
         if not changed:
             continue
-        affected = changed | {ainv[d] for d in changed}
-        old = sum(1 for x in affected if f[alpha[x]] == beta[f[x]])
-        new = sum(
-            1 for x in affected if tau(f[tau(alpha[x])]) == beta[tau(f[tau(x)])]
-        )
-        delta = new - old
+        get = changed.get
+        affected = list(changed)
+        for d in changed:
+            x = ainv[d]
+            if x not in changed:
+                affected.append(x)
+        delta = 0
+        for x in affected:
+            ax = alpha[x]
+            fx = f[x]
+            fax = f[ax]
+            delta += (get(ax, fax) == beta[get(x, fx)]) - (fax == beta[fx])
         if delta > 0 or (delta == 0 and rng.random() < 0.25):
-            updates = [(y, tau(f[tau(y)])) for y in changed]
-            for y, v in updates:
+            for y, v in changed.items():
                 f[y] = v
-            for y, v in updates:
                 finv[v] = y
             score += delta
     return f, score
@@ -301,8 +332,7 @@ def local_search(
     """
     if iters is None:
         iters = 200 * prob.n
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _check_budget(iters, restarts)
     t0 = time.perf_counter()
     best_key: Optional[tuple[int, tuple[int, ...]]] = None
     total = 0
@@ -380,15 +410,76 @@ class AlignmentReport:
     elapsed_s: float
 
 
-def _align_counts(tau_images, tau_inv, rho1_list, rho2_list, n):
-    """(max, total) disagreement counts of tau^-1 rho1 tau vs rho2 over S."""
-    worst = 0
-    total = 0
-    for r1, r2 in zip(rho1_list, rho2_list):
-        c = int(np.count_nonzero(tau_inv[r1[tau_images]] != r2))
-        worst = max(worst, c)
-        total += c
-    return worst, total
+# swap pairs scored per numpy pass in align; bounds its temporaries
+_ALIGN_CHUNK = 1 << 15
+
+
+def _align_state(tau, rho1, rho2):
+    """For each s: c_s = tau^-1 rho1(s) tau, its inverse and its mismatch
+    vector against rho2(s) (0/1 per point), rho2(s) and the mismatch count;
+    plus the objective, the (max, total) of the counts over S."""
+    tau_inv = np.argsort(tau)
+    state = []
+    for r1, r2 in zip(rho1, rho2):
+        c = tau_inv[r1[tau]]
+        c_inv = np.empty_like(c)
+        c_inv[c] = np.arange(len(c))
+        miss = (c != r2).astype(np.int64)
+        state.append((c, c_inv, miss, r2, int(miss.sum())))
+    counts = [entry[-1] for entry in state]
+    return state, (max(counts, default=0), sum(counts))
+
+
+def _swap_pairs(n: int):
+    """All pairs i < j in the order of np.triu_indices(n, 1), in blocks of
+    whole rows holding at most max(_ALIGN_CHUNK, n) pairs."""
+    rows = max(1, _ALIGN_CHUNK // n)
+    cols = np.arange(n)
+    for i0 in range(0, n - 1, rows):
+        I, J = np.nonzero(cols > np.arange(i0, min(i0 + rows, n - 1))[:, None])
+        yield I + i0, J
+
+
+def _best_swap(state, obj, n):
+    """((max, total), i, j) for the swap of tau's positions i < j with the
+    smallest objective below obj, the first such pair in (i, j) order; None
+    when no swap improves.
+
+    The swap turns each c_s into t c_s t with t = (i j), which moves c_s
+    only on i, j, c_s^-1(i) and c_s^-1(j) (the last two are distinct and
+    count only off {i, j}).  So a pair's count for s is the current count
+    plus the mismatches gained minus those lost on these <= 4 points, and
+    every pair of a block is scored at once.
+    """
+    scale = len(state) * n + 1  # max * scale + total orders like the tuple
+    best_key = obj[0] * scale + obj[1]
+    best = None
+    for I, J in _swap_pairs(n):
+        worst = np.zeros(len(I), dtype=np.int64)
+        total = np.zeros(len(I), dtype=np.int64)
+        for c, c_inv, miss, r2, base in state:
+            cI = c[I]
+            cJ = c[J]
+            a = c_inv[I]
+            b = c_inv[J]
+            a_off = (a != I) & (a != J)
+            b_off = (b != I) & (b != J)
+            # t c t (i) = t(c(j)) and t c t (j) = t(c(i))
+            count = (np.where(cJ == I, J, np.where(cJ == J, I, cJ)) != r2[I]
+                     ).astype(np.int64)
+            count += np.where(cI == I, J, np.where(cI == J, I, cI)) != r2[J]
+            count += a_off & (r2[a] != J)  # t c t (a) = t(i) = j
+            count += b_off & (r2[b] != I)
+            count -= miss[I] + miss[J] + a_off * miss[a] + b_off * miss[b]
+            count += base
+            np.maximum(worst, count, out=worst)
+            total += count
+        key = worst * scale + total
+        k = int(np.argmin(key))  # the first minimum in (i, j) order
+        if key[k] < best_key:
+            best_key = key[k]
+            best = ((int(worst[k]), int(total[k])), int(I[k]), int(J[k]))
+    return best
 
 
 def align(
@@ -402,19 +493,29 @@ def align(
     """Steepest-descent search for tau minimizing the worst distance
     d(tau^-1 rho1(s) tau, rho2(s)) over s in S (total distance breaks ties).
 
-    Best-effort only: the search stops at local optima; restarts beyond the
-    identity start use seeded random tau.  Reported distances are exact.
+    A step scores all n(n-1)/2 swaps of two positions of tau in numpy
+    (:func:`_best_swap`), O(n^2 |S|) work, and takes the one with the
+    lexicographically smallest (max, total) mismatch counts that is strictly
+    below the current pair; among equal candidates the first in (i, j) order
+    wins.  Pairs are scored in blocks of at most max(_ALIGN_CHUNK, n); a
+    block's numpy temporaries peak near 115 bytes per pair, about 4 MB for a
+    full block.  After the swap the counts are recomputed from tau.
+
+    Best-effort only: the search stops at local optima, after ``iters``
+    steps (default 50n) per restart; restarts beyond the identity start use
+    seeded random tau.  Reported distances are exact.
     """
     if spec1.npoints != spec2.npoints:
         raise ValueError("degree mismatch between the two specs")
     if spec1.family != spec2.family:
         raise ValueError("family mismatch between the two specs")
     n = spec1.npoints
+    if iters is None:
+        iters = 50 * n
+    _check_budget(iters, restarts)
     elements = sorted(set(S), key=groups.sort_key)
     rho1 = [approxmod.eval(spec1, s).images for s in elements]
     rho2 = [approxmod.eval(spec2, s).images for s in elements]
-    if iters is None:
-        iters = 50 * n
     t0 = time.perf_counter()
 
     best: Optional[tuple[tuple[int, int], tuple[int, ...]]] = None
@@ -427,23 +528,16 @@ def align(
             lst = list(range(n))
             rng.shuffle(lst)
             tau = np.asarray(lst, dtype=np.int64)
-        tau_inv = np.argsort(tau)
-        obj = _align_counts(tau, tau_inv, rho1, rho2, n)
+        state, obj = _align_state(tau, rho1, rho2)
         for _ in range(iters):
             steps_total += 1
-            improved = None
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    cand = tau.copy()
-                    cand[i], cand[j] = cand[j], cand[i]
-                    cand_inv = np.argsort(cand)
-                    cobj = _align_counts(cand, cand_inv, rho1, rho2, n)
-                    if cobj < obj and (improved is None or cobj < improved[0]):
-                        improved = (cobj, cand, cand_inv)
-            if improved is None:
+            swap = _best_swap(state, obj, n)
+            if swap is None:
                 break
-            obj, tau, tau_inv = improved
-        key = (obj, tuple(int(v) for v in tau))
+            _, i, j = swap
+            tau[i], tau[j] = tau[j], tau[i]
+            state, obj = _align_state(tau, rho1, rho2)
+        key = (obj, tuple(tau.tolist()))
         if best is None or key < best:
             best = key
 

@@ -283,12 +283,13 @@ def verify_report_to_obj(rep: approxmod.VerifyReport) -> dict:
 
 
 def verify_report_from_obj(obj: dict) -> approxmod.VerifyReport:
-    """Decode a report and check ``passed`` against its own figures."""
+    """Decode a report, refuse a delta outside (0, 1] as ``approx.verify``
+    does, and check ``passed`` against the report's own figures."""
     witness = obj.get("hom_witness")
     rep = approxmod.VerifyReport(
         family=str(obj["family"]),
         npoints=_int(obj["npoints"]),
-        delta=fraction_from_obj(obj["delta"]),
+        delta=approxmod._check_delta(fraction_from_obj(obj["delta"])),
         worst_hom_defect=fraction_from_obj(obj["worst_hom_defect"]),
         hom_witness=None if witness is None else (
             elem_from_obj(witness[0]), elem_from_obj(witness[1])),

@@ -108,6 +108,25 @@ class TestExitCodes:
         assert out == ""
         assert "delta" in err
 
+    @pytest.mark.parametrize("command,budget,message", [
+        ("align", ["--restarts", "0"], "restarts must be >= 1"),
+        ("align", ["--iters", "-1"], "iters must be >= 0"),
+        ("search", ["--iters", "-5"], "iters must be >= 0"),
+    ])
+    def test_search_budget_below_range_is_2(self, tmp_path, capsys, command,
+                                            budget, message):
+        if command == "align":
+            spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "9",
+                             "--p", "1", "--q", "2")
+            argv = ["align", "--spec1", spec, "--spec2", spec, "--ball", "1"]
+        else:
+            argv = ["search", "--group", "z2", "--n", "9", "--p", "1",
+                    "--q", "2", "--k", "4", "--algo", "local"]
+        code, out, err = invoke(capsys, argv + budget)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
     def test_non_integer_perm_file_is_2(self, tmp_path, capsys):
         path = tmp_path / "perm.json"
         path.write_text("[0.5, 1]")

@@ -1,0 +1,429 @@
+"""The search kernels against the full-rescoring code they replaced.
+
+``align_reference`` and ``climb_reference`` are the kernels as they were
+before ``align`` scored a step's whole swap neighbourhood at once and
+``_climb`` inlined its transposition.  They are kept verbatim as oracles: the
+current code must draw the same random numbers, break ties the same way and
+so return the same tau, distances, iteration counts, f and scores.  The
+digests pin whole serialized reports; they were recorded with the reference
+kernels in place and hold unchanged for both.
+"""
+
+import hashlib
+import json
+import math
+import random
+import time
+from fractions import Fraction
+from typing import Iterable, Optional
+
+import numpy as np
+import pytest
+
+from soficperm import approx as approxmod
+from soficperm import conjsearch as cj
+from soficperm import groups
+from soficperm import perm as permmod
+from soficperm import serialize as ser
+from soficperm.approx import ApproxSpec
+from soficperm.conjsearch import AlignmentReport, ConjProblem
+from soficperm.groups import GroupElem
+from soficperm.perm import Perm
+
+
+# ---------------------------------------------------------------------------
+# the reference kernels, verbatim
+# ---------------------------------------------------------------------------
+
+def climb_reference(prob: ConjProblem, f_list: list[int], iters: int,
+                    rng: random.Random) -> tuple[list[int], int]:
+    """In-place hill climb; returns (f, score).  Moves are conjugations by a
+    transposition, evaluated incrementally on the <= 8 affected points."""
+    n = prob.n
+    alpha = prob.alpha.images.tolist()
+    beta = prob.beta.images.tolist()
+    ainv = [0] * n
+    for x, y in enumerate(alpha):
+        ainv[y] = x
+    f = f_list
+    finv = [0] * n
+    for x, y in enumerate(f):
+        finv[y] = x
+    score = sum(1 for x in range(n) if f[alpha[x]] == beta[f[x]])
+
+    for _ in range(iters):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+
+        def tau(y: int) -> int:
+            return j if y == i else i if y == j else y
+
+        changed = {y for y in (i, j, finv[i], finv[j]) if tau(f[tau(y)]) != f[y]}
+        if not changed:
+            continue
+        affected = changed | {ainv[d] for d in changed}
+        old = sum(1 for x in affected if f[alpha[x]] == beta[f[x]])
+        new = sum(
+            1 for x in affected if tau(f[tau(alpha[x])]) == beta[tau(f[tau(x)])]
+        )
+        delta = new - old
+        if delta > 0 or (delta == 0 and rng.random() < 0.25):
+            updates = [(y, tau(f[tau(y)])) for y in changed]
+            for y, v in updates:
+                f[y] = v
+            for y, v in updates:
+                finv[v] = y
+            score += delta
+    return f, score
+
+
+def _align_counts(tau_images, tau_inv, rho1_list, rho2_list, n):
+    """(max, total) disagreement counts of tau^-1 rho1 tau vs rho2 over S."""
+    worst = 0
+    total = 0
+    for r1, r2 in zip(rho1_list, rho2_list):
+        c = int(np.count_nonzero(tau_inv[r1[tau_images]] != r2))
+        worst = max(worst, c)
+        total += c
+    return worst, total
+
+
+def align_reference(
+    spec1: ApproxSpec,
+    spec2: ApproxSpec,
+    S: Iterable[GroupElem],
+    seed: int = 0,
+    iters: Optional[int] = None,
+    restarts: int = 8,
+) -> AlignmentReport:
+    """Steepest-descent search for tau minimizing the worst distance
+    d(tau^-1 rho1(s) tau, rho2(s)) over s in S (total distance breaks ties).
+
+    Best-effort only: the search stops at local optima; restarts beyond the
+    identity start use seeded random tau.  Reported distances are exact.
+    """
+    if spec1.npoints != spec2.npoints:
+        raise ValueError("degree mismatch between the two specs")
+    if spec1.family != spec2.family:
+        raise ValueError("family mismatch between the two specs")
+    n = spec1.npoints
+    elements = sorted(set(S), key=groups.sort_key)
+    rho1 = [approxmod.eval(spec1, s).images for s in elements]
+    rho2 = [approxmod.eval(spec2, s).images for s in elements]
+    if iters is None:
+        iters = 50 * n
+    t0 = time.perf_counter()
+
+    best: Optional[tuple[tuple[int, int], tuple[int, ...]]] = None
+    steps_total = 0
+    for r in range(restarts):
+        if r == 0:
+            tau = np.arange(n, dtype=np.int64)
+        else:
+            rng = random.Random((seed << 32) + r)
+            lst = list(range(n))
+            rng.shuffle(lst)
+            tau = np.asarray(lst, dtype=np.int64)
+        tau_inv = np.argsort(tau)
+        obj = _align_counts(tau, tau_inv, rho1, rho2, n)
+        for _ in range(iters):
+            steps_total += 1
+            improved = None
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    cand = tau.copy()
+                    cand[i], cand[j] = cand[j], cand[i]
+                    cand_inv = np.argsort(cand)
+                    cobj = _align_counts(cand, cand_inv, rho1, rho2, n)
+                    if cobj < obj and (improved is None or cobj < improved[0]):
+                        improved = (cobj, cand, cand_inv)
+            if improved is None:
+                break
+            obj, tau, tau_inv = improved
+        key = (obj, tuple(int(v) for v in tau))
+        if best is None or key < best:
+            best = key
+
+    tau = Perm(np.asarray(best[1], dtype=np.int64), _trusted=True)
+    tau_inv = permmod.inverse(tau)
+    per_element = []
+    worst = Fraction(0)
+    for s, r1, r2 in zip(elements, rho1, rho2):
+        conj = permmod.compose(permmod.compose(tau_inv, Perm(r1, _trusted=True)), tau)
+        d = permmod.hamming(conj, Perm(r2, _trusted=True))
+        per_element.append((s, d))
+        worst = max(worst, d)
+    return AlignmentReport(
+        tau=tau,
+        per_element=tuple(per_element),
+        max_distance=worst,
+        iterations=steps_total,
+        elapsed_s=time.perf_counter() - t0,
+    )
+
+
+# ---------------------------------------------------------------------------
+# problems
+# ---------------------------------------------------------------------------
+
+def _coprime_pair(n: int, rng: random.Random) -> tuple[int, int]:
+    """p a unit mod n and q != p, drawn as the search-suite draws them."""
+    p = rng.choice([u for u in range(1, max(n, 2)) if math.gcd(u, n) == 1])
+    q = rng.choice([v for v in range(1, max(n, 3)) if v != p])
+    return p, q
+
+
+def _params(family: str, n: int) -> dict:
+    """The smallest admissible parameters of a family on Z/n."""
+    p, q = [u for u in range(2, 20) if math.gcd(u, n) == 1][:2]
+    return {"z2": {"p": 1, "q": p}, "bs": {"m": p}, "zwrz": {"m": p},
+            "metab": {"p": p, "q": q}}[family]
+
+
+def _relabel(spec: ApproxSpec, rng: random.Random) -> ApproxSpec:
+    sigma = list(range(spec.npoints))
+    rng.shuffle(sigma)
+    return approxmod.conjugate_spec(spec, Perm(np.asarray(sigma)))
+
+
+def align_pair(kind: str, n: int, seed: int) -> tuple[ApproxSpec, ApproxSpec]:
+    """Two specs on n points: ``swap`` exchanges p and q of a z2 spec,
+    ``conj`` relabels one with a seeded sigma, ``bs``/``metab`` relabel a
+    spec of that family."""
+    rng = random.Random(f"{kind}:{n}:{seed}")
+    if kind in ("swap", "conj"):
+        p, q = _coprime_pair(n, rng)
+        spec = approxmod.make_approx("z2", n, p=p, q=q)
+        if kind == "swap":
+            return spec, approxmod.make_approx("z2", n, p=q, q=p)
+        return spec, _relabel(spec, rng)
+    spec = approxmod.make_approx(kind, n, **_params(kind, n))
+    return spec, _relabel(spec, rng)
+
+
+def align_ball(spec: ApproxSpec, radius: int):
+    return groups.ball(spec.family, radius, m=spec.m)
+
+
+def climb_problem(kind: str, n: int, k: int) -> ConjProblem:
+    if kind == "trans":
+        return cj.translation_problem(n, 1, 7 % n, k)
+    if kind == "mult":
+        u = next((u for u in range(2, n) if math.gcd(u, n) == 1), 1)
+        return cj.multiplication_problem(n, u, k)
+    return cj.problem_from_spec(
+        approxmod.make_approx(kind, n, **_params(kind, n)), k)
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _search_key(rep: cj.SearchReport):
+    return (rep.f.tolist(), rep.agreement_count, rep.agreement_fraction,
+            rep.iterations, rep.order_of_f)
+
+
+def _align_key(rep: AlignmentReport):
+    return (rep.tau.tolist(), rep.per_element, rep.max_distance,
+            rep.iterations)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+ALIGN_CASES = [
+    (kind, n, radius)
+    for kind in ("swap", "conj", "bs", "metab")
+    for n in (1, 2, 3, 24, 48)
+    for radius in (1, 2)
+]
+# small n runs every restart to its local optimum; larger n a few steps each
+ALIGN_BUDGET = {1: None, 2: None, 3: None, 24: 4, 48: 2}
+
+
+@pytest.mark.parametrize("kind,n,radius", ALIGN_CASES,
+                         ids=[f"{k}-n{n}-r{r}" for k, n, r in ALIGN_CASES])
+def test_align_matches_full_rescoring(kind, n, radius):
+    spec1, spec2 = align_pair(kind, n, seed=1)
+    S = align_ball(spec1, radius)
+    kwargs = {"seed": 1, "iters": ALIGN_BUDGET[n], "restarts": 3}
+    new = cj.align(spec1, spec2, S, **kwargs)
+    old = align_reference(spec1, spec2, S, **kwargs)
+    assert _align_key(new) == _align_key(old)
+
+
+CLIMB_CASES = [
+    (kind, n, k, seed)
+    for kind in ("trans", "mult", "z2", "bs", "metab", "zwrz")
+    for n in (1, 2, 3, 24, 48)
+    for k in (2, 3, 4, 6)
+    for seed in (1,)
+]
+
+
+@pytest.mark.parametrize("kind,n,k,seed", CLIMB_CASES,
+                         ids=[f"{c}-n{n}-k{k}" for c, n, k, _ in CLIMB_CASES])
+def test_climb_matches_reference(monkeypatch, kind, n, k, seed):
+    prob = climb_problem(kind, n, k)
+    new = cj.local_search(prob, seed=seed, iters=40 * n, restarts=4)
+    monkeypatch.setattr(cj, "_climb", climb_reference)
+    old = cj.local_search(prob, seed=seed, iters=40 * n, restarts=4)
+    assert _search_key(new) == _search_key(old)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_climb_matches_reference_from_any_start(k):
+    # every restart's own (f, score), not only the winner, from sampled starts
+    prob = climb_problem("bs", 40, k)
+    for r in range(6):
+        start = permmod._sample_order_k_rng(40, k, random.Random(r))
+        got = cj._climb(prob, start.images.tolist(), 3000, random.Random(r))
+        want = climb_reference(prob, start.images.tolist(), 3000,
+                               random.Random(r))
+        assert got == want
+
+
+def _full_rescoring_best_swap(tau, rho1, rho2, obj):
+    """The reference step: rescore every swap from scratch, keep the first
+    strict minimum below obj."""
+    n = len(tau)
+    improved = None
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            cand = tau.copy()
+            cand[i], cand[j] = cand[j], cand[i]
+            cobj = _align_counts(cand, np.argsort(cand), rho1, rho2, n)
+            if cobj < obj and (improved is None or cobj < improved[0]):
+                improved = (cobj, i, j)
+    return improved
+
+
+@pytest.mark.parametrize("kind,n,radius", [
+    ("swap", 2, 1), ("conj", 3, 2), ("swap", 17, 1), ("conj", 24, 2),
+    ("bs", 15, 1), ("metab", 21, 2)])
+def test_predicted_objective_is_the_recomputed_one(kind, n, radius):
+    spec1, spec2 = align_pair(kind, n, seed=3)
+    S = sorted(set(align_ball(spec1, radius)), key=groups.sort_key)
+    rho1 = [approxmod.eval(spec1, s).images for s in S]
+    rho2 = [approxmod.eval(spec2, s).images for s in S]
+    rng = random.Random(n)
+    for _ in range(4):
+        tau = np.asarray(rng.sample(range(n), n), dtype=np.int64)
+        state, obj = cj._align_state(tau, rho1, rho2)
+        assert obj == _align_counts(tau, np.argsort(tau), rho1, rho2, n)
+        swap = cj._best_swap(state, obj, n)
+        assert swap == _full_rescoring_best_swap(tau, rho1, rho2, obj)
+        if swap is not None:
+            predicted, i, j = swap
+            tau[i], tau[j] = tau[j], tau[i]
+            assert cj._align_state(tau, rho1, rho2)[1] == predicted
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 24, 1000])
+def test_pair_blocks_follow_triu_order(monkeypatch, chunk):
+    monkeypatch.setattr(cj, "_ALIGN_CHUNK", chunk)
+    for n in (1, 2, 3, 7, 24, 50):
+        blocks = list(cj._swap_pairs(n))
+        assert all(len(I) <= max(chunk, n) for I, _ in blocks)
+        I = np.concatenate([I for I, _ in blocks]) if blocks else []
+        J = np.concatenate([J for _, J in blocks]) if blocks else []
+        triu = np.triu_indices(n, 1)
+        assert np.array_equal(I, triu[0]) and np.array_equal(J, triu[1])
+
+
+@pytest.mark.parametrize("kind,n", [("swap", 24), ("conj", 24), ("bs", 15)])
+def test_ties_across_blocks_go_to_the_first_pair(monkeypatch, kind, n):
+    # one row per block: every comparison between rows is across blocks
+    monkeypatch.setattr(cj, "_ALIGN_CHUNK", 1)
+    spec1, spec2 = align_pair(kind, n, seed=2)
+    S = align_ball(spec1, 1)
+    new = cj.align(spec1, spec2, S, seed=2, restarts=3)
+    old = align_reference(spec1, spec2, S, seed=2, restarts=3)
+    assert _align_key(new) == _align_key(old)
+
+
+def test_align_on_one_point_stops_after_one_step_per_restart():
+    spec = approxmod.make_approx("z2", 1, p=1, q=1)
+    rep = cj.align(spec, spec, groups.ball("z2", 2), seed=0, restarts=3)
+    assert rep.tau.tolist() == [0]
+    assert rep.max_distance == 0
+    assert rep.iterations == 3
+
+
+def test_budgets_below_range_rejected():
+    spec = approxmod.make_approx("z2", 9, p=1, q=2)
+    S = groups.ball("z2", 1)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        cj.align(spec, spec, S, restarts=0)
+    with pytest.raises(ValueError, match="iters must be >= 0"):
+        cj.align(spec, spec, S, iters=-1)
+    prob = cj.translation_problem(9, 1, 2, 4)
+    with pytest.raises(ValueError, match="iters must be >= 0"):
+        cj.local_search(prob, iters=-5)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        cj.local_search(prob, restarts=0)
+    # a zero budget is a valid request: the starts are scored as they are
+    assert cj.align(spec, spec, S, iters=0, restarts=2).iterations == 0
+    assert cj.local_search(prob, iters=0, restarts=2).iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned reports
+# ---------------------------------------------------------------------------
+
+LOCAL_PINS = {
+    "local:trans:n100:q7": (lambda: cj.translation_problem(100, 1, 7, 4),
+                            1, 1000, 2),
+    "local:bs:n50": (lambda: climb_problem("bs", 50, 4), 1, 5000, 2),
+    "local:metab:n49:k3": (lambda: climb_problem("metab", 49, 3), 2, 2000, 3),
+    "local:mult:n80:u3:k6": (lambda: cj.multiplication_problem(80, 3, 6),
+                             3, 4000, 4),
+    "local:zwrz:n50:k2": (lambda: climb_problem("zwrz", 50, 2), 1, 2500, 3),
+}
+# label -> (kind, n, radius, seed, iters, restarts); the conj pairs follow
+# the search-suite's align problems: a z2 spec against a seeded relabelling
+ALIGN_PINS = {
+    "align:swap:n24": ("swap", 24, 1, 1, 8, 2),
+    "align:conj:n16": ("conj", 16, 1, 1, 8, 1),
+    "align:conj:n32": ("conj", 32, 1, 3, 8, 1),
+    "align:conj:n24:r2": ("conj", 24, 2, 2, None, 3),
+    "align:bs:n15": ("bs", 15, 1, 1, None, 3),
+    "align:metab:n21": ("metab", 21, 1, 4, None, 2),
+}
+
+PINNED = {
+    "align:bs:n15": "5388279646a0220090514a35fb6cabe3b0db051d65474eea6f6d77d8a38ea028",
+    "align:conj:n16": "73ea0a2ee179ea01a4f3f1b0fa2bd09ad04b99611c98293e45bddd106c8bde73",
+    "align:conj:n24:r2": "871988fd1b79e9eefe07153eec9144499198c63873360a932987f9f86275ccf6",
+    "align:conj:n32": "9c1e2bdfeab1b31d44221ef952577d582b74d89d853c76c5f563609dc9346af6",
+    "align:metab:n21": "e7776369cc4d0639657d27e2fe4217b82637e71fd9544abf5d78e43ee748480b",
+    "align:swap:n24": "d31a42d326b78f34e017d924d99d33b1778f4548c33bd53fe3c13c6faa240b3d",
+    "local:bs:n50": "643f3784163f6eb11bf9eab93e2442b344a97e5d9a4dfbe0cc28768e47fca7c4",
+    "local:metab:n49:k3": "975db94eb2d6dca172d58826028b56a08250561b5fa8c59e9383f25f83b428fc",
+    "local:mult:n80:u3:k6": "467a9ffe77b13cdd688ea9221219127fa0cdbb33fbc93bc27706fe1145e5071e",
+    "local:trans:n100:q7": "e482cdbb8e19eaee24fd302e84ed4f456f5dd398e8d095f0220980c5008a4de5",
+    "local:zwrz:n50:k2": "3543f16cdc3256e511820a0383277395082f0b0534274d0faf2c1166e330f18e",
+}
+
+
+def pinned_report(label: str) -> dict:
+    if label in LOCAL_PINS:
+        factory, seed, iters, restarts = LOCAL_PINS[label]
+        rep = cj.local_search(factory(), seed=seed, iters=iters,
+                              restarts=restarts)
+        return ser.search_report_to_obj(rep)
+    kind, n, radius, seed, iters, restarts = ALIGN_PINS[label]
+    spec1, spec2 = align_pair(kind, n, seed)
+    rep = cj.align(spec1, spec2, align_ball(spec1, radius), seed=seed,
+                   iters=iters, restarts=restarts)
+    return ser.alignment_report_to_obj(rep)
+
+
+@pytest.mark.parametrize("label", sorted(PINNED))
+def test_pinned_report_digest(label):
+    assert _digest(pinned_report(label)) == PINNED[label]

@@ -151,6 +151,17 @@ class TestReports:
         with pytest.raises(ValueError, match="passed|bool"):
             ser.verify_report_from_obj(json_roundtrip(obj))
 
+    @pytest.mark.parametrize("radius", [5, 2])
+    @pytest.mark.parametrize("delta", [[0, 1], [-1, 1], [2, 1]])
+    def test_verify_report_rejects_delta_outside_unit_interval(self, radius,
+                                                               delta):
+        spec = ap.make_approx("z2", 10, p=2, q=3)
+        obj = ser.verify_report_to_obj(
+            ap.verify(spec, gr.ball("z2", radius), Fraction(1, 10)))
+        obj["delta"] = delta
+        with pytest.raises(ValueError, match="delta must lie in"):
+            ser.verify_report_from_obj(json_roundtrip(obj))
+
     def test_search_report_drops_elapsed(self):
         prob = cj.translation_problem(13, 1, 5, 4)
         rep = cj.exact_search(prob)
