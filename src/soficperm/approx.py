@@ -14,10 +14,15 @@ integer coefficients and built as a full table only on request.  Each map
 is an exact homomorphism of its family; :func:`verify` confirms the zero
 homomorphism defect and checks the distance-from-identity condition over a
 finite set S at a tolerance delta, with exact arithmetic throughout and
-closed-form agreement counts, so its cost does not depend on n.  Amplified
-specs (block-diagonal copies of a smaller spec, see :func:`amplify_spec`)
-keep the homomorphism defect at zero while the identity-distance condition
-degrades by at most 1/(q+1) for q full blocks.
+closed-form agreement counts, so its cost does not depend on n.  It builds
+the product index of S once (one group product per pair, recording which
+pairs multiply back into S) and then evaluates composition and agreement
+for all recorded pairs at once: the closed forms are written once, in
+helpers that take Python ints or numpy object arrays of Python ints alike,
+so n = 10^12 needs no second path.  Amplified specs (block-diagonal copies
+of a smaller spec, see :func:`amplify_spec`) keep the homomorphism defect
+at zero while the identity-distance condition degrades by at most 1/(q+1)
+for q full blocks.
 """
 
 from __future__ import annotations
@@ -78,6 +83,51 @@ def to_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _gcd(x, n: int):
+    """gcd(x, n) for a Python int or elementwise for an object array."""
+    return np.gcd(x, n) if isinstance(x, np.ndarray) else math.gcd(x, n)
+
+
+def _compose_coeffs(n: int, first: tuple, second: tuple) -> tuple:
+    """Coefficients of first o second (``second`` acts first), mod n.
+
+    Each coefficient is a Python int or an object array of them, so one
+    call composes one pair of maps or many pairs at once.
+    """
+    if len(first) == 2:
+        u1, v1 = first
+        u2, v2 = second
+        return (u1 * u2 % n, (u1 * v2 + v1) % n)
+    a1, b1, c1 = first
+    a2, b2, c2 = second
+    return ((a1 + a2) % n, (a1 * c2 + b1 + b2) % n, (c1 + c2) % n)
+
+
+def _agree_counts(n: int, npoints: int, first: tuple, second: tuple):
+    """Number of points where the two maps agree, for scalar or array
+    coefficients as in :func:`_compose_coeffs`.
+
+    On a block the maps agree where (u1 - u2) x = v2 - v1 (mod n): g =
+    gcd(u1 - u2, n) solutions if g divides v2 - v1, else none.  On the
+    plane the y-shifts must match and (a1 - a2) y = b2 - b1 (mod n) has g
+    solutions, each with x free.  The identity tail always agrees.
+    """
+    if len(first) == 2:
+        u1, v1 = first
+        u2, v2 = second
+        g = _gcd(u1 - u2, n)
+        per_block = g * ((v2 - v1) % g == 0)
+        block = n
+    else:
+        a1, b1, c1 = first
+        a2, b2, c2 = second
+        g = _gcd(a1 - a2, n)
+        per_block = n * g * (((c1 - c2) % n == 0) & ((b2 - b1) % g == 0))
+        block = n * n
+    blocks, tail = divmod(npoints, block)
+    return blocks * per_block + tail
+
+
 @dataclass(frozen=True)
 class AffineImage:
     """An affine permutation kept as its coefficients, reduced mod ``n``.
@@ -103,41 +153,14 @@ class AffineImage:
     def compose(self, other: "AffineImage") -> "AffineImage":
         """Right-to-left, as :func:`soficperm.perm.compose`: ``other`` first."""
         self._require_same_space(other)
-        n = self.n
-        if len(self.coeffs) == 2:
-            u1, v1 = self.coeffs
-            u2, v2 = other.coeffs
-            coeffs = (u1 * u2 % n, (u1 * v2 + v1) % n)
-        else:
-            a1, b1, c1 = self.coeffs
-            a2, b2, c2 = other.coeffs
-            coeffs = ((a1 + a2) % n, (a1 * c2 + b1 + b2) % n, (c1 + c2) % n)
-        return AffineImage(n, coeffs, self.npoints)
+        coeffs = _compose_coeffs(self.n, self.coeffs, other.coeffs)
+        return AffineImage(self.n, coeffs, self.npoints)
 
     def agree_count(self, other: "AffineImage") -> int:
-        """Number of points where the two maps agree.
-
-        On a block the maps agree where (u1 - u2) x = v2 - v1 (mod n): g =
-        gcd(u1 - u2, n) solutions if g divides v2 - v1, else none.  On the
-        plane the y-shifts must match and (a1 - a2) y = b2 - b1 (mod n) has g
-        solutions, each with x free.  The identity tail always agrees.
-        """
+        """Number of points where the two maps agree, by the closed form of
+        :func:`_agree_counts`."""
         self._require_same_space(other)
-        n = self.n
-        if len(self.coeffs) == 2:
-            u1, v1 = self.coeffs
-            u2, v2 = other.coeffs
-            g = math.gcd(u1 - u2, n)
-            per_block = g if (v2 - v1) % g == 0 else 0
-            block = n
-        else:
-            a1, b1, c1 = self.coeffs
-            a2, b2, c2 = other.coeffs
-            g = math.gcd(a1 - a2, n)
-            per_block = n * g if (c1 - c2) % n == 0 and (b2 - b1) % g == 0 else 0
-            block = n * n
-        blocks, tail = divmod(self.npoints, block)
-        return blocks * per_block + tail
+        return _agree_counts(self.n, self.npoints, self.coeffs, other.coeffs)
 
     def perm(self) -> Perm:
         """The full image table."""
@@ -243,9 +266,15 @@ def _metab_image(spec: ApproxSpec, w: GenWord) -> AffineImage:
     acc = AffineImage(n, (1 % n, 0), spec.npoints)
     for gen, exp in w.letters:
         step = AffineImage(n, gen_maps[(gen, 1 if exp > 0 else -1)], spec.npoints)
-        for _ in range(abs(exp)):
-            # the accumulated word acts after the new letter
-            acc = acc.compose(step)
+        # the accumulated word acts after the new letter's power, taken by
+        # square-and-multiply: O(log |exp|) compositions
+        e = abs(exp)
+        while e:
+            if e & 1:
+                acc = acc.compose(step)
+            e >>= 1
+            if e:
+                step = step.compose(step)
     return acc
 
 
@@ -339,6 +368,12 @@ class VerifyReport:
     pairs_checked: int
 
 
+# products per block of rows of the product index in :func:`verify`; a
+# block's index and object-array temporaries peak near 200 bytes per product
+# (tracemalloc, z2 radius 9 at n = 1009 and at n = 10^12 + 39)
+_PAIR_CHUNK = 1 << 11
+
+
 def _is_identity_elem(x: GroupElem, exact: bool) -> bool:
     if isinstance(x, FreeWord) or not exact:
         # metab: only the empty word is *known* trivial; the caller asserts
@@ -370,35 +405,59 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     delta must lie in (0, 1].  For metab, S holds words; every nonempty word
     is taken to be nontrivial on the caller's authority, since the word
     problem is out of scope here.
+
+    S is sorted by :func:`groups.sort_key`, and one pass over its pairs
+    (g, h) in that order builds the product index: the position of gh in S,
+    or -1 when gh lies outside S, one ``groups.mul`` per pair.  The pairs
+    with gh in S are checked in batches: psi(g) o psi(h) is composed and
+    compared with psi(gh) by the closed forms behind :class:`AffineImage`,
+    on object arrays of exact coefficients.  The pass runs in blocks of
+    whole rows of at most ``_PAIR_CHUNK`` products, so memory does not grow
+    with |S|^2.  The homomorphism witness is the first pair in (g, h) scan
+    order with the largest defect (a later block wins only when strictly
+    worse), and there is none when the defect is 0.
     """
     delta = _check_delta(delta)
     exact = S.exact if isinstance(S, Ball) else (spec.family != "metab")
     elements = sorted(set(S), key=groups.sort_key)
-    images = {g: image(spec, g) for g in elements}
+    images = [image(spec, g) for g in elements]
     npoints = spec.npoints
 
-    # distances are disagreement counts over npoints until the report
-    worst_defect = 0
+    # the product index, one group product per pair, in blocks of whole
+    # rows; distances are disagreement counts over npoints until the report
+    size = len(elements)
+    position = {g: k for k, g in enumerate(elements)}.get
+    mul = groups.mul
+    columns = [np.array(c, dtype=object)
+               for c in zip(*(f.coeffs for f in images))]
+    pairs = worst_defect = 0
     hom_witness: Optional[tuple[GroupElem, GroupElem]] = None
-    pairs = 0
-    for g in elements:
-        image_g = images[g]
-        for h in elements:
-            image_gh = images.get(groups.mul(g, h))
-            if image_gh is None:
-                continue
-            pairs += 1
-            d = npoints - image_g.compose(images[h]).agree_count(image_gh)
-            if d > worst_defect:
-                worst_defect, hom_witness = d, (g, h)
+    rows = max(1, _PAIR_CHUNK // max(size, 1))
+    for top in range(0, size, rows):
+        index = np.array([[position(mul(g, h), -1) for h in elements]
+                          for g in elements[top:top + rows]], dtype=np.int64)
+        at_g, at_h = np.nonzero(index >= 0)
+        if not len(at_g):
+            continue
+        at_gh = index[at_g, at_h]
+        at_g += top
+        pairs += len(at_gh)
+        composed = _compose_coeffs(spec.n, [c[at_g] for c in columns],
+                                   [c[at_h] for c in columns])
+        agree = _agree_counts(spec.n, npoints, composed,
+                              [c[at_gh] for c in columns])
+        at = int(np.argmin(agree))  # the block's first largest defect
+        if npoints - agree[at] > worst_defect:
+            worst_defect = npoints - agree[at]
+            hom_witness = (elements[at_g[at]], elements[at_h[at]])
 
     ident = image(spec, groups.identity(spec.family, m=spec.m))
     worst_closeness: Optional[int] = None
     id_witness: Optional[GroupElem] = None
-    for g in elements:
+    for g, image_g in zip(elements, images):
         if _is_identity_elem(g, exact):
             continue
-        d = npoints - images[g].agree_count(ident)
+        d = npoints - image_g.agree_count(ident)
         if worst_closeness is None or d < worst_closeness:
             worst_closeness, id_witness = d, g
 

@@ -14,6 +14,10 @@ Families and tags:
              scope), so equality of words is only a sufficient condition
              for equality in the group
 
+Products and inverses are computed in exact integers and land in the normal
+form directly; the elements they build skip the constructors' checks, which
+stay in place for input from outside.
+
 Multiplication matches the permutation side: if psi sends an element to the
 map x -> m^-pow (x + t(m)), then mul(g1, g2) has pow = pow1 + pow2 and
 Laurent part t2 + x^pow2 * t1, which makes psi(g1 g2) = psi(g1) o psi(g2)
@@ -112,17 +116,26 @@ class GenWord:
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.letters)
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from fields already in
+    normal form, without running ``__post_init__``."""
+    x = object.__new__(cls)
+    x.__dict__.update(fields)
+    return x
+
+
 def genword(pairs: Iterable[tuple[str, int]]) -> GenWord:
     """Build a GenWord, freely reducing the given letters."""
     return GenWord(_free_reduce(pairs))
 
 
 def word_mul(w1: GenWord, w2: GenWord) -> GenWord:
-    return GenWord(_free_reduce(w1.letters + w2.letters))
+    return _trusted(GenWord, letters=_free_reduce(w1.letters + w2.letters))
 
 
 def word_inverse(w: GenWord) -> GenWord:
-    return GenWord(tuple((g, -e) for g, e in reversed(w.letters)))
+    return _trusted(GenWord,
+                    letters=tuple((g, -e) for g, e in reversed(w.letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +180,19 @@ class BSElem:
         return Fraction(self.num, self.m ** self.den_exp)
 
 
-def _bs_normalize(m: int, value: Fraction, pow_: int) -> BSElem:
-    den_exp = 0
-    while (value * m ** den_exp).denominator != 1:
-        den_exp += 1
-    return BSElem(m, int(value * m ** den_exp), den_exp, pow_)
+def _bs_make(m: int, num: int, e: int, pow_: int) -> BSElem:
+    """The element with value num * m^e in normal form: factors of m are
+    moved from num into the exponent while it is negative, so den_exp = -e
+    ends minimal."""
+    if num == 0:
+        return _trusted(BSElem, m=m, num=0, den_exp=0, pow=pow_)
+    while e < 0 and num % m == 0:
+        num //= m
+        e += 1
+    if e > 0:
+        num *= m ** e
+        e = 0
+    return _trusted(BSElem, m=m, num=num, den_exp=-e, pow=pow_)
 
 
 @dataclass(frozen=True)
@@ -198,7 +219,7 @@ class WreathElem:
 
 def _wreath_make(poly: dict[int, int], pow_: int) -> WreathElem:
     items = tuple(sorted((e, c) for e, c in poly.items() if c != 0))
-    return WreathElem(items, pow_)
+    return _trusted(WreathElem, poly=items, pow=pow_)
 
 
 @dataclass(frozen=True)
@@ -292,14 +313,18 @@ def mul(x: GroupElem, y: GroupElem) -> GroupElem:
     if isinstance(x, BSElem):
         if x.m != y.m:
             raise ValueError(f"parameter mismatch: m={x.m} vs m={y.m}")
-        value = y.value() + Fraction(x.m) ** y.pow * x.value()
-        return _bs_normalize(x.m, value, x.pow + y.pow)
+        # value y + m^pow_y * value x = num * m^e over the common exponent e
+        m = x.m
+        e_y, e_x = -y.den_exp, y.pow - x.den_exp
+        e = min(e_y, e_x)
+        num = y.num * m ** (e_y - e) + x.num * m ** (e_x - e)
+        return _bs_make(m, num, e, x.pow + y.pow)
     if isinstance(x, WreathElem):
         poly = dict(y.poly)
         for e, c in x.poly:
             poly[e + y.pow] = poly.get(e + y.pow, 0) + c
         return _wreath_make(poly, x.pow + y.pow)
-    return FreeWord(word_mul(x.word, y.word))
+    return _trusted(FreeWord, word=word_mul(x.word, y.word))
 
 
 def inverse(x: GroupElem) -> GroupElem:
@@ -308,13 +333,13 @@ def inverse(x: GroupElem) -> GroupElem:
     if isinstance(x, HeisElem):
         return HeisElem(-x.lam, -x.mu, -x.nu - x.lam * x.mu)
     if isinstance(x, BSElem):
-        value = -(Fraction(x.m) ** (-x.pow)) * x.value()
-        return _bs_normalize(x.m, value, -x.pow)
+        # value -m^-pow * value x
+        return _bs_make(x.m, -x.num, -x.pow - x.den_exp, -x.pow)
     if isinstance(x, WreathElem):
         poly = {e - x.pow: -c for e, c in x.poly}
         return _wreath_make(poly, -x.pow)
     if isinstance(x, FreeWord):
-        return FreeWord(word_inverse(x.word))
+        return _trusted(FreeWord, word=word_inverse(x.word))
     raise TypeError(f"not a group element: {x!r}")
 
 
@@ -401,9 +426,6 @@ class Ball:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: GroupElem) -> bool:
-        return x in set(self.elements)
 
 
 def ball(family: str, radius: int, *, m: int | None = None) -> Ball:

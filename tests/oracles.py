@@ -58,6 +58,35 @@ def order_divides_k(f: tuple, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Baumslag-Solitar products through Fraction
+# ---------------------------------------------------------------------------
+
+def bs_normalize(m: int, value: Fraction, pow_: int) -> tuple:
+    """(num, den_exp, pow) with value = num / m^den_exp and den_exp minimal."""
+    den_exp = 0
+    while (value * m ** den_exp).denominator != 1:
+        den_exp += 1
+    return (int(value * m ** den_exp), den_exp, pow_)
+
+
+def bs_value(m: int, x: tuple) -> Fraction:
+    num, den_exp, _ = x
+    return Fraction(num, m ** den_exp)
+
+
+def bs_mul(m: int, x: tuple, y: tuple) -> tuple:
+    """[[1, vx], [0, m^px]] [[1, vy], [0, m^py]] in the group's convention:
+    value vy + m^py vx, power px + py."""
+    value = bs_value(m, y) + Fraction(m) ** y[2] * bs_value(m, x)
+    return bs_normalize(m, value, x[2] + y[2])
+
+
+def bs_inverse(m: int, x: tuple) -> tuple:
+    value = -(Fraction(m) ** (-x[2])) * bs_value(m, x)
+    return bs_normalize(m, value, -x[2])
+
+
+# ---------------------------------------------------------------------------
 # exhaustive counts and searches
 # ---------------------------------------------------------------------------
 

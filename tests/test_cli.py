@@ -240,7 +240,6 @@ class TestReproducibility:
         assert "workers" not in outs[0]
 
     def test_same_invocation_same_bytes(self, capsys):
-        argv = ["align-free-run"]  # placeholder to keep list literal honest
         argv = ["heuristic", "--n", "40", "--k", "4", "--format", "csv"]
         one = invoke(capsys, argv)[1]
         two = invoke(capsys, argv)[1]

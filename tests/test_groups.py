@@ -157,6 +157,86 @@ class TestBS:
         assert z.pow == x.pow + y.pow
 
 
+BS_M = (-6, -2, 2, 3, 6)
+
+
+@st.composite
+def bs_elements(draw, m):
+    """A normalized BS(1, m) element from a random (value, power)."""
+    num = draw(st.integers(-10**6, 10**6))
+    den_exp = draw(st.integers(0, 8))
+    pow_ = draw(st.integers(-8, 8))
+    value = Fraction(num, m ** den_exp) * Fraction(m) ** draw(st.integers(-3, 3))
+    return orc.bs_normalize(m, value, pow_)
+
+
+class TestBSNormalForm:
+    """The integer product against the Fraction product it replaced."""
+
+    @pytest.mark.parametrize("m", BS_M)
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_mul_and_inverse_match_fraction_oracle(self, m, data):
+        x = data.draw(bs_elements(m))
+        y = data.draw(bs_elements(m))
+        ex, ey = gr.BSElem(m, *x), gr.BSElem(m, *y)
+        for got, want in ((gr.mul(ex, ey), orc.bs_mul(m, x, y)),
+                          (gr.inverse(ex), orc.bs_inverse(m, x))):
+            expected = gr.BSElem(m, *want)
+            assert got == expected
+            assert hash(got) == hash(expected)
+            assert (got.num, got.den_exp, got.pow) == want
+
+    @pytest.mark.parametrize("m", BS_M)
+    @given(random_words(), random_words())
+    def test_word_products_match_fraction_oracle(self, m, w1, w2):
+        x = gr.eval_word(w1, "bs", m=m)
+        y = gr.eval_word(w2, "bs", m=m)
+        want = orc.bs_mul(m, (x.num, x.den_exp, x.pow),
+                          (y.num, y.den_exp, y.pow))
+        got = gr.mul(x, y)
+        assert got == gr.BSElem(m, *want)
+        assert hash(got) == hash(gr.BSElem(m, *want))
+        assert got.value() == (y.value()
+                               + Fraction(m) ** y.pow * x.value())
+
+
+class TestTrustedProducts:
+    """Products built without revalidation equal the validated forms."""
+
+    @given(family_words(families=("zwrz", "metab")), random_words())
+    @settings(max_examples=150)
+    def test_product_equals_validated_constructor(self, fw, w2):
+        family, w1 = fw
+        for m in (2, -3):
+            x = gr.eval_word(w1, family, m=m)
+            y = gr.eval_word(w2, family, m=m)
+            for z in (gr.mul(x, y), gr.inverse(x), gr.mul(gr.inverse(y), x)):
+                if family == "zwrz":
+                    checked = gr.WreathElem(z.poly, z.pow)
+                else:
+                    checked = gr.FreeWord(gr.GenWord(z.word.letters))
+                assert z == checked
+                assert hash(z) == hash(checked)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gr.BSElem(2, 4, 1, 0),
+        lambda: gr.BSElem(-3, 9, 2, 1),
+        lambda: gr.BSElem(1, 1, 0, 0),
+        lambda: gr.BSElem(2, 1, -1, 0),
+        lambda: gr.WreathElem(((1, 1), (0, 2)), 0),
+        lambda: gr.WreathElem(((0, 1), (0, 2)), 0),
+        lambda: gr.WreathElem(((0, 0),), 1),
+        lambda: gr.GenWord((("a", 1), ("a", 2))),
+        lambda: gr.GenWord((("b", 0),)),
+        lambda: gr.GenWord((("c", 1),)),
+        lambda: gr.FreeWord(gr.GenWord((("t", 1),))),
+    ])
+    def test_outside_input_still_validated(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
 class TestWreath:
     def test_shifted_lamp(self):
         a = gr.generator("zwrz", "a", m=2)
@@ -239,6 +319,20 @@ class TestBall:
         b2 = set(gr.ball("heis", 2))
         assert gr.mul(gr.generator("heis", "a"),
                       gr.generator("heis", "b")) in b2
+
+    @pytest.mark.parametrize("family", gr.FAMILIES)
+    def test_membership(self, family):
+        m = FAMILY_M[family]
+        b2 = gr.ball(family, 2, m=m)
+        for g in b2:
+            assert g in b2
+        outside = set(gr.ball(family, 3, m=m)) - set(b2)
+        assert outside
+        for g in outside:
+            assert g not in b2
+        # an identity of another family is no member either
+        other = gr.HeisElem(0, 0, 0) if family == "z2" else gr.Z2Elem(0, 0)
+        assert other not in b2
 
 
 class TestAbelianization:
