@@ -75,6 +75,7 @@ from .perm import (
     Perm,
     amplify,
     compose,
+    conjugate,
     count_order_dividing,
     cycle_decomposition,
     hamming,
@@ -92,7 +93,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # permutations
-    "Perm", "CycleDecomposition", "compose", "inverse", "power",
+    "Perm", "CycleDecomposition", "compose", "conjugate", "inverse", "power",
     "hamming", "hamming_count", "cycle_decomposition", "order_of",
     "order_divides", "project_to_order", "amplify",
     "count_order_dividing", "sample_order_k",

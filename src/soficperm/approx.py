@@ -23,6 +23,9 @@ so n = 10^12 needs no second path.  Amplified specs (block-diagonal copies
 of a smaller spec, see :func:`amplify_spec`) keep the homomorphism defect
 at zero while the identity-distance condition degrades by at most 1/(q+1)
 for q full blocks.
+
+Full tables and the exhaustive polynomial scan are checked first against
+:mod:`soficperm.limits` (see "Limits" in the README).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import groups
+from . import limits
 from . import perm as permmod
 from .groups import (
     Ball,
@@ -163,7 +167,8 @@ class AffineImage:
         return _agree_counts(self.n, self.npoints, self.coeffs, other.coeffs)
 
     def perm(self) -> Perm:
-        """The full image table."""
+        """The full image table, within the ``table_entries`` limit."""
+        limits.check("table_entries", self.npoints)
         n = self.n
         if len(self.coeffs) == 2:
             u, v = self.coeffs
@@ -183,8 +188,9 @@ class ApproxSpec:
 
     ``n`` is the modulus; ``npoints`` the degree of the permutations
     (n for all families except heis, which acts on n^2 points encoded as
-    x*n + y).  When ``base`` is set the spec is a block-diagonal
-    amplification of ``base`` to ``npoints`` points, and when ``sigma`` is
+    x*n + y).  When ``amplified`` is set the spec is a block-diagonal
+    amplification of the spec at modulus n to ``npoints`` points (see
+    :func:`amplify_spec`), and when ``sigma`` is
     set its points are relabelled (:func:`conjugate_spec`).  ``psi_a`` and
     ``psi_b`` are built as full tables the first time they are read.
     """
@@ -195,7 +201,7 @@ class ApproxSpec:
     p: Optional[int]
     q: Optional[int]
     m: Optional[int]
-    base: Optional["ApproxSpec"] = None
+    amplified: bool = False
     sigma: Optional[Perm] = None
 
     def params(self) -> dict:
@@ -204,7 +210,7 @@ class ApproxSpec:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
-        if self.base is not None:
+        if self.amplified:
             out["amplified_to"] = self.npoints
         return out
 
@@ -315,8 +321,7 @@ def eval(spec: ApproxSpec, x: GroupElem | GenWord) -> Perm:  # noqa: A001
     carries a relabelling ``sigma``."""
     f = image(spec, x).perm()
     if spec.sigma is not None:
-        sigma = spec.sigma
-        f = permmod.compose(permmod.compose(permmod.inverse(sigma), f), sigma)
+        f = permmod.conjugate(f, spec.sigma)
     return f
 
 
@@ -327,11 +332,10 @@ def amplify_spec(spec: ApproxSpec, npoints: int) -> ApproxSpec:
     if spec.sigma is not None:
         raise ValueError("amplifying a relabelled (conjugated) spec is not "
                          "supported; amplify first, then relabel")
-    if spec.base is not None:
+    if spec.amplified:
         raise ValueError("amplifying an amplified spec is not supported; "
                          "amplify the original instead")
-    return ApproxSpec(spec.family, spec.n, npoints, spec.p, spec.q, spec.m,
-                      base=spec)
+    return replace(spec, npoints=npoints, amplified=True)
 
 
 def conjugate_spec(spec: ApproxSpec, sigma: Perm) -> ApproxSpec:
@@ -502,11 +506,11 @@ class PolyConditionResult:
 
 
 def check_poly_condition(
-    n: int, m: int, C: int, *, mode: str = "auto", cap: int = 4
+    n: int, m: int, C: int, *, mode: str = "auto"
 ) -> PolyConditionResult:
     """Test whether n | t(m) fails for every nonzero t of degree <= C with
-    |t_i| < C; exhaustive for C <= cap, with the sufficient fast path
-    |m| > 2C + 1 and n > |m|^(C+1).
+    |t_i| < C; exhaustive for C within the ``poly_C`` limit, with the
+    sufficient fast path |m| > 2C + 1 and n > |m|^(C+1).
     """
     if C < 0:
         raise ValueError("C must be >= 0")
@@ -524,8 +528,7 @@ def check_poly_condition(
         return PolyConditionResult(True, None, None, "fast")
     if mode == "auto" and fast_ok:
         return PolyConditionResult(True, None, None, "fast")
-    if C > cap:
-        raise ValueError(f"C={C} over the exhaustive cap {cap}")
+    limits.check("poly_C", C)
     coeff_range = range(-(C - 1), C)
     powers = [m ** i for i in range(C + 1)]
     for degree in range(C + 1):

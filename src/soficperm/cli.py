@@ -12,9 +12,8 @@ Output contract
   JSON.
 * Exit status: 0 on success, 1 when the computation itself reports failure
   (a verification that does not pass, an exact search with no solution, a
-  relation check that fails), 2 on bad flags or malformed input files.
-* ``--workers`` is accepted for interface stability; results never depend
-  on it, and runs with different worker counts emit identical bytes.
+  relation check that fails), 2 on bad flags, malformed input files or
+  sizes over a limit of :mod:`soficperm.limits`.
 """
 
 from __future__ import annotations
@@ -132,8 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="RNG seed, echoed in every record (default 0)")
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write data here instead of stdout")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker count; never affects output bytes")
 
     parser = argparse.ArgumentParser(
         prog="soficperm",
@@ -542,10 +539,6 @@ def run(argv) -> int:
         ns = parser.parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if ns.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-
     handler = _COMMANDS[ns.command]
     t0 = time.perf_counter()
     try:
@@ -555,17 +548,16 @@ def run(argv) -> int:
         result, rows, message = failure.args
         print(f"failure: {message}", file=sys.stderr)
         exit_code = 1
-    except (ValueError, OSError, KeyError, TypeError,
+    except (ValueError, OSError, KeyError, TypeError, MemoryError,
             json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError has no message of its own
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
 
-    # the options are every subcommand flag, in parser order, then --format;
-    # --workers is intentionally not echoed: results may never depend on it,
-    # so runs differing only in worker count must emit identical bytes
+    # the options are every subcommand flag, in parser order, then --format
     options = {k: v for k, v in vars(ns).items()
-               if k not in ("command", "format", "seed", "out", "workers")}
+               if k not in ("command", "format", "seed", "out")}
     config = ExperimentConfig(
         subcommand=ns.command,
         options=dict(options, format=ns.format),

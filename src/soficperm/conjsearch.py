@@ -26,6 +26,7 @@ import numpy as np
 
 from . import approx as approxmod
 from . import groups
+from . import limits
 from . import perm as permmod
 from .approx import ApproxSpec
 from .groups import GenWord, GroupElem
@@ -175,11 +176,11 @@ def exact_search(prob: ConjProblem) -> Optional[SearchReport]:
     return _make_report(prob, "exact", None, f, 1, 0.0)
 
 
-def brute_force(prob: ConjProblem, *, cap: int = 9) -> SearchReport:
+def brute_force(prob: ConjProblem) -> SearchReport:
     """Exact optimum by enumerating every f with f^k = id; ties go to the
-    lexicographically smallest image array."""
-    if prob.n > cap:
-        raise ValueError(f"n={prob.n} over the brute-force cap {cap}")
+    lexicographically smallest image array.  n is bounded by the
+    ``brute_force_n`` limit of :mod:`soficperm.limits`."""
+    limits.check("brute_force_n", prob.n)
     t0 = time.perf_counter()
     F = permmod._order_dividing_rows(prob.n, prob.k)
     scores = np.count_nonzero(
@@ -328,11 +329,16 @@ def local_search(
     (r <= 1), then uniform order-dividing-k samples.  Restart RNGs are
     derived as seed * 2^32 + r, restarts run independently, and the winner
     is the best score with lexicographically smallest f, so the result does
-    not depend on how restarts are scheduled.
+    not depend on how restarts are scheduled.  The greedy start always
+    exists, so the samples begin at r = 2; with more than two restarts the
+    ``count_table`` limit of :mod:`soficperm.limits` is checked before any
+    restart climbs.
     """
     if iters is None:
         iters = 200 * prob.n
     _check_budget(iters, restarts)
+    if restarts > 2:
+        limits.check("count_table", prob.n)
     t0 = time.perf_counter()
     best_key: Optional[tuple[int, tuple[int, ...]]] = None
     total = 0
@@ -542,11 +548,10 @@ def align(
             best = key
 
     tau = Perm(np.asarray(best[1], dtype=np.int64), _trusted=True)
-    tau_inv = permmod.inverse(tau)
     per_element = []
     worst = Fraction(0)
     for s, r1, r2 in zip(elements, rho1, rho2):
-        conj = permmod.compose(permmod.compose(tau_inv, Perm(r1, _trusted=True)), tau)
+        conj = permmod.conjugate(Perm(r1, _trusted=True), tau)
         d = permmod.hamming(conj, Perm(r2, _trusted=True))
         per_element.append((s, d))
         worst = max(worst, d)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import mpmath
 
+from . import limits
 from . import perm as permmod
 from .approx import to_fraction
 
@@ -44,13 +45,12 @@ class HeuristicReport:
     log_PK_model: mpmath.mpf
 
 
-def heuristic_report(n: int, k: int, eps, eps_prime, *,
-                     max_n: int = 5000) -> HeuristicReport:
-    """Exact-count ingredients of the independence estimate at (n, k)."""
+def heuristic_report(n: int, k: int, eps, eps_prime) -> HeuristicReport:
+    """Exact-count ingredients of the independence estimate at (n, k),
+    for n within the ``heuristic_n`` limit of :mod:`soficperm.limits`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise ValueError(f"n={n} over the practicality cap {max_n}")
+    limits.check("heuristic_n", n)
     if k < 2:
         raise ValueError("k must be >= 2")
     eps = to_fraction(eps)

@@ -20,6 +20,9 @@ so that conjugation by t cycles a -> d -> c -> b -> a and each adjacent
 pair (base g, lamp h = g^t) generates a wreath-like copy whose lamp
 conjugates h^{g^i} pairwise commute.  Points are encoded as
 x*p^3 + y*p^2 + z*p + w.
+
+The p^4 points and the probe depth are checked first against
+:mod:`soficperm.limits` (see "Limits" in the README).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import groups
+from . import limits
 from . import perm as permmod
 from .groups import GenWord, GroupElem, WreathElem, genword
 from .perm import Perm
@@ -186,6 +190,7 @@ def make_action(
     p: int, f_table: Sequence[int], lambda_table: Sequence[int]
 ) -> ActionTable:
     """Build the five permutations on p^4 points from the value tables."""
+    limits.check("table_entries", p ** 4)
     if not _is_prime(p):
         raise ValueError(f"p={p} is not prime")
     f = np.asarray(_check_table(p, f_table, "f_table"), dtype=np.int64)
@@ -212,17 +217,11 @@ def make_action(
 
 def random_tables(p: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two uniform random tables F_p -> F_p - {0}, deterministic in the seed."""
+    limits.check("table_entries", p ** 4)
     rng = random.Random(seed)
     f = tuple(rng.randrange(1, p) for _ in range(p))
     lam = tuple(rng.randrange(1, p) for _ in range(p))
     return f, lam
-
-
-def _conj(sigma: Perm, tau: Perm) -> Perm:
-    """sigma^tau = tau^-1 sigma tau."""
-    return permmod.compose(
-        permmod.compose(permmod.inverse(tau), sigma), tau
-    )
 
 
 def _first_difference(p: int, g: Perm, h: Perm) -> Optional[tuple[int, int, int, int]]:
@@ -247,7 +246,7 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     t_order_ok = t4 == ident
     checks.append(RelationCheck("t^4", t_order_ok, _first_difference(p, t4, ident)))
 
-    a_t = _conj(act.perms["a"], t)
+    a_t = permmod.conjugate(act.perms["a"], t)
     ok_ad = a_t == act.perms["d"]
     checks.append(RelationCheck("a^t = d", ok_ad,
                                 _first_difference(p, a_t, act.perms["d"])))
@@ -256,7 +255,7 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     by_perm = {act.perms[name]: name for name in ("a", "b", "c", "d")}
     succ: dict[str, Optional[str]] = {}
     for name in ("a", "b", "c", "d"):
-        image = _conj(act.perms[name], t)
+        image = permmod.conjugate(act.perms[name], t)
         succ[name] = by_perm.get(image)
     cycle: Optional[tuple[str, ...]] = None
     if all(succ.values()):
@@ -281,12 +280,8 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
         base = act.perms[base_name]
         lamp = act.perms[lamp_name]
         powers = {i: permmod.power(base, i) for i in range(-window, window + 1)}
-        shifted = {
-            i: permmod.compose(
-                permmod.compose(permmod.inverse(powers[i]), lamp), powers[i]
-            )
-            for i in range(-window, window + 1)
-        }
+        shifted = {i: permmod.conjugate(lamp, powers[i])
+                   for i in range(-window, window + 1)}
         for i in range(-window, window + 1):
             for j in range(i + 1, window + 1):
                 lhs = permmod.compose(shifted[i], shifted[j])
@@ -302,16 +297,13 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     return RelationReport(tuple(checks), t_order_ok, cycle, passed)
 
 
-def injectivity_probe(
-    act: ActionTable, depth: int, *, cap: int = 6
-) -> list[WreathElem]:
+def injectivity_probe(act: ActionTable, depth: int) -> list[WreathElem]:
     """Map every nontrivial wreath normal form of word length <= depth
     through the copy (base = a, lamp = d = a^t) and return those acting as
     the identity; empty output means no collapse was found to this depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if depth > cap:
-        raise ValueError(f"depth {depth} over the probe cap {cap}")
+    limits.check("probe_depth", depth)
     if depth == 0:
         return []
     base = act.perms["a"]
@@ -323,10 +315,8 @@ def injectivity_probe(
             continue
         image = permmod.power(base, elem.pow)
         for e, c in elem.poly:
-            be = permmod.power(base, e)
-            shifted = permmod.compose(
-                permmod.compose(permmod.inverse(be), permmod.power(lamp, c)), be
-            )
+            shifted = permmod.conjugate(permmod.power(lamp, c),
+                                        permmod.power(base, e))
             image = permmod.compose(image, shifted)
         if image == ident:
             offenders.append(elem)

@@ -1,0 +1,57 @@
+"""The size policy: one table of limits on what a caller may ask to build.
+
+Each entry names a quantity that an argument sizes, the largest value
+allowed, its unit and the reason for the value.  :func:`check` runs before
+the allocation or enumeration the quantity sizes and raises ``ValueError``
+naming the quantity, the requested size and the limit, so the CLI ends such
+a request with exit status 2 instead of a traceback or an hour-long run.
+The README's "Limits" section lists the same table.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+__all__ = ["Limit", "LIMITS", "check"]
+
+
+@dataclass(frozen=True)
+class Limit:
+    value: int
+    unit: str
+    reason: str
+
+
+LIMITS: dict[str, Limit] = {
+    "table_entries": Limit(
+        1 << 22, "int64 entries",
+        "one permutation table is 32 MB at the limit: heis n <= 2048, "
+        "higman p <= 43, z2/bs/zwrz/metab and amplify up to 4194304 points"),
+    "count_table": Limit(
+        20000, "points",
+        "the exact count table a(0..n) for f^k = id holds big integers of "
+        "about n log n bits each, about 250 MB at the limit for k = 4"),
+    "brute_force_n": Limit(
+        9, "points",
+        "brute force enumerates every f in Sym(n) with f^k = id as a row"),
+    "probe_depth": Limit(
+        6, "letters",
+        "the injectivity probe maps every zwrz normal form of that length"),
+    "poly_C": Limit(
+        4, "degree",
+        "the exhaustive scan tries every polynomial of degree <= C with "
+        "coefficients below C, about (2C-1)^(C+1) of them"),
+    "heuristic_n": Limit(
+        5000, "points",
+        "the report carries the exact count, over 4300 digits at the "
+        "limit for k = 4"),
+}
+
+
+def check(name: str, size: int) -> None:
+    """Raise ``ValueError`` when ``size`` is over the limit called ``name``."""
+    limit = LIMITS[name]
+    if size > limit.value:
+        raise ValueError(
+            f"{name} limit: {size} requested, over the limit of "
+            f"{limit.value} {limit.unit}; {limit.reason}")

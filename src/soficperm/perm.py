@@ -19,6 +19,9 @@ grown on demand); sampling walks one path, choosing each branch with
 probability proportional to its size (:func:`sample_order_k`); enumeration
 writes every leaf as a row (:func:`_order_dividing_rows`, the brute-force
 search space).
+
+The tables of :func:`amplify` and :func:`_counts` are checked against
+:mod:`soficperm.limits` before they grow (see "Limits" in the README).
 """
 
 from __future__ import annotations
@@ -33,11 +36,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import limits
+
 __all__ = [
     "Perm",
     "CycleDecomposition",
     "BigCount",
     "compose",
+    "conjugate",
     "inverse",
     "power",
     "hamming",
@@ -190,6 +196,11 @@ def inverse(f: Perm) -> Perm:
     return Perm(inv, _trusted=True)
 
 
+def conjugate(f: Perm, t: Perm) -> Perm:
+    """The conjugate f^t = t^-1 f t."""
+    return compose(compose(inverse(t), f), t)
+
+
 def power(f: Perm, e: int) -> Perm:
     """``f`` composed with itself ``e`` times; negative ``e`` uses the inverse."""
     if e < 0:
@@ -268,6 +279,7 @@ def amplify(f: Perm, n: int) -> Perm:
     m = f.n
     if n < m:
         raise ValueError(f"target degree {n} smaller than {m}")
+    limits.check("table_entries", n)
     q, r = divmod(n, m)
     offsets = np.repeat(np.arange(q, dtype=np.int64) * m, m)
     blocks = np.tile(f.images, q) + offsets
@@ -298,6 +310,7 @@ def _order_dividing_table(k: int) -> list[int]:
 def _counts(n: int, k: int) -> list[int]:
     """The table for k, grown to cover j = 0..n by the recurrence
     a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d)."""
+    limits.check("count_table", n)
     a = _order_dividing_table(k)
     divisors = _divisors(k)
     for j in range(len(a), n + 1):

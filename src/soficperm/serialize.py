@@ -23,7 +23,6 @@ import mpmath
 
 from . import approx as approxmod
 from . import conjsearch as conjmod
-from . import groups as groupsmod
 from . import heuristic as heurmod
 from . import higman as higmod
 from .groups import (
@@ -149,8 +148,8 @@ def elem_from_obj(obj: dict):
         return BSElem(_int(obj["m"]), _int(obj["num"]),
                       _int(obj["den_exp"]), _int(obj["pow"]))
     if family == "zwrz":
-        return groupsmod._wreath_make(
-            {_int(e): _int(c) for e, c in obj["poly"]}, _int(obj["pow"]))
+        return WreathElem(tuple((_int(e), _int(c)) for e, c in obj["poly"]),
+                          _int(obj["pow"]))
     if family == "metab":
         return FreeWord(genword_from_obj(obj["word"]))
     raise ValueError(f"unknown family {family!r}")

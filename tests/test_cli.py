@@ -78,9 +78,9 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err
 
-    def test_workers_validated(self, capsys):
-        code, _, err = invoke(capsys, ["count-orders", "--n", "4", "--k", "4",
-                                       "--workers", "0"])
+    def test_workers_flag_is_gone(self, capsys):
+        code, _, _ = invoke(capsys, ["count-orders", "--n", "4", "--k", "4",
+                                     "--workers", "1"])
         assert code == 2
 
     def test_verify_pass_and_fail(self, tmp_path, capsys):
@@ -227,18 +227,6 @@ class TestRecordShape:
 
 
 class TestReproducibility:
-    def test_workers_do_not_change_bytes(self, capsys):
-        outs = []
-        for workers in ("1", "4"):
-            code, out, _ = invoke(capsys, [
-                "search", "--group", "z2", "--n", "30", "--p", "2",
-                "--q", "3", "--k", "4", "--algo", "local", "--seed", "3",
-                "--restarts", "4", "--workers", workers])
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
-        assert "workers" not in outs[0]
-
     def test_same_invocation_same_bytes(self, capsys):
         argv = ["heuristic", "--n", "40", "--k", "4", "--format", "csv"]
         one = invoke(capsys, argv)[1]

@@ -68,7 +68,9 @@ class TestValidation:
     def test_practicality_cap(self):
         with pytest.raises(ValueError):
             hr.heuristic_report(6000, 4, 0, 0)
-        assert hr.heuristic_report(60, 4, 0, 0, max_n=60).n == 60
+        assert hr.heuristic_report(5000, 4, 0, 0).n == 5000
+        with pytest.raises(ValueError, match="heuristic_n"):
+            hr.heuristic_report(5001, 4, 0, 0)
 
     def test_precision_is_carried(self):
         rep = hr.heuristic_report(100, 4, 0, 0)

@@ -66,6 +66,20 @@ def test_element_roundtrip(elem):
     assert ser.elem_from_obj(json_roundtrip(ser.elem_to_obj(elem))) == elem
 
 
+def test_wreath_ball_roundtrip():
+    for elem in gr.ball("zwrz", 3):
+        assert ser.elem_from_obj(json_roundtrip(ser.elem_to_obj(elem))) == elem
+
+
+@pytest.mark.parametrize("poly", [
+    [[0, 1], [0, 2]],   # a repeated exponent, not merged into one term
+    [[3, 0], [1, 5]],   # a zero coefficient, and exponents out of order
+])
+def test_non_canonical_wreath_poly_rejected(poly):
+    with pytest.raises(ValueError, match="poly"):
+        ser.elem_from_obj({"family": "zwrz", "poly": poly, "pow": 0})
+
+
 class TestSpec:
     @pytest.mark.parametrize("family,n,kw", [
         ("z2", 10, dict(p=2, q=3)),
@@ -85,7 +99,7 @@ class TestSpec:
         back = ser.spec_from_obj(json_roundtrip(ser.spec_to_obj(spec)))
         assert back.npoints == 25
         assert back.psi_a == spec.psi_a
-        assert back.base is not None and back.base.n == 11
+        assert back.amplified and back.n == 11
 
     def test_tampered_images_rejected(self):
         obj = ser.spec_to_obj(ap.make_approx("z2", 10, p=2, q=3))
