@@ -5,11 +5,14 @@ Output contract
 * Data goes to stdout (or ``--out FILE``); anything diagnostic goes to
   stderr.  Records carry ``schema: 1``, the subcommand name, the seed, and
   the fully resolved configuration, so a result file is self-describing.
-* ``--format json`` emits one indented JSON record; ``--format csv`` emits
-  flat plot-ready rows (floats instead of exact rationals; the exact values
-  live in the JSON form).  Each CSV row repeats schema/command/seed and ends
-  with a ``config`` column holding the resolved configuration as compact
-  JSON.
+* ``--format json`` emits one indented JSON record, byte-identical to
+  ``json.dumps(record, indent=2) + "\n"``; :func:`_dumps` writes it
+  through the C encoder.  ``--format csv`` emits flat plot-ready rows
+  (floats instead of exact rationals; the exact values live in the JSON
+  form).  Each CSV row repeats schema/command/seed and ends with a
+  ``config`` column holding the resolved configuration as compact JSON.
+  A permutation cell is its images space-joined, rendered only when CSV is
+  written.
 * Exit status: 0 on success, 1 when the computation itself reports failure
   (a verification that does not pass, an exact search with no solution, a
   relation check that fails), 2 on bad flags, malformed input files or
@@ -70,11 +73,17 @@ class ExperimentConfig:
         options = obj["options"]
         if not isinstance(options, dict):
             raise ValueError("options must be a mapping")
+        subcommand = obj["subcommand"]
+        if not isinstance(subcommand, str):
+            raise ValueError(f"subcommand must be a string, got {subcommand!r}")
+        out = obj.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"out must be a string or null, got {out!r}")
         return cls(
-            subcommand=str(obj["subcommand"]),
+            subcommand=subcommand,
             options=dict(options),
-            seed=int(obj.get("seed", 0)),
-            out=obj.get("out"),
+            seed=ser._int(obj.get("seed", 0)),
+            out=out,
         )
 
 
@@ -111,8 +120,62 @@ def _load_perm(path: str) -> permmod.Perm:
     return ser.perm_from_obj(obj)
 
 
-def _join(images) -> str:
-    return " ".join(str(int(v)) for v in images)
+def _join(perm: permmod.Perm) -> str:
+    """A permutation's CSV cell: its images, space-joined."""
+    return " ".join(map(str, perm.tolist()))
+
+
+_encode = json.JSONEncoder().encode
+
+
+def _dumps(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``.
+
+    With ``indent`` set, the stdlib runs its pure-Python encoder.  Here a
+    list of numbers, bools and nulls is encoded once by the C encoder and
+    its ``", "`` separators are re-indented: its compact text holds no
+    ``"``, ``{`` or inner ``[``, and no number contains ``", "``.  Other
+    containers recurse.  An int is its ``int.__repr__`` and None, True and
+    False their literals, as in both stdlib encoders; other scalars and
+    keys go through the C encoder.  The pieces are joined once, so a large
+    list is copied once into the result.
+    """
+    parts: list[str] = []
+    _write(obj, "", parts.append)
+    return "".join(parts)
+
+
+def _write(obj, pad: str, out) -> None:
+    """Pass the pieces of obj's text to out; pad is the indent of the
+    line obj starts on."""
+    if isinstance(obj, dict) and obj:
+        inner = pad + "  "
+        sep = "{\n"
+        for k, v in obj.items():
+            key = _encode(k) if isinstance(k, str) else _encode({k: 0})[1:-4]
+            out(sep + inner + key + ": ")
+            _write(v, inner, out)
+            sep = ",\n"
+        out("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = pad + "  "
+        text = _encode(obj)
+        if '"' in text or "{" in text or text.find("[", 1) != -1:
+            sep = "[\n"
+            for v in obj:
+                out(sep + inner)
+                _write(v, inner, out)
+                sep = ",\n"
+        else:
+            out("[\n" + inner)
+            out(text[1:-1].replace(", ", ",\n" + inner))
+        out("\n" + pad + "]")
+    elif type(obj) is int:
+        out(int.__repr__(obj))
+    elif obj is None or obj is True or obj is False:
+        out("null" if obj is None else "true" if obj else "false")
+    else:
+        out(_encode(obj))
 
 
 class _Failure(Exception):
@@ -250,7 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns (result_obj, csv_rows); the record's
-# options are the parsed flags themselves (see run)
+# options are the parsed flags themselves (see run).  A permutation cell
+# holds the Perm itself; _emit joins it for CSV only
 # ---------------------------------------------------------------------------
 
 def _cmd_count_orders(ns):
@@ -268,8 +332,8 @@ def _spec_row(spec: approxmod.ApproxSpec) -> dict:
         "p": "" if spec.p is None else spec.p,
         "q": "" if spec.q is None else spec.q,
         "m": "" if spec.m is None else spec.m,
-        "psi_a": _join(spec.psi_a.images),
-        "psi_b": _join(spec.psi_b.images),
+        "psi_a": spec.psi_a,
+        "psi_b": spec.psi_b,
     }
 
 
@@ -332,7 +396,7 @@ def _search_rows(rep: conjmod.SearchReport) -> list[dict]:
         "agreement_count": rep.agreement_count,
         "agreement_fraction": _fnum(rep.agreement_fraction),
         "iterations": rep.iterations,
-        "f": _join(rep.f.images),
+        "f": rep.f,
     }]
 
 
@@ -380,7 +444,7 @@ def _cmd_amplify(ns):
     f = _load_perm(ns.perm)
     g = permmod.amplify(f, ns.target_n)
     result = {"n": f.n, "target_n": ns.target_n, "perm": ser.perm_to_obj(g)}
-    rows = [{"n": f.n, "target_n": ns.target_n, "perm": _join(g.images)}]
+    rows = [{"n": f.n, "target_n": ns.target_n, "perm": g}]
     return result, rows
 
 
@@ -424,7 +488,7 @@ def _cmd_higman_action(ns):
             rows.append({
                 "p": ns.p, "check": check.name, "ok": check.ok,
                 "witness": ("" if check.witness is None
-                            else _join(check.witness)),
+                            else " ".join(map(str, check.witness))),
             })
         rows.append({"p": ns.p, "check": "passed", "ok": relations.passed,
                      "witness": ""})
@@ -503,7 +567,7 @@ def _emit(ns, config: ExperimentConfig, result, rows: list[dict]) -> None:
                 "config": config.to_obj(),
                 "result": result,
             }
-            text = json.dumps(record, indent=2) + "\n"
+            text = _dumps(record) + "\n"
         else:
             config_cell = json.dumps(config.to_obj(), sort_keys=True,
                                      separators=(",", ":"))
@@ -517,7 +581,8 @@ def _emit(ns, config: ExperimentConfig, result, rows: list[dict]) -> None:
             for row in rows:
                 full = {"schema": SCHEMA_VERSION, "command": ns.command,
                         "seed": ns.seed, "config": config_cell}
-                full.update(row)
+                full.update((key, _join(v) if isinstance(v, permmod.Perm)
+                             else v) for key, v in row.items())
                 writer.writerow(full)
             text = buf.getvalue()
         if ns.out:

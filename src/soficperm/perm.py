@@ -288,10 +288,12 @@ def amplify(f: Perm, n: int) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _divisors(k: int) -> tuple[int, ...]:
-    """The cycle lengths allowed in the class: every d | k, ascending."""
-    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
-    return tuple(sorted({*small, *(k // d for d in small)}))
+def _divisors(k: int, n: int) -> tuple[int, ...]:
+    """The cycle lengths allowed in the class on at most n points: every
+    d | k with d <= n, ascending.  The scan stops at min(sqrt(k), n), so a
+    huge k costs no more than its divisors up to the degree."""
+    small = [d for d in range(1, min(math.isqrt(k), n) + 1) if k % d == 0]
+    return tuple(sorted({*small, *(k // d for d in small if k // d <= n)}))
 
 
 def _cycle_terms(a, r: int, divisors: tuple[int, ...]):
@@ -312,7 +314,7 @@ def _counts(n: int, k: int) -> list[int]:
     a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d)."""
     limits.check("count_table", n)
     a = _order_dividing_table(k)
-    divisors = _divisors(k)
+    divisors = _divisors(k, n)
     for j in range(len(a), n + 1):
         a.append(sum(_cycle_terms(a, j, divisors)))
     return a
@@ -339,7 +341,7 @@ def _order_dividing_rows(n: int, k: int) -> np.ndarray:
     blocks = [np.zeros((1, 0), dtype=np.int64)]
     for r in range(1, n + 1):
         parts = []
-        for d in _divisors(k):
+        for d in _divisors(k, n):
             if d > r:
                 break
             labels = np.array([
@@ -376,7 +378,7 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
     if k < 1:
         raise ValueError("k must be >= 1")
     table = _counts(n, k)
-    divisors = _divisors(k)
+    divisors = _divisors(k, n)
     images = np.empty(n, dtype=np.int64)
     free = list(range(n))  # unplaced points, ascending
     while free:

@@ -6,6 +6,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficperm import cli
 from soficperm.cli import ExperimentConfig, run
@@ -53,6 +55,24 @@ class TestConfig:
             ExperimentConfig.from_obj({"options": {}})
         with pytest.raises(ValueError):
             ExperimentConfig.from_obj({"subcommand": "x", "options": []})
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.7), ("seed", True), ("seed", "5"),
+        ("subcommand", 3), ("subcommand", None), ("subcommand", ["verify"]),
+        ("out", 1), ("out", False), ("out", ["x.json"]),
+    ])
+    def test_values_checked_not_cast(self, key, value):
+        obj = {"subcommand": "verify", "options": {}, "seed": 3, "out": None}
+        obj[key] = value
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_obj(obj)
+
+    def test_seed_and_out_optional(self):
+        cfg = ExperimentConfig.from_obj({"subcommand": "verify", "options": {}})
+        assert (cfg.seed, cfg.out) == (0, None)
+        cfg = ExperimentConfig.from_obj({"subcommand": "verify", "options": {},
+                                         "seed": 2, "out": "r.json"})
+        assert (cfg.seed, cfg.out) == (2, "r.json")
 
 
 class TestExitCodes:
@@ -340,6 +360,52 @@ class TestSubcommands:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["npoints"] == "16"
         assert len(rows[0]["psi_a"].split()) == 16
+
+
+# JSON trees for the writer: every scalar json.dumps accepts, keys of every
+# accepted type, strings holding the writer's separators, and number lists
+_numbers = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(),
+    # over the interpreter's 4300-digit cap on int -> str conversion
+    st.builds(lambda e, sign: sign * (10**e + 7), st.integers(4300, 4400),
+              st.sampled_from([1, -1])))
+_texts = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from([",", " ", ", ", "[", "]", "{", "}", '"', ":",
+                              "\n", "\\", "a", "1", "\u00e9", "\u4e2d",
+                              "\U0001f600"])).map("".join))
+_keys = st.one_of(_texts, st.integers(), st.floats(), st.booleans(),
+                  st.none())
+_number_lists = st.lists(_numbers) | st.lists(_numbers).map(tuple)
+_trees = st.recursive(
+    st.one_of(_numbers, _texts, _number_lists),
+    lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple),
+                           st.dictionaries(_keys, kids)),
+    max_leaves=15)
+
+
+class TestWriter:
+    """cli._dumps is json.dumps(obj, indent=2), byte for byte."""
+
+    @given(_trees)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stdlib_indented(self, obj):
+        assert unlimited_digits(cli._dumps, obj) == unlimited_digits(
+            lambda: json.dumps(obj, indent=2))
+
+    @pytest.mark.parametrize("obj", [
+        [], (), {}, [[]], {"a": {}}, [1, [2, [3, []]], 4.5],
+        [float("nan"), float("inf"), -float("inf"), -0.0, True, None],
+        {1: [1, 2], 2.5: "x", True: (), None: [None], float("nan"): 0},
+        ["a, b", 1], [", ", "[", "{", '"'], {"k, [": [1, 2], '"': "\n"},
+    ])
+    def test_edge_cases(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_unencodable_still_raises(self):
+        for obj in ([object()], {"a": {1, 2}}, {(1, 2): 0}):
+            with pytest.raises(TypeError):
+                cli._dumps(obj)
 
 
 def test_main_raises_systemexit(monkeypatch, capsys):

@@ -121,6 +121,29 @@ DIGESTS = {
 }
 
 
+# records with large permutation lists: the writer's re-indented number
+# lists, and the CSV cells of a Perm (make-approx, search, amplify).  The
+# json digests are of json.dumps(record, indent=2) + "\n" itself
+LARGE_CASES = {
+    "make-approx-z2-100003": ["make-approx", "--group", "z2", "--n", "100003",
+                              "--p", "31337", "--q", "77777"],
+    "search-local-2000": ["search", "--group", "z2", "--n", "2000", "--p", "1",
+                          "--q", "7", "--k", "4", "--iters", "4000",
+                          "--restarts", "1", "--seed", "3"],
+    "amplify-2000": ["amplify", "--perm", "{tmp}/f13.json",
+                     "--target-n", "2000"],
+}
+
+LARGE_DIGESTS = {
+    "make-approx-z2-100003/json": "0f5e3e2e768640f8310b33a10c087ed89d5424e1782e2c0261a5118cceb5bff5",
+    "make-approx-z2-100003/csv": "2a74b010ef15f059a313541bea8b09b23adc121cb3fe2df060ee69283e41f847",
+    "search-local-2000/json": "f66f499ed8db69a83b2ea8ca346d00df21404d581082abd730dcffcb91d975a6",
+    "search-local-2000/csv": "ef121345c853b813115ba6ab088bc9fc7c379296cc8dde4ad9f760d636290b1b",
+    "amplify-2000/json": "dd585059fde609528b592fc3695da7ede7958d6ea9545bdd387099f791ed6494",
+    "amplify-2000/csv": "b0a393b0138006f0468f891a52b77566130238dcd0a8d5fb967967679093ae38",
+}
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -178,3 +201,11 @@ def test_cli_bytes_pinned(inputs, name, fmt):
         argv[argv.index("--out") + 1] += f".{fmt}"
     argv += ["--format", fmt]
     assert digest(inputs, argv) == DIGESTS[f"{name}/{fmt}"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(LARGE_CASES))
+def test_large_cli_bytes_pinned(inputs, name, fmt):
+    argv = [a.replace("{tmp}", str(inputs)) for a in LARGE_CASES[name]]
+    assert digest(inputs, argv + ["--format", fmt]) == \
+        LARGE_DIGESTS[f"{name}/{fmt}"]

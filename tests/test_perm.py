@@ -268,7 +268,19 @@ class TestCounting:
 
 def test_divisors():
     for k in range(1, 2001):
-        assert pm._divisors(k) == tuple(d for d in range(1, k + 1) if k % d == 0)
+        every = [d for d in range(1, k + 1) if k % d == 0]
+        for n in (1, 2, 3, 5, 12, 44, 45, 100, 1999, 2000, 2001, 5000):
+            assert pm._divisors(k, n) == tuple(d for d in every if d <= min(n, k))
+
+
+def test_huge_k_scans_only_up_to_the_degree():
+    # 10**18 has about 10**9 candidates below its square root; only the
+    # divisors up to n = 6 take part, here 1, 2, 4 and 5
+    k = 10**18
+    assert pm._divisors(k, 6) == (1, 2, 4, 5)
+    want = sum(orc.order_divides_k(f, k) for f in permutations(range(6)))
+    assert count_order_dividing(6, k) == want == 400
+    assert order_divides(sample_order_k(6, k, seed=1), k)
 
 
 class TestEnumeration:
