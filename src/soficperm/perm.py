@@ -13,21 +13,31 @@ The class {f in Sym(n) : f^k = id} is built here and nowhere else, by one
 recursion: the smallest free point opens a cycle of length d | k, its d - 1
 partners are an ordered choice among the other r - 1 free points, and the
 remaining r - d points are filled the same way.  There are
-(r-1)!/(r-d)! * a(r-d) ways down the branch for d (:func:`_cycle_terms`).
-Counting sums the branches (:func:`count_order_dividing`, one table per k
-grown on demand); sampling walks one path, choosing each branch with
+(r-1)!/(r-d)! * a(r-d) ways down the branch for d.  Counting sums the
+branches (:func:`count_order_dividing`, one exact table per k grown on
+demand by :func:`_grow`); sampling walks one path, choosing each branch with
 probability proportional to its size (:func:`sample_order_k`); enumeration
 writes every leaf as a row (:func:`_order_dividing_rows`, the brute-force
 search space).
 
-The tables of :func:`amplify` and :func:`_counts` are checked against
-:mod:`soficperm.limits` before they grow (see "Limits" in the README).
+Sampling reads no exact table.  It walks on certified bounds
+lo * 2**e <= a(j) <= hi * 2**e with mantissas of about 128 bits, grown by
+the same recurrence with outward rounding (:func:`_bounds`), and makes
+exactly the RNG calls of ``rng.randrange(a(r))`` on the exact values.
+Each comparison the bounds leave open is settled by the exact table
+(:func:`_below`); at 128 bits that does not happen in practice.
+
+The tables of :func:`amplify`, :func:`_counts` and :func:`_bounds` are
+checked against :mod:`soficperm.limits` before they grow (see "Limits" in
+the README).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,12 +306,6 @@ def _divisors(k: int, n: int) -> tuple[int, ...]:
     return tuple(sorted({*small, *(k // d for d in small if k // d <= n)}))
 
 
-def _cycle_terms(a, r: int, divisors: tuple[int, ...]):
-    """a[r] split by the length d of the cycle through the smallest point:
-    (r-1)!/(r-d)! ways to fill that cycle, times a[r-d] for the rest."""
-    return (math.perm(r - 1, d - 1) * a[r - d] for d in divisors if d <= r)
-
-
 @lru_cache(maxsize=None)
 def _order_dividing_table(k: int) -> list[int]:
     """a[j] = #{f in Sym(j) : f^k = id}; one list per k that
@@ -309,15 +313,85 @@ def _order_dividing_table(k: int) -> list[int]:
     return [1]
 
 
-def _counts(n: int, k: int) -> list[int]:
-    """The table for k, grown to cover j = 0..n by the recurrence
-    a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d)."""
-    limits.check("count_table", n)
-    a = _order_dividing_table(k)
+# (lo, hi, e) stands for the interval [lo * 2**e, hi * 2**e]
+_Bound = tuple[int, int, int]
+
+
+@lru_cache(maxsize=None)
+def _order_dividing_bounds(k: int) -> list[_Bound]:
+    """(lo, hi, e) with lo * 2**e <= a[j] <= hi * 2**e; one list per k that
+    :func:`_bounds` grows in place."""
+    return [(1, 1, 0)]
+
+
+def _grow(table: list, n: int, k: int, add, scale) -> list:
+    """Extend ``table`` to j = 0..n by the recurrence
+    a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d).
+
+    The sum is taken in nested form, from the largest d down to d = 1:
+    acc = a(j-d) + (j-d)!/(j-d')! * acc, with d' the next larger divisor,
+    so each divisor after the first costs one product.  ``add`` and
+    ``scale`` (integer times entry) give the arithmetic of the entries."""
     divisors = _divisors(k, n)
-    for j in range(len(a), n + 1):
-        a.append(sum(_cycle_terms(a, j, divisors)))
-    return a
+    for j in range(len(table), n + 1):
+        top = bisect.bisect_right(divisors, j) - 1
+        acc = table[j - divisors[top]]
+        for i in range(top - 1, -1, -1):
+            d = divisors[i]
+            acc = add(table[j - d],
+                      scale(math.perm(j - d, divisors[i + 1] - d), acc))
+        table.append(acc)
+    return table
+
+
+def _counts(n: int, k: int) -> list[int]:
+    """The exact table for k, grown to cover j = 0..n."""
+    limits.check("count_table", n)
+    return _grow(_order_dividing_table(k), n, k, operator.add, operator.mul)
+
+
+# Mantissa width of the bounds: a[j] below 2**_MANTISSA_BITS is held exactly.
+_MANTISSA_BITS = 128
+
+
+def _round_out(lo: int, hi: int, e: int) -> _Bound:
+    """The bound (lo, hi, e) cut to _MANTISSA_BITS bits: lo down, hi up."""
+    s = hi.bit_length() - _MANTISSA_BITS
+    if s <= 0:
+        return lo, hi, e
+    return lo >> s, -(-hi >> s), e + s
+
+
+def _add_bounds(x: _Bound, y: _Bound) -> _Bound:
+    """A bound on the sum of two bounded values, at the larger exponent."""
+    if x[2] < y[2]:
+        x, y = y, x
+    s = x[2] - y[2]
+    return _round_out(x[0] + (y[0] >> s), x[1] - (-y[1] >> s), x[2])
+
+
+def _scale_bound(p: int, x: _Bound) -> _Bound:
+    """A bound on p times a bounded value, p a positive integer."""
+    return _round_out(p * x[0], p * x[1], x[2])
+
+
+def _bounds(n: int, k: int) -> list[_Bound]:
+    """Bounds on the table for k, grown to cover j = 0..n by the same
+    recurrence as :func:`_counts`, rounding outward after every step."""
+    limits.check("count_table", n)
+    return _grow(_order_dividing_bounds(k), n, k, _add_bounds, _scale_bound)
+
+
+def _below(u: int, bound: _Bound, exact) -> bool:
+    """u < x for a nonnegative u and an x within ``bound``; ``exact()``
+    gives x itself, called only when the bound leaves the answer open."""
+    lo, hi, e = bound
+    t = u >> e  # u < lo * 2**e iff t < lo; u >= hi * 2**e iff t >= hi
+    if t < lo:
+        return True
+    if t >= hi:
+        return False
+    return u < exact()
 
 
 def count_order_dividing(n: int, k: int) -> BigCount:
@@ -377,22 +451,48 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
         raise ValueError("degree must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = _counts(n, k)
+    bounds = _bounds(n, k)
     divisors = _divisors(k, n)
     images = np.empty(n, dtype=np.int64)
-    free = list(range(n))  # unplaced points, ascending
+    free = list(range(n - 1, -1, -1))  # unplaced points, descending
     while free:
         r = len(free)
-        u = rng.randrange(table[r])
-        cumulative = itertools.accumulate(_cycle_terms(table, r, divisors))
-        chosen = next(d for d, acc in zip(divisors, cumulative) if u < acc)
-        start = free.pop(0)
-        # ordered (d-1)-tuple of partners, uniform among remaining points
-        cycle = [start]
+        # u = rng.randrange(a(r)), written out as the loop CPython runs for
+        # it (Random._randbelow_with_getrandbits), so the bounds decide it
+        lo, hi, e = bounds[r]
+        bits = (hi.bit_length() + e if lo.bit_length() == hi.bit_length()
+                else _counts(r, k)[r].bit_length())
+        u = rng.getrandbits(bits)
+        while not _below(u, bounds[r], lambda: _counts(r, k)[r]):
+            u = rng.getrandbits(bits)
+        chosen = _cycle_length(u, r, k, divisors, bounds)
+        cycle = [free.pop()]
+        # ordered (d-1)-tuple of partners, uniform among remaining points;
+        # index i in ascending order is -1 - i in the descending list
         for _ in range(chosen - 1):
-            cycle.append(free.pop(rng.randrange(len(free))))
+            cycle.append(free.pop(-1 - rng.randrange(len(free))))
         _write_cycle(images, cycle)
     return Perm(images, _trusted=True)
+
+
+def _cycle_length(u: int, r: int, k: int, divisors: tuple[int, ...],
+                  bounds: list[_Bound]) -> int:
+    """The first d | k with u below the sum over divisors d' <= d of
+    (r-1)!/(r-d')! * a(r-d'), for 0 <= u < a(r)."""
+    last = bisect.bisect_right(divisors, r) - 1
+    acc = (0, 0, 0)
+    for i in range(last):
+        d = divisors[i]
+        acc = _add_bounds(acc, _scale_bound(math.perm(r - 1, d - 1), bounds[r - d]))
+        if _below(u, acc, lambda: _branch_sum(r, k, divisors[:i + 1])):
+            return d
+    return divisors[last]  # the sum over every d <= r is a(r) > u
+
+
+def _branch_sum(r: int, k: int, lengths: tuple[int, ...]) -> int:
+    """The exact sum of (r-1)!/(r-d)! * a(r-d) over d in ``lengths``."""
+    a = _counts(r, k)
+    return sum(math.perm(r - 1, d - 1) * a[r - d] for d in lengths)
 
 
 def random_perm(n: int, rng: random.Random) -> Perm:

@@ -7,6 +7,7 @@ are exhaustive.  Slow but unarguable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -93,6 +94,62 @@ def bs_inverse(m: int, x: tuple) -> tuple:
 def brute_count_order_dividing(n: int, k: int) -> int:
     """|{f in Sym(n) : f^k = id}| by full enumeration."""
     return sum(1 for f in permutations(range(n)) if order_divides_k(f, k))
+
+
+# The sampler of soficperm.perm as it was before it walked on bounds of the
+# count table: the exact table a(0..n), summed term by term, and
+# rng.randrange(a(r)) for each cycle.  Copied verbatim with its helpers, but
+# for a list of images and a tuple result in place of numpy and Perm.
+
+_ORDER_DIVIDING_TABLES: dict[int, list[int]] = {}
+
+
+def _divisors(k: int, n: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, min(k, n) + 1) if k % d == 0)
+
+
+def _write_cycle(images, cycle) -> None:
+    for i, x in enumerate(cycle):
+        images[x] = cycle[(i + 1) % len(cycle)]
+
+
+def _cycle_terms(a, r: int, divisors: tuple[int, ...]):
+    """a[r] split by the length d of the cycle through the smallest point:
+    (r-1)!/(r-d)! ways to fill that cycle, times a[r-d] for the rest."""
+    return (math.perm(r - 1, d - 1) * a[r - d] for d in divisors if d <= r)
+
+
+def _counts(n: int, k: int) -> list[int]:
+    """The table for k, grown to cover j = 0..n by the recurrence
+    a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d)."""
+    a = _ORDER_DIVIDING_TABLES.setdefault(k, [1])
+    divisors = _divisors(k, n)
+    for j in range(len(a), n + 1):
+        a.append(sum(_cycle_terms(a, j, divisors)))
+    return a
+
+
+def sample_order_k_rng(n: int, k: int, rng) -> tuple:
+    if n < 1:
+        raise ValueError("degree must be positive")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    table = _counts(n, k)
+    divisors = _divisors(k, n)
+    images = [0] * n
+    free = list(range(n))  # unplaced points, ascending
+    while free:
+        r = len(free)
+        u = rng.randrange(table[r])
+        cumulative = itertools.accumulate(_cycle_terms(table, r, divisors))
+        chosen = next(d for d, acc in zip(divisors, cumulative) if u < acc)
+        start = free.pop(0)
+        # ordered (d-1)-tuple of partners, uniform among remaining points
+        cycle = [start]
+        for _ in range(chosen - 1):
+            cycle.append(free.pop(rng.randrange(len(free))))
+        _write_cycle(images, cycle)
+    return tuple(images)
 
 
 def brute_best_agreement(n: int, k: int, alpha: tuple, beta: tuple) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -266,6 +267,33 @@ class TestCounting:
         assert [fresh[n, 2] for n in range(41)] == t
 
 
+def _count_digest(ks, n_max):
+    h = hashlib.sha256()
+    for k in ks:
+        for n in range(n_max + 1):
+            c = count_order_dividing(n, k)
+            h.update(c.to_bytes((c.bit_length() + 8) // 8, "little") + b"|")
+    return h.hexdigest()
+
+
+def test_count_table_digest_pinned():
+    # a(n) for n <= 5000, recorded from the table summed term by term
+    assert _count_digest((2, 3, 4, 6, 12), 5000) == (
+        "bfa4abdb7d53546377daed203943f6a3d5968913152c71c0a34bbadf77fc453b")
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 6, 12, 2520])
+def test_bounds_hold_the_table(k):
+    # exact below 2**_MANTISSA_BITS; above it a true bracket of a(j), with
+    # the rounding of a few hundred steps still far below 2**-100 of it
+    pm._order_dividing_bounds.cache_clear()
+    for (lo, hi, e), a in zip(pm._bounds(400, k), pm._counts(400, k)):
+        assert lo << e <= a <= hi << e
+        if a < 2**pm._MANTISSA_BITS:
+            assert lo == hi == a and e == 0
+        else:
+            assert (hi - lo) << 100 <= hi
+
 def test_divisors():
     for k in range(1, 2001):
         every = [d for d in range(1, k + 1) if k % d == 0]
@@ -377,3 +405,92 @@ def test_sample_digests_pinned(n, k):
 
 def test_random_perm_deterministic():
     assert random_perm(10, random.Random(3)) == random_perm(10, random.Random(3))
+
+
+# sha256 over the little-endian int64 images of seeds 1, 2 and 3, recorded
+# from the sampler that drew from the exact count table
+LARGE_SAMPLE_DIGESTS = {
+    (5000, 4): "43d55d8a37c0dcb5d30d88fe44275113f7d21a1a637055ccc0a9904cede626f5",
+    (20000, 4): "5a1506a4e68fe7f927842fbac03df80712e592940404d275c16c02faf70acdcd",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(LARGE_SAMPLE_DIGESTS))
+def test_large_sample_digests_pinned(n, k):
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        h.update(sample_order_k(n, k, seed).images.astype("<i8").tobytes())
+    assert h.hexdigest() == LARGE_SAMPLE_DIGESTS[n, k]
+
+
+def test_sampling_builds_no_exact_table():
+    # the exact table a(0..20000) for k = 4 alone holds about 244 MB
+    pm._order_dividing_table.cache_clear()
+    pm._order_dividing_bounds.cache_clear()
+    tracemalloc.start()
+    try:
+        sample_order_k(20000, 4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert pm._order_dividing_table(4) == [1]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 2**64, 2**64 + 1, 3**500, 10**3000 + 7])
+def test_randrange_is_the_getrandbits_loop(bound):
+    # the sampler writes rng.randrange(a(r)) out as this loop; a Python
+    # whose randrange draws otherwise must fail here
+    for seed in range(6):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            u = ours.getrandbits(bound.bit_length())
+            while u >= bound:
+                u = ours.getrandbits(bound.bit_length())
+            assert u == theirs.randrange(bound)
+            assert ours.getstate() == theirs.getstate()
+
+
+ORACLE_GRID = [(n, k, seed)
+               for n in (*range(1, 41), 300, 1000, 5000)
+               for k in (1, 2, 3, 4, 6, 12, 2520)
+               for seed in (0, 5)]
+
+
+@pytest.fixture(scope="module")
+def oracle_samples():
+    """(n, k, seed) -> (images, rng state after the call) from the sampler
+    that drew from the exact table."""
+    out = {}
+    for n, k, seed in ORACLE_GRID:
+        rng = random.Random(seed)
+        out[n, k, seed] = orc.sample_order_k_rng(n, k, rng), rng.getstate()
+    return out
+
+
+@pytest.mark.parametrize("bits", [pm._MANTISSA_BITS, 3])
+def test_sampler_matches_the_exact_table_sampler(bits, oracle_samples, monkeypatch):
+    # same permutation and same rng state after the call, since local_search
+    # goes on drawing from that rng; at 3 bits the bounds leave many
+    # comparisons open and the exact table settles them
+    exact_reads = []
+    counts = pm._counts
+
+    def counting(n, k):
+        exact_reads.append((n, k))
+        return counts(n, k)
+
+    monkeypatch.setattr(pm, "_MANTISSA_BITS", bits)
+    monkeypatch.setattr(pm, "_counts", counting)
+    pm._order_dividing_bounds.cache_clear()
+    try:
+        for (n, k, seed), (images, state) in oracle_samples.items():
+            rng = random.Random(seed)
+            assert tuple(pm._sample_order_k_rng(n, k, rng).tolist()) == images
+            assert rng.getstate() == state
+    finally:
+        pm._order_dividing_bounds.cache_clear()
+    if bits == 3:
+        assert exact_reads
+    else:
+        assert not exact_reads
