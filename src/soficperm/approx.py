@@ -378,13 +378,11 @@ class VerifyReport:
 _PAIR_CHUNK = 1 << 11
 
 
-def _is_identity_elem(x: GroupElem, exact: bool) -> bool:
-    if isinstance(x, FreeWord) or not exact:
+def _is_identity_elem(x: GroupElem) -> bool:
+    if isinstance(x, FreeWord):
         # metab: only the empty word is *known* trivial; the caller asserts
         # the nontriviality of everything else (word problem out of scope)
-        if isinstance(x, FreeWord):
-            return x.word.is_empty()
-        raise ValueError("non-exact sets need word elements")
+        return x.word.is_empty()
     return groups.is_trivial(x)
 
 
@@ -422,7 +420,6 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     worse), and there is none when the defect is 0.
     """
     delta = _check_delta(delta)
-    exact = S.exact if isinstance(S, Ball) else (spec.family != "metab")
     elements = sorted(set(S), key=groups.sort_key)
     images = [image(spec, g) for g in elements]
     npoints = spec.npoints
@@ -459,7 +456,7 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     worst_closeness: Optional[int] = None
     id_witness: Optional[GroupElem] = None
     for g, image_g in zip(elements, images):
-        if _is_identity_elem(g, exact):
+        if _is_identity_elem(g):
             continue
         d = npoints - image_g.agree_count(ident)
         if worst_closeness is None or d < worst_closeness:

@@ -9,10 +9,10 @@ Output contract
   ``json.dumps(record, indent=2) + "\n"``; :func:`_dumps` writes it
   through the C encoder.  ``--format csv`` emits flat plot-ready rows
   (floats instead of exact rationals; the exact values live in the JSON
-  form).  Each CSV row repeats schema/command/seed and ends with a
-  ``config`` column holding the resolved configuration as compact JSON.
-  A permutation cell is its images space-joined, rendered only when CSV is
-  written.
+  form).  Each CSV row repeats schema/command/seed, then holds the columns
+  of its subcommand in :data:`_COLUMNS` (the table each ``--help`` epilog
+  lists), and ends with a ``config`` column of the resolved configuration
+  as compact JSON.  A permutation cell is its images space-joined.
 * Exit status: 0 on success, 1 when the computation itself reports failure
   (a verification that does not pass, an exact search with no solution, a
   relation check that fails), 2 on bad flags, malformed input files or
@@ -28,7 +28,10 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Optional
+
+import mpmath
 
 from . import approx as approxmod
 from . import conjsearch as conjmod
@@ -43,6 +46,25 @@ __all__ = ["ExperimentConfig", "run", "main", "SCHEMA_VERSION"]
 SCHEMA_VERSION = 1
 
 _CONFIG_KEYS = ("subcommand", "options", "seed", "out")
+
+# the CSV columns of each subcommand between seed and config; every row a
+# subcommand builds lists its cells in this order
+_COLUMNS = {
+    "count-orders": ("n", "k", "count"),
+    "make-approx": ("family", "n", "npoints", "p", "q", "m", "psi_a", "psi_b"),
+    "verify": ("family", "npoints", "delta", "worst_hom_defect",
+               "worst_id_closeness", "passed", "elements_checked",
+               "pairs_checked"),
+    "search": ("algorithm", "n", "k", "order_of_f", "agreement_count",
+               "agreement_fraction", "iterations", "f"),
+    "defect": ("defect", "defect_num", "defect_den", "pairs"),
+    "amplify": ("n", "target_n", "perm"),
+    "align": ("element", "distance", "max_distance", "iterations"),
+    "higman-action": ("p", "check", "ok", "witness"),
+    "heuristic": ("n", "k", "eps", "eps_prime", "count", "log_P", "log_K",
+                  "log_PK", "log_factorial", "asymptotic_ratio",
+                  "pk_model_coeff", "log_PK_model"),
+}
 
 
 @dataclass(frozen=True)
@@ -94,6 +116,31 @@ class ExperimentConfig:
 def _fnum(x) -> str:
     """Plot-ready cell: exact rationals and floats as repr'd floats."""
     return repr(float(x))
+
+
+def _cell(value):
+    """A report value as a CSV cell: a rational as :func:`_fnum`, an mpf as
+    its record string, None as empty; a Perm is left for _emit to join."""
+    if value is None:
+        return ""
+    if isinstance(value, Fraction):
+        return _fnum(value)
+    if isinstance(value, mpmath.mpf):
+        return ser.mpf_to_obj(value)
+    return value
+
+
+def _row(command: str, source, **extra) -> list:
+    """The cells of _COLUMNS[command], each read by name from extra or else
+    from source's attributes, through :func:`_cell`."""
+    return [_cell(extra[c] if c in extra else getattr(source, c))
+            for c in _COLUMNS[command]]
+
+
+def _csv_header(command: str, columns: bool = True) -> str:
+    """The CSV header line; columns=False leaves out _COLUMNS[command]."""
+    return ",".join(["schema", "command", "seed",
+                     *(_COLUMNS[command] if columns else ()), "config"])
 
 
 def _read_json(path: str):
@@ -205,15 +252,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "count-orders", parents=[common],
         help="exact count of permutations with f^k = id",
-        epilog="csv columns: schema,command,seed,n,k,count,config")
+        epilog=f"csv columns: {_csv_header('count-orders')}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser(
         "make-approx", parents=[common],
         help="build generator images for a group family",
-        epilog="csv columns: schema,command,seed,family,n,npoints,p,q,m,"
-               "psi_a,psi_b,config (permutations space-joined)")
+        epilog=f"csv columns: {_csv_header('make-approx')} "
+               "(permutations space-joined)")
     p.add_argument("--group", required=True, choices=groupsmod.FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
@@ -223,9 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", parents=[common],
         help="check the two approximation conditions over a ball",
-        epilog="csv columns: schema,command,seed,family,npoints,delta,"
-               "worst_hom_defect,worst_id_closeness,passed,elements_checked,"
-               "pairs_checked,config")
+        epilog=f"csv columns: {_csv_header('verify')}")
     p.add_argument("--spec", required=True, metavar="FILE")
     p.add_argument("--ball", type=int, required=True, metavar="L")
     p.add_argument("--delta", required=True,
@@ -235,9 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "search", parents=[common],
         help="find an order-k permutation almost intertwining alpha, beta",
         epilog="problem source: --spec FILE, or --alpha FILE --beta FILE, "
-               "or --group TAG --n ... ; csv columns: schema,command,seed,"
-               "algorithm,n,k,order_of_f,agreement_count,agreement_fraction,"
-               "iterations,f,config")
+               f"or --group TAG --n ... ; csv columns: {_csv_header('search')}")
     p.add_argument("--spec", metavar="FILE")
     p.add_argument("--alpha", metavar="FILE")
     p.add_argument("--beta", metavar="FILE")
@@ -256,8 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "defect", parents=[common],
         help="worst distance d(psi(b) f, f psi(phi b)) over given pairs",
         epilog="--pairs FILE: JSON list of [word, word] with words as "
-               "[[gen,exp],...]; csv columns: schema,command,seed,defect,"
-               "defect_num,defect_den,pairs,config")
+               f"[[gen,exp],...]; csv columns: {_csv_header('defect')}")
     p.add_argument("--spec", required=True, metavar="FILE")
     p.add_argument("--perm", required=True, metavar="FILE")
     p.add_argument("--pairs", required=True, metavar="FILE")
@@ -265,15 +307,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "amplify", parents=[common],
         help="block-diagonal power of a permutation up to a larger degree",
-        epilog="csv columns: schema,command,seed,n,target_n,perm,config")
+        epilog=f"csv columns: {_csv_header('amplify')}")
     p.add_argument("--perm", required=True, metavar="FILE")
     p.add_argument("--target-n", type=int, required=True)
 
     p = sub.add_parser(
         "align", parents=[common],
         help="search for tau minimizing max_s d(tau^-1 rho1(s) tau, rho2(s))",
-        epilog="csv rows, one per ball element: schema,command,seed,element,"
-               "distance,max_distance,iterations,config")
+        epilog=f"csv rows, one per ball element: {_csv_header('align')}")
     p.add_argument("--spec1", required=True, metavar="FILE")
     p.add_argument("--spec2", required=True, metavar="FILE")
     p.add_argument("--ball", type=int, required=True, metavar="L")
@@ -285,8 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="build the five-generator action on p^4 points and examine it",
         epilog="tables: --f-table/--lambda-table JSON int lists, or --random "
                "to draw both from --seed; csv rows, one per relation check "
-               "plus summary/probe rows: schema,command,seed,p,check,ok,"
-               "witness,config")
+               f"plus summary/probe rows: {_csv_header('higman-action')}")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--f-table", metavar="FILE", default=None)
     p.add_argument("--lambda-table", metavar="FILE", default=None)
@@ -300,9 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "heuristic", parents=[common],
         help="independence estimate log(P*K) from the exact order count",
-        epilog="csv columns: schema,command,seed,n,k,eps,eps_prime,count,"
-               "log_P,log_K,log_PK,log_factorial,asymptotic_ratio,"
-               "pk_model_coeff,log_PK_model,config")
+        epilog=f"csv columns: {_csv_header('heuristic')}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", default="1/100")
@@ -312,34 +350,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (result_obj, csv_rows); the record's
-# options are the parsed flags themselves (see run).  A permutation cell
-# holds the Perm itself; _emit joins it for CSV only
+# subcommand bodies: each returns (result_obj, csv_rows), a row being the
+# cells of _COLUMNS in order; the record's options are the parsed flags
+# themselves (see run).  A permutation cell holds the Perm itself; _emit
+# joins it for CSV only
 # ---------------------------------------------------------------------------
 
 def _cmd_count_orders(ns):
     count = permmod.count_order_dividing(ns.n, ns.k)
-    result = {"n": ns.n, "k": ns.k, "count": count}
-    rows = [{"n": ns.n, "k": ns.k, "count": count}]
-    return result, rows
-
-
-def _spec_row(spec: approxmod.ApproxSpec) -> dict:
-    return {
-        "family": spec.family,
-        "n": spec.n,
-        "npoints": spec.npoints,
-        "p": "" if spec.p is None else spec.p,
-        "q": "" if spec.q is None else spec.q,
-        "m": "" if spec.m is None else spec.m,
-        "psi_a": spec.psi_a,
-        "psi_b": spec.psi_b,
-    }
+    return {"n": ns.n, "k": ns.k, "count": count}, [[ns.n, ns.k, count]]
 
 
 def _cmd_make_approx(ns):
     spec = approxmod.make_approx(ns.group, ns.n, p=ns.p, q=ns.q, m=ns.m)
-    return ser.spec_to_obj(spec), [_spec_row(spec)]
+    return ser.spec_to_obj(spec), [_row("make-approx", spec)]
 
 
 def _cmd_verify(ns):
@@ -348,18 +372,7 @@ def _cmd_verify(ns):
     S = groupsmod.ball(spec.family, ns.ball, m=spec.m)
     report = approxmod.verify(spec, S, delta)
     result = ser.verify_report_to_obj(report)
-    rows = [{
-        "family": report.family,
-        "npoints": report.npoints,
-        "delta": _fnum(report.delta),
-        "worst_hom_defect": _fnum(report.worst_hom_defect),
-        "worst_id_closeness": (
-            "" if report.worst_id_closeness is None
-            else _fnum(report.worst_id_closeness)),
-        "passed": report.passed,
-        "elements_checked": report.elements_checked,
-        "pairs_checked": report.pairs_checked,
-    }]
+    rows = [_row("verify", report)]
     if not report.passed:
         raise _Failure(result, rows, "verification failed")
     return result, rows
@@ -387,19 +400,6 @@ def _search_problem(ns) -> conjmod.ConjProblem:
     return conjmod.ConjProblem(alpha.n, ns.k, alpha, beta)
 
 
-def _search_rows(rep: conjmod.SearchReport) -> list[dict]:
-    return [{
-        "algorithm": rep.algorithm,
-        "n": rep.problem.n,
-        "k": rep.problem.k,
-        "order_of_f": rep.order_of_f,
-        "agreement_count": rep.agreement_count,
-        "agreement_fraction": _fnum(rep.agreement_fraction),
-        "iterations": rep.iterations,
-        "f": rep.f,
-    }]
-
-
 def _search_kwargs(ns) -> dict[str, Any]:
     """The seed, plus --iters and --restarts where given (else defaults)."""
     given = {"iters": ns.iters, "restarts": ns.restarts}
@@ -416,7 +416,8 @@ def _cmd_search(ns):
         report = conjmod.brute_force(prob)
     else:
         report = conjmod.local_search(prob, **_search_kwargs(ns))
-    return ser.search_report_to_obj(report), _search_rows(report)
+    row = _row("search", report, n=report.problem.n, k=report.problem.k)
+    return ser.search_report_to_obj(report), [row]
 
 
 def _cmd_defect(ns):
@@ -431,21 +432,15 @@ def _cmd_defect(ns):
         "pairs": [[ser.genword_to_obj(b), ser.genword_to_obj(phib)]
                   for b, phib in pairs],
     }
-    rows = [{
-        "defect": _fnum(worst),
-        "defect_num": worst.numerator,
-        "defect_den": worst.denominator,
-        "pairs": len(pairs),
-    }]
-    return result, rows
+    return result, [[_fnum(worst), worst.numerator, worst.denominator,
+                      len(pairs)]]
 
 
 def _cmd_amplify(ns):
     f = _load_perm(ns.perm)
     g = permmod.amplify(f, ns.target_n)
     result = {"n": f.n, "target_n": ns.target_n, "perm": ser.perm_to_obj(g)}
-    rows = [{"n": f.n, "target_n": ns.target_n, "perm": g}]
-    return result, rows
+    return result, [[f.n, ns.target_n, g]]
 
 
 def _cmd_align(ns):
@@ -454,15 +449,8 @@ def _cmd_align(ns):
     S = groupsmod.ball(spec1.family, ns.ball, m=spec1.m)
     report = conjmod.align(spec1, spec2, S, **_search_kwargs(ns))
     result = ser.alignment_report_to_obj(report)
-    rows = [
-        {
-            "element": str(g),
-            "distance": _fnum(d),
-            "max_distance": _fnum(report.max_distance),
-            "iterations": report.iterations,
-        }
-        for g, d in report.per_element
-    ]
+    rows = [[str(g), _fnum(d), _fnum(report.max_distance), report.iterations]
+            for g, d in report.per_element]
     return result, rows
 
 
@@ -478,23 +466,20 @@ def _cmd_higman_action(ns):
         lambda_table = _read_json(ns.lambda_table)
     act = higmod.make_action(ns.p, f_table, lambda_table)
     result: dict[str, Any] = ser.action_table_to_obj(act)
-    rows: list[dict] = []
+    rows: list[list] = []
 
     relations = None
     if ns.check:
         relations = higmod.verify_action(act, ns.window)
         result["relations"] = ser.relation_report_to_obj(relations)
         for check in relations.checks:
-            rows.append({
-                "p": ns.p, "check": check.name, "ok": check.ok,
-                "witness": ("" if check.witness is None
-                            else " ".join(map(str, check.witness))),
-            })
-        rows.append({"p": ns.p, "check": "passed", "ok": relations.passed,
-                     "witness": ""})
+            witness = ("" if check.witness is None
+                       else " ".join(map(str, check.witness)))
+            rows.append([ns.p, check.name, check.ok, witness])
+        rows.append([ns.p, "passed", relations.passed, ""])
     else:
         result["relations"] = None
-        rows.append({"p": ns.p, "check": "built", "ok": True, "witness": ""})
+        rows.append([ns.p, "built", True, ""])
 
     if ns.probe_depth > 0:
         collisions = higmod.injectivity_probe(act, ns.probe_depth)
@@ -502,10 +487,8 @@ def _cmd_higman_action(ns):
             "depth": ns.probe_depth,
             "nontrivial_identities": [ser.elem_to_obj(g) for g in collisions],
         }
-        rows.append({
-            "p": ns.p, "check": f"probe_depth_{ns.probe_depth}",
-            "ok": not collisions, "witness": str(len(collisions)),
-        })
+        rows.append([ns.p, f"probe_depth_{ns.probe_depth}", not collisions,
+                     str(len(collisions))])
     else:
         result["probe"] = None
 
@@ -516,22 +499,7 @@ def _cmd_higman_action(ns):
 
 def _cmd_heuristic(ns):
     report = heurmod.heuristic_report(ns.n, ns.k, ns.eps, ns.eps_prime)
-    result = ser.heuristic_report_to_obj(report)
-    rows = [{
-        "n": report.n,
-        "k": report.k,
-        "eps": _fnum(report.eps),
-        "eps_prime": _fnum(report.eps_prime),
-        "count": report.count,
-        "log_P": ser.mpf_to_obj(report.log_P),
-        "log_K": ser.mpf_to_obj(report.log_K),
-        "log_PK": ser.mpf_to_obj(report.log_PK),
-        "log_factorial": ser.mpf_to_obj(report.log_factorial),
-        "asymptotic_ratio": ser.mpf_to_obj(report.asymptotic_ratio),
-        "pk_model_coeff": _fnum(report.pk_model_coeff),
-        "log_PK_model": ser.mpf_to_obj(report.log_PK_model),
-    }]
-    return result, rows
+    return ser.heuristic_report_to_obj(report), [_row("heuristic", report)]
 
 
 _COMMANDS = {
@@ -551,7 +519,7 @@ _COMMANDS = {
 # record emission
 # ---------------------------------------------------------------------------
 
-def _emit(ns, config: ExperimentConfig, result, rows: list[dict]) -> None:
+def _emit(ns, config: ExperimentConfig, result, rows: list[list]) -> None:
     # exact counts (count-orders, heuristic) run past the default 4300-digit
     # cap on int -> str conversion; the cap exists only from Python 3.11 on
     set_digits = getattr(sys, "set_int_max_str_digits", None)
@@ -572,18 +540,16 @@ def _emit(ns, config: ExperimentConfig, result, rows: list[dict]) -> None:
             config_cell = json.dumps(config.to_obj(), sort_keys=True,
                                      separators=(",", ":"))
             buf = io.StringIO()
-            lead = ["schema", "command", "seed"]
-            tail = ["config"]
-            fields = lead + (list(rows[0].keys()) if rows else []) + tail
-            writer = csv.DictWriter(buf, fieldnames=fields,
-                                    lineterminator="\n")
-            writer.writeheader()
+            # a run without rows (an exact search that finds nothing) has
+            # no subcommand columns in its header
+            buf.write(_csv_header(ns.command, columns=bool(rows)) + "\n")
+            writer = csv.writer(buf, lineterminator="\n")
             for row in rows:
-                full = {"schema": SCHEMA_VERSION, "command": ns.command,
-                        "seed": ns.seed, "config": config_cell}
-                full.update((key, _join(v) if isinstance(v, permmod.Perm)
-                             else v) for key, v in row.items())
-                writer.writerow(full)
+                writer.writerow([
+                    SCHEMA_VERSION, ns.command, ns.seed,
+                    *(_join(v) if isinstance(v, permmod.Perm) else v
+                      for v in row),
+                    config_cell])
             text = buf.getvalue()
         if ns.out:
             with open(ns.out, "w", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "ConjProblem",
     "SearchReport",
     "AlignmentReport",
+    "ElementDistance",
     "translation_perm",
     "multiplication_perm",
     "translation_problem",
@@ -58,13 +59,15 @@ ORIENTATION = "f.alpha=beta.f"
 
 
 def translation_perm(n: int, s: int) -> Perm:
-    return Perm((np.arange(n, dtype=np.int64) + s) % n, _trusted=True)
+    """x -> x + s on Z/n, within the ``table_entries`` limit."""
+    return approxmod.AffineImage(n, (1, s % n), n).perm()
 
 
 def multiplication_perm(n: int, u: int) -> Perm:
+    """x -> u*x on Z/n for a unit u, within the ``table_entries`` limit."""
     if math.gcd(u, n) != 1:
         raise ValueError(f"u={u} not invertible mod {n}")
-    return Perm((u % n) * np.arange(n, dtype=np.int64) % n, _trusted=True)
+    return approxmod.AffineImage(n, (u % n, 0), n).perm()
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,18 +148,32 @@ def _translation_offset(g: Perm) -> Optional[int]:
     return s if np.array_equal(g.images, expected) else None
 
 
+def _multiplier(n: int, p: int, q: int) -> Optional[int]:
+    """l = q * p^-1 mod n if l is a unit, else None; p must be a unit."""
+    if math.gcd(p, n) != 1:
+        raise ValueError(f"p={p} must be invertible mod n={n}")
+    l = (q * pow(p, -1, n)) % n
+    return l if math.gcd(l, n) == 1 else None
+
+
+def _translation_offsets(prob: ConjProblem) -> tuple[int, int]:
+    """(p, q) for translations alpha: x -> x + p and beta: x -> x + q."""
+    p = _translation_offset(prob.alpha)
+    q = _translation_offset(prob.beta)
+    if p is None or q is None:
+        raise ValueError(
+            "exact construction needs translation alpha and beta")
+    return p, q
+
+
 def exact_multiplicative(n: int, p: int, q: int, k: int) -> Optional[Perm]:
     """x -> l*x with l = q * p^-1 mod n, when that is an order-dividing-k
     bijection (l^k = 1 and gcd(l, n) = 1); None otherwise.
 
     Such an f intertwines x -> x+p with x -> x+q at every point.
     """
-    if math.gcd(p, n) != 1:
-        raise ValueError(f"p={p} must be invertible mod n={n}")
-    l = (q * pow(p, -1, n)) % n
-    if math.gcd(l, n) != 1:
-        return None
-    if pow(l, k, n) != 1:
+    l = _multiplier(n, p, q)
+    if l is None or pow(l, k, n) != 1:
         return None
     return multiplication_perm(n, l)
 
@@ -165,11 +182,7 @@ def exact_search(prob: ConjProblem) -> Optional[SearchReport]:
     """Closed-form attempt for a translation pair: alpha and beta must both
     be x -> x + s maps; returns None when no multiplicative solution of
     order dividing k exists."""
-    p = _translation_offset(prob.alpha)
-    q = _translation_offset(prob.beta)
-    if p is None or q is None:
-        raise ValueError(
-            "exact construction needs translation alpha and beta")
+    p, q = _translation_offsets(prob)
     f = exact_multiplicative(prob.n, p, q, prob.k)
     if f is None:
         return None
@@ -236,16 +249,12 @@ def _greedy_chain_start(prob: ConjProblem) -> Perm:
 def _multiplicative_start(prob: ConjProblem) -> Optional[Perm]:
     """exact_multiplicative seed for translation problems, projected to
     order k when l^k != 1."""
-    p = _translation_offset(prob.alpha)
-    q = _translation_offset(prob.beta)
-    if p is None or q is None or math.gcd(p, prob.n) != 1:
+    try:
+        l = _multiplier(prob.n, *_translation_offsets(prob))
+    except ValueError:
         return None
-    l = (q * pow(p, -1, prob.n)) % prob.n
-    if math.gcd(l, prob.n) != 1:
-        return None
-    return permmod.project_to_order(
-        multiplication_perm(prob.n, l), prob.k
-    )
+    return None if l is None else permmod.project_to_order(
+        multiplication_perm(prob.n, l), prob.k)
 
 
 def _climb(prob: ConjProblem, f_list: list[int], iters: int,
@@ -405,12 +414,19 @@ def higman_defect(
 # alignment of two approximations (empirical conjugator search)
 # ---------------------------------------------------------------------------
 
+class ElementDistance(NamedTuple):
+    """One s in S and its distance d(tau^-1 rho1(s) tau, rho2(s))."""
+
+    element: GroupElem
+    distance: Fraction
+
+
 @dataclass(frozen=True, eq=False)
 class AlignmentReport:
     """Best tau found with d(tau^-1 rho1(s) tau, rho2(s)) for each s in S."""
 
     tau: Perm
-    per_element: tuple[tuple[GroupElem, Fraction], ...]
+    per_element: tuple[ElementDistance, ...]
     max_distance: Fraction
     iterations: int
     elapsed_s: float
@@ -553,7 +569,7 @@ def align(
     for s, r1, r2 in zip(elements, rho1, rho2):
         conj = permmod.conjugate(Perm(r1, _trusted=True), tau)
         d = permmod.hamming(conj, Perm(r2, _trusted=True))
-        per_element.append((s, d))
+        per_element.append(ElementDistance(s, d))
         worst = max(worst, d)
     return AlignmentReport(
         tau=tau,

@@ -213,9 +213,6 @@ class WreathElem:
         if any(c == 0 for _, c in self.poly):
             raise ValueError("poly stores no zero coefficients")
 
-    def poly_dict(self) -> dict[int, int]:
-        return dict(self.poly)
-
 
 def _wreath_make(poly: dict[int, int], pow_: int) -> WreathElem:
     items = tuple(sorted((e, c) for e, c in poly.items() if c != 0))
@@ -288,9 +285,7 @@ def generator(family: str, gen: str, exp: int = 1, *, m: int | None = None) -> G
     if family == "bs":
         if m is None:
             raise ValueError("bs needs the parameter m")
-        if gen == "a":
-            return BSElem(m, exp, 0, 0) if exp else BSElem(m, 0, 0, 0)
-        return BSElem(m, 0, 0, exp)
+        return BSElem(m, exp, 0, 0) if gen == "a" else BSElem(m, 0, 0, exp)
     if family == "zwrz":
         if gen == "a":
             return _wreath_make({0: exp}, 0)
@@ -419,7 +414,10 @@ class Ball:
     family: str
     radius: int
     elements: tuple[GroupElem, ...]
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.family != "metab"
 
     def __iter__(self) -> Iterator[GroupElem]:
         return iter(self.elements)
@@ -449,7 +447,7 @@ def ball(family: str, radius: int, *, m: int | None = None) -> Ball:
                     nxt.append(y)
         frontier = nxt
     elements = tuple(sorted(seen, key=sort_key))
-    return Ball(family, radius, elements, exact=(family != "metab"))
+    return Ball(family, radius, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +461,7 @@ def abelianization(x: GroupElem) -> tuple[int, int]:
     retraction (a maps into the subgroup b normally generates), so BSElem
     is rejected.
     """
-    if isinstance(x, Z2Elem):
-        return (x.lam, x.mu)
-    if isinstance(x, HeisElem):
+    if isinstance(x, (Z2Elem, HeisElem)):
         return (x.lam, x.mu)
     if isinstance(x, WreathElem):
         return (sum(c for _, c in x.poly), x.pow)

@@ -1,20 +1,27 @@
 """Plain-object (JSON-ready) encodings for every value the toolkit emits.
 
-Conventions:
+One walk, :func:`_obj`, encodes each value by its type:
 
 * exact rationals are ``[numerator, denominator]`` pairs;
-* permutations are image lists;
+* permutations are image lists, words lists of ``[gen, exp]`` letters;
 * group elements are dicts tagged with their ``family``;
 * high-precision floats are decimal strings (30 significant digits);
+* a record (dataclass or named tuple) is a dict of its fields in
+  declaration order; a problem adds its ``orientation``, and a spec holds
+  its ``params()``, its relabelling when set and its two images;
 * wall-clock fields (``elapsed_s``) are excluded everywhere so that equal
   computations serialize to identical bytes.
 
-Every ``*_to_obj`` has a ``*_from_obj`` inverse; round-tripping re-validates
-the data rather than trusting it.
+The ``*_from_obj`` decoders are written out, since decoding is input
+validation: they re-validate the data rather than trust it.  Alignment,
+polynomial-condition, fixed-point, relation and heuristic reports are
+output only and have no decoder.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import numbers
 from fractions import Fraction
 from typing import Any
@@ -32,6 +39,7 @@ from .groups import (
     HeisElem,
     WreathElem,
     Z2Elem,
+    family_of,
 )
 from .perm import Perm
 
@@ -54,6 +62,53 @@ __all__ = [
 ]
 
 MPF_DIGITS = 30
+
+_ELEMENT_TYPES = (Z2Elem, HeisElem, BSElem, WreathElem, FreeWord)
+
+
+# ---------------------------------------------------------------------------
+# the field walk
+# ---------------------------------------------------------------------------
+
+def _obj(value) -> Any:
+    """The plain-object encoding of value, by its type (see the module
+    docstring); any type not named here raises ``TypeError``."""
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return fraction_to_obj(value)
+    if isinstance(value, Perm):
+        return perm_to_obj(value)
+    if isinstance(value, GenWord):
+        return genword_to_obj(value)
+    if isinstance(value, mpmath.mpf):
+        return mpf_to_obj(value)
+    if isinstance(value, _ELEMENT_TYPES):
+        return elem_to_obj(value)
+    if isinstance(value, conjmod.ConjProblem):
+        return problem_to_obj(value)
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _obj(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return [_obj(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _obj(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return _fields(value)
+    raise TypeError(f"cannot encode {type(value).__name__}: {value!r}")
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if f.name != "elapsed_s")
+
+
+def _fields(record) -> dict:
+    """A dataclass's fields in declaration order, each through :func:`_obj`;
+    ``elapsed_s`` is left out."""
+    return {name: _obj(getattr(record, name))
+            for name in _field_names(type(record))}
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +177,7 @@ def genword_from_obj(obj) -> GenWord:
 # ---------------------------------------------------------------------------
 
 def elem_to_obj(x) -> dict:
-    if isinstance(x, Z2Elem):
-        return {"family": "z2", "lam": x.lam, "mu": x.mu}
-    if isinstance(x, HeisElem):
-        return {"family": "heis", "lam": x.lam, "mu": x.mu, "nu": x.nu}
-    if isinstance(x, BSElem):
-        return {"family": "bs", "m": x.m, "num": x.num,
-                "den_exp": x.den_exp, "pow": x.pow}
-    if isinstance(x, WreathElem):
-        return {"family": "zwrz",
-                "poly": [[e, c] for e, c in x.poly], "pow": x.pow}
-    if isinstance(x, FreeWord):
-        return {"family": "metab",
-                "word": [[g, e] for g, e in x.word.letters]}
-    raise TypeError(f"not a group element: {x!r}")
+    return {"family": family_of(x), **_fields(x)}
 
 
 def elem_from_obj(obj: dict):
@@ -196,13 +238,7 @@ def spec_from_obj(obj: dict) -> approxmod.ApproxSpec:
 # ---------------------------------------------------------------------------
 
 def problem_to_obj(prob: conjmod.ConjProblem) -> dict:
-    return {
-        "n": prob.n,
-        "k": prob.k,
-        "alpha": perm_to_obj(prob.alpha),
-        "beta": perm_to_obj(prob.beta),
-        "orientation": conjmod.ORIENTATION,
-    }
+    return {**_fields(prob), "orientation": conjmod.ORIENTATION}
 
 
 def problem_from_obj(obj: dict) -> conjmod.ConjProblem:
@@ -217,17 +253,7 @@ def problem_from_obj(obj: dict) -> conjmod.ConjProblem:
 
 
 def search_report_to_obj(rep: conjmod.SearchReport) -> dict:
-    # elapsed_s deliberately left out: it would break byte-reproducibility
-    return {
-        "problem": problem_to_obj(rep.problem),
-        "algorithm": rep.algorithm,
-        "seed": rep.seed,
-        "f": perm_to_obj(rep.f),
-        "order_of_f": rep.order_of_f,
-        "agreement_count": rep.agreement_count,
-        "agreement_fraction": fraction_to_obj(rep.agreement_fraction),
-        "iterations": rep.iterations,
-    }
+    return _fields(rep)
 
 
 def search_report_from_obj(obj: dict) -> conjmod.SearchReport:
@@ -250,15 +276,7 @@ def search_report_from_obj(obj: dict) -> conjmod.SearchReport:
 
 
 def alignment_report_to_obj(rep: conjmod.AlignmentReport) -> dict:
-    return {
-        "tau": perm_to_obj(rep.tau),
-        "per_element": [
-            {"element": elem_to_obj(g), "distance": fraction_to_obj(d)}
-            for g, d in rep.per_element
-        ],
-        "max_distance": fraction_to_obj(rep.max_distance),
-        "iterations": rep.iterations,
-    }
+    return _fields(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +284,7 @@ def alignment_report_to_obj(rep: conjmod.AlignmentReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def verify_report_to_obj(rep: approxmod.VerifyReport) -> dict:
-    return {
-        "family": rep.family,
-        "npoints": rep.npoints,
-        "delta": fraction_to_obj(rep.delta),
-        "worst_hom_defect": fraction_to_obj(rep.worst_hom_defect),
-        "hom_witness": _opt(
-            lambda w: [elem_to_obj(w[0]), elem_to_obj(w[1])], rep.hom_witness),
-        "worst_id_closeness": _opt(fraction_to_obj, rep.worst_id_closeness),
-        "id_witness": _opt(elem_to_obj, rep.id_witness),
-        "passed": rep.passed,
-        "elements_checked": rep.elements_checked,
-        "pairs_checked": rep.pairs_checked,
-    }
+    return _fields(rep)
 
 
 def verify_report_from_obj(obj: dict) -> approxmod.VerifyReport:
@@ -307,19 +313,11 @@ def verify_report_from_obj(obj: dict) -> approxmod.VerifyReport:
 
 
 def poly_result_to_obj(res: approxmod.PolyConditionResult) -> dict:
-    return {
-        "ok": res.ok,
-        "witness": _opt(list, res.witness),
-        "witness_value": res.witness_value,
-        "mode": res.mode,
-    }
+    return _fields(res)
 
 
 def heis_fixed_to_obj(rep: approxmod.HeisFixedReport) -> dict:
-    return {
-        "n": rep.n, "lam": rep.lam, "mu": rep.mu, "nu": rep.nu,
-        "count": rep.count, "bound": rep.bound, "bound_ok": rep.bound_ok,
-    }
+    return _fields(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +325,7 @@ def heis_fixed_to_obj(rep: approxmod.HeisFixedReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def action_table_to_obj(act: higmod.ActionTable) -> dict:
-    return {
-        "p": act.p,
-        "f_table": list(act.f_table),
-        "lambda_table": list(act.lambda_table),
-        "perms": {name: perm_to_obj(g) for name, g in act.perms.items()},
-    }
+    return _fields(act)
 
 
 def action_table_from_obj(obj: dict) -> higmod.ActionTable:
@@ -346,16 +339,7 @@ def action_table_from_obj(obj: dict) -> higmod.ActionTable:
 
 
 def relation_report_to_obj(rep: higmod.RelationReport) -> dict:
-    return {
-        "checks": [
-            {"name": c.name, "ok": c.ok,
-             "witness": _opt(list, c.witness)}
-            for c in rep.checks
-        ],
-        "t_order_ok": rep.t_order_ok,
-        "t_cycle": _opt(list, rep.t_cycle),
-        "passed": rep.passed,
-    }
+    return _fields(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +347,4 @@ def relation_report_to_obj(rep: higmod.RelationReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def heuristic_report_to_obj(rep: heurmod.HeuristicReport) -> dict:
-    return {
-        "n": rep.n,
-        "k": rep.k,
-        "eps": fraction_to_obj(rep.eps),
-        "eps_prime": fraction_to_obj(rep.eps_prime),
-        "count": rep.count,
-        "log_P": mpf_to_obj(rep.log_P),
-        "log_K": mpf_to_obj(rep.log_K),
-        "log_PK": mpf_to_obj(rep.log_PK),
-        "log_factorial": mpf_to_obj(rep.log_factorial),
-        "asymptotic_ratio": mpf_to_obj(rep.asymptotic_ratio),
-        "pk_model_coeff": fraction_to_obj(rep.pk_model_coeff),
-        "log_PK_model": mpf_to_obj(rep.log_PK_model),
-    }
+    return _fields(rep)

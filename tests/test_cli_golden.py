@@ -9,10 +9,13 @@ intended, it needs its own entry in CHANGES.md (and a schema bump when the
 record shape moves) before the digest here is updated.
 """
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -209,3 +212,43 @@ def test_large_cli_bytes_pinned(inputs, name, fmt):
     argv = [a.replace("{tmp}", str(inputs)) for a in LARGE_CASES[name]]
     assert digest(inputs, argv + ["--format", fmt]) == \
         LARGE_DIGESTS[f"{name}/{fmt}"]
+
+
+# one case per subcommand whose CSV has at least one row
+HEADER_CASES = {
+    "count-orders": "count-orders", "make-approx": "make-approx-z2",
+    "verify": "verify-pass", "search": "search-exact", "defect": "defect",
+    "amplify": "amplify", "align": "align", "higman-action": "higman-random",
+    "heuristic": "heuristic",
+}
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_header_cases_cover_every_subcommand():
+    assert sorted(HEADER_CASES) == sorted(_subparsers()) == sorted(cli._COLUMNS)
+
+
+@pytest.mark.parametrize("command", sorted(HEADER_CASES))
+def test_csv_header_and_epilog_follow_the_column_table(inputs, command):
+    want = ",".join(["schema", "command", "seed", *cli._COLUMNS[command],
+                     "config"])
+    argv = [a.replace("{tmp}", str(inputs))
+            for a in CASES[HEADER_CASES[command]]]
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] += ".header.csv"
+    code, text = _run(argv + ["--format", "csv"])
+    if "--out" in argv:
+        with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+            text = fh.read()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert code == 0 and len(rows) >= 2
+    assert ",".join(rows[0]) == want
+    assert all(len(row) == len(rows[0]) for row in rows)
+    epilog = _subparsers()[command].epilog
+    assert re.search(r"schema,command,seed\S*", epilog).group() == want

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from soficperm import approx as ap
 from soficperm import conjsearch as cj
 from soficperm import groups as gr
+from soficperm import limits
 from soficperm import perm as pm
 from soficperm.perm import Perm
 
@@ -28,6 +29,27 @@ class TestProblems:
     def test_multiplication_problem_requires_unit(self):
         with pytest.raises(ValueError):
             cj.multiplication_problem(10, 5, 4)
+
+    def test_builders_match_their_formulas(self):
+        for n in range(1, 51):
+            for s in (-n - 3, -1, 0, 1, 7, 2 * n + 5):
+                assert cj.translation_perm(n, s).tolist() == \
+                    [(x + s) % n for x in range(n)]
+            for u in range(-n, 2 * n):
+                if math.gcd(u, n) == 1:
+                    assert cj.multiplication_perm(n, u).tolist() == \
+                        [u * x % n for x in range(n)]
+
+    @pytest.mark.parametrize("build", [
+        lambda n: cj.translation_perm(n, 2),
+        lambda n: cj.multiplication_perm(n, 1),
+        lambda n: cj.translation_problem(n, 1, 2, 4),
+        lambda n: cj.multiplication_problem(n, 1, 4),
+    ])
+    def test_builders_refuse_past_the_table_limit(self, build):
+        n = limits.LIMITS["table_entries"].value + 1
+        with pytest.raises(ValueError, match="table_entries"):
+            build(n)
 
     def test_problem_from_spec(self):
         spec = ap.make_approx("z2", 13, p=1, q=5)

@@ -1,9 +1,11 @@
 """Round-trips through the plain-object encodings, with re-validation."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from soficperm import approx as ap
@@ -239,3 +241,58 @@ class TestReports:
         rep = ap.heis_fixed_bound(9, 2, 1, 1)
         obj = json_roundtrip(ser.heis_fixed_to_obj(rep))
         assert obj["bound"] == 18 and obj["bound_ok"] is True
+
+
+def _report_cases():
+    """One instance of every report type, with its encoder."""
+    spec = ap.make_approx("z2", 10, p=2, q=3)
+    spec9 = ap.make_approx("z2", 9, p=1, q=2)
+    act = hg.make_action(3, *hg.random_tables(3, seed=0))
+    return [
+        (ap.verify(spec, gr.ball("z2", 5), Fraction(1, 10)),
+         ser.verify_report_to_obj),
+        (cj.exact_search(cj.translation_problem(13, 1, 5, 4)),
+         ser.search_report_to_obj),
+        (cj.align(spec9, spec9, gr.ball("z2", 1), seed=0, restarts=1),
+         ser.alignment_report_to_obj),
+        (ap.check_poly_condition(9, 2, 4, mode="exhaustive"),
+         ser.poly_result_to_obj),
+        (ap.heis_fixed_bound(9, 2, 1, 1), ser.heis_fixed_to_obj),
+        (act, ser.action_table_to_obj),
+        (hg.verify_action(act, window=1), ser.relation_report_to_obj),
+        (hr.heuristic_report(30, 4, "1/100", "1/100"),
+         ser.heuristic_report_to_obj),
+    ]
+
+
+class TestFieldWalk:
+    @pytest.mark.parametrize("case", range(8))
+    def test_keys_are_the_fields_in_order(self, case):
+        rep, encode = _report_cases()[case]
+        fields = [f.name for f in dataclasses.fields(rep)
+                  if f.name != "elapsed_s"]
+        assert list(encode(rep)) == fields
+
+    def test_nested_records(self):
+        by_type = {type(rep).__name__: (rep, encode)
+                   for rep, encode in _report_cases()}
+        rep, encode = by_type["SearchReport"]
+        assert list(encode(rep)["problem"]) == ["n", "k", "alpha", "beta",
+                                                "orientation"]
+        rep, encode = by_type["AlignmentReport"]
+        for (g, d), item in zip(rep.per_element, encode(rep)["per_element"]):
+            assert item == {"element": ser.elem_to_obj(g),
+                            "distance": [d.numerator, d.denominator]}
+        rep, encode = by_type["RelationReport"]
+        for check in encode(rep)["checks"]:
+            assert list(check) == ["name", "ok", "witness"]
+
+    def test_unknown_type_refused(self):
+        with pytest.raises(TypeError):
+            ser._obj(np.int64(1))
+        with pytest.raises(TypeError):
+            ser._obj(1.5)
+
+    def test_elem_to_obj_refuses_non_elements(self):
+        with pytest.raises(TypeError, match="not a group element"):
+            ser.elem_to_obj(Perm([1, 0]))
