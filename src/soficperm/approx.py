@@ -409,9 +409,11 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     problem is out of scope here.
 
     S is sorted by :func:`groups.sort_key`, and one pass over its pairs
-    (g, h) in that order builds the product index: the position of gh in S,
-    or -1 when gh lies outside S, one ``groups.mul`` per pair.  The pairs
-    with gh in S are checked in batches: psi(g) o psi(h) is composed and
+    (g, h) in that order reads the product index: the position of gh in S,
+    or -1 when gh lies outside S.  ``groups._product_index`` builds it from
+    S's coordinates in arrays, one ``searchsorted`` of packed keys per
+    block (metab words take one ``groups.mul`` per pair).  The pairs with
+    gh in S are checked in batches: psi(g) o psi(h) is composed and
     compared with psi(gh) by the closed forms behind :class:`AffineImage`,
     on object arrays of exact coefficients.  The pass runs in blocks of
     whole rows of at most ``_PAIR_CHUNK`` products, so memory does not grow
@@ -424,19 +426,13 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     images = [image(spec, g) for g in elements]
     npoints = spec.npoints
 
-    # the product index, one group product per pair, in blocks of whole
-    # rows; distances are disagreement counts over npoints until the report
-    size = len(elements)
-    position = {g: k for k, g in enumerate(elements)}.get
-    mul = groups.mul
+    # distances are disagreement counts over npoints until the report
     columns = [np.array(c, dtype=object)
                for c in zip(*(f.coeffs for f in images))]
     pairs = worst_defect = 0
     hom_witness: Optional[tuple[GroupElem, GroupElem]] = None
-    rows = max(1, _PAIR_CHUNK // max(size, 1))
-    for top in range(0, size, rows):
-        index = np.array([[position(mul(g, h), -1) for h in elements]
-                          for g in elements[top:top + rows]], dtype=np.int64)
+    rows = max(1, _PAIR_CHUNK // max(len(elements), 1))
+    for top, index in groups._product_index(elements, rows):
         at_g, at_h = np.nonzero(index >= 0)
         if not len(at_g):
             continue

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-import mpmath
-
 from . import approx as approxmod
 from . import conjsearch as conjmod
 from . import groups as groupsmod
@@ -125,7 +123,7 @@ def _cell(value):
         return ""
     if isinstance(value, Fraction):
         return _fnum(value)
-    if isinstance(value, mpmath.mpf):
+    if ser._is_mpf(value):
         return ser.mpf_to_obj(value)
     return value
 
@@ -137,10 +135,10 @@ def _row(command: str, source, **extra) -> list:
             for c in _COLUMNS[command]]
 
 
-def _csv_header(command: str, columns: bool = True) -> str:
-    """The CSV header line; columns=False leaves out _COLUMNS[command]."""
-    return ",".join(["schema", "command", "seed",
-                     *(_COLUMNS[command] if columns else ()), "config"])
+def _csv_header(command: str) -> str:
+    """The CSV header line."""
+    return ",".join(["schema", "command", "seed", *_COLUMNS[command],
+                     "config"])
 
 
 def _read_json(path: str):
@@ -540,11 +538,11 @@ def _emit(ns, config: ExperimentConfig, result, rows: list[list]) -> None:
             config_cell = json.dumps(config.to_obj(), sort_keys=True,
                                      separators=(",", ":"))
             buf = io.StringIO()
-            # a run without rows (an exact search that finds nothing) has
-            # no subcommand columns in its header
-            buf.write(_csv_header(ns.command, columns=bool(rows)) + "\n")
+            buf.write(_csv_header(ns.command) + "\n")
             writer = csv.writer(buf, lineterminator="\n")
-            for row in rows:
+            # a run without rows (an exact search that finds nothing) still
+            # writes one row, of empty cells and its config
+            for row in rows or [[""] * len(_COLUMNS[ns.command])]:
                 writer.writerow([
                     SCHEMA_VERSION, ns.command, ns.seed,
                     *(_join(v) if isinstance(v, permmod.Perm) else v

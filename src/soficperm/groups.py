@@ -27,6 +27,20 @@ The Heisenberg sign convention is anchored the same way: with
 (l1,m1,n1)*(l2,m2,n2) = (l1+l2, m1+m2, n1+n2 - m1*l2) the permutation
 (x, y) -> (x + mu*y - nu, y + lam) is a homomorphism, and a^-1 b^-1 a b
 evaluates to c = (0, 0, 1).  The opposite convention would flip nu's sign.
+
+``_product_index`` gives, for a finite set S, the position in S of every
+product of two of its elements, in blocks of whole rows.  It holds S as
+integer coordinate columns -- (lam, mu) for z2, (lam, mu, nu) for heis,
+(pow, value * m^E) for bs with E the largest den_exp plus the largest
+|pow|, and for zwrz pow plus the coefficient at each exponent S uses --
+and builds a block's product columns by the formulas of ``mul``.  A
+product leaving S's per-column [min, max] is outside S; otherwise it is
+packed column by column into one mixed-radix key and found by
+``searchsorted`` among S's sorted keys.  A bound on every value is
+computed in Python ints first: the columns are int64 when it fits and
+object (exact Python ints) otherwise, so nothing wraps.  metab words have
+no normal form and take one ``mul`` and one dict lookup per pair.
+``mul`` stays the product the rest of the package uses.
 """
 
 from __future__ import annotations
@@ -34,7 +48,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
+
+import numpy as np
 
 __all__ = [
     "FAMILIES",
@@ -130,7 +147,17 @@ def genword(pairs: Iterable[tuple[str, int]]) -> GenWord:
 
 
 def word_mul(w1: GenWord, w2: GenWord) -> GenWord:
-    return _trusted(GenWord, letters=_free_reduce(w1.letters + w2.letters))
+    """w1 w2, freely reduced.  Both words are reduced already, so letters
+    cancel or merge only where they meet."""
+    left, right = w1.letters, w2.letters
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        gen, merged = right[j][0], left[i - 1][1] + right[j][1]
+        i, j = i - 1, j + 1
+        if merged:
+            return _trusted(GenWord,
+                            letters=left[:i] + ((gen, merged),) + right[j:])
+    return _trusted(GenWord, letters=left[:i] + right[j:])
 
 
 def word_inverse(w: GenWord) -> GenWord:
@@ -472,3 +499,174 @@ def abelianization(x: GroupElem) -> tuple[int, int]:
     if isinstance(x, BSElem):
         raise ValueError("bs admits no retraction onto <a> x <b>")
     raise TypeError(f"not a group element: {x!r}")
+
+
+# ---------------------------------------------------------------------------
+# the product index of a finite set, in arrays
+# ---------------------------------------------------------------------------
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class _ArrayForm(NamedTuple):
+    """A finite set S as integer coordinate columns, one entry per element,
+    each column with its [min, max] over S; ``block(g)`` yields the same
+    columns for the products of the rows ``g`` of S with all of S, as
+    (rows, |S|) arrays, by the formulas of :func:`mul`.  Every column and
+    every intermediate is int64 when a bound on them fits, else object."""
+
+    dtype: type
+    columns: list
+    lo: list
+    hi: list
+    block: Callable[[slice], Iterator[np.ndarray]]
+
+
+def _amax(*columns: list) -> int:
+    return max((abs(v) for c in columns for v in c), default=0)
+
+
+def _z2_form(elements):
+    columns = [[x.lam for x in elements], [x.mu for x in elements]]
+
+    def products(lam, mu):
+        def block(g):
+            yield lam[g, None] + lam
+            yield mu[g, None] + mu
+        return block
+    return columns, 2 * _amax(*columns), products
+
+
+def _heis_form(elements):
+    columns = [[x.lam for x in elements], [x.mu for x in elements],
+               [x.nu for x in elements]]
+    a_lam, a_mu, a_nu = map(_amax, columns)
+
+    def products(lam, mu, nu):
+        def block(g):
+            yield lam[g, None] + lam
+            yield mu[g, None] + mu
+            yield nu[g, None] + nu - mu[g, None] * lam
+        return block
+    return columns, 2 * max(a_lam, a_mu, a_nu) + a_mu * a_lam, products
+
+
+def _bs_form(elements):
+    # (pow, value * m^E): with E = the largest den_exp + the largest |pow|,
+    # m^pow_h * value_g * m^E is an integer for every g, h in S
+    m = elements[0].m
+    pows = [x.pow for x in elements]
+    top = _amax(pows)
+    e = max(x.den_exp for x in elements) + top
+    values = [x.num * m ** (e - x.den_exp) for x in elements]
+    scale = abs(m) ** top
+
+    def products(pow_, value):
+        up = np.array([m ** max(p, 0) for p in pows], value.dtype)
+        down = np.array([m ** max(-p, 0) for p in pows], value.dtype)
+
+        def block(g):
+            yield pow_[g, None] + pow_
+            yield value + value[g, None] * up // down  # the division is exact
+        return block
+    # the up and down tables reach scale even when every value is 0
+    bound = max(2 * top, (1 + scale) * max(_amax(values), 1))
+    return [pows, values], bound, products
+
+
+def _zwrz_form(elements):
+    # columns: pow; whether some lamp of g, shifted by pow_h, lands on an
+    # exponent no element of S uses (0 on S itself); the coefficient at each
+    # exponent S uses
+    exps = sorted({e for x in elements for e, _ in x.poly})
+    col = {e: j for j, e in enumerate(exps)}
+    pows = [x.pow for x in elements]
+    lit = np.zeros((len(elements), len(exps)), dtype=bool)
+    coeffs = [[0] * len(elements) for _ in exps]
+    for k, x in enumerate(elements):
+        for e, c in x.poly:
+            lit[k, col[e]] = True
+            coeffs[col[e]][k] = c
+    leaves = np.array([[e + p not in col for p in pows] for e in exps],
+                      dtype=bool).reshape(len(exps), len(elements))
+    # where g's coefficient at e - pow_h sits, the zero column when absent
+    source = np.array([[col.get(e - p, len(exps)) for p in pows]
+                       for e in exps], dtype=np.intp)
+    columns = [pows, [0] * len(elements), *coeffs]
+
+    def products(pow_, _, *coeff):
+        table = np.stack([*coeff, np.zeros_like(pow_)], axis=1)
+
+        def block(g):
+            yield pow_[g, None] + pow_
+            yield (lit[g] @ leaves).astype(pow_.dtype)
+            lamps_g = table[g]
+            for c, at in zip(coeff, source):
+                yield c + lamps_g[:, at]
+        return block
+    return columns, max(2 * _amax(*columns), 1), products
+
+
+_FORMS = {Z2Elem: _z2_form, HeisElem: _heis_form, BSElem: _bs_form,
+          WreathElem: _zwrz_form}
+
+
+def _array_form(elements: Sequence[GroupElem]) -> Optional[_ArrayForm]:
+    """The array form of a nonempty S, or None when S has none: metab
+    words, or a set that mixes families or bs parameters (``mul`` refuses
+    such pairs)."""
+    kind = type(elements[0])
+    if kind not in _FORMS or any(type(x) is not kind for x in elements):
+        return None
+    if kind is BSElem and any(x.m != elements[0].m for x in elements):
+        return None
+    columns, bound, products = _FORMS[kind](elements)
+    lo, hi = [min(c) for c in columns], [max(c) for c in columns]
+    # besides the products, _pack computes a column less its min and keys
+    # below the product of the spans
+    keys = math.prod(h - l + 1 for l, h in zip(lo, hi))
+    fits = max(bound + _amax(lo, hi), keys) <= _INT64_MAX
+    dtype = np.int64 if fits else object
+    arrays = [np.array(c, dtype=dtype) for c in columns]
+    return _ArrayForm(dtype, arrays, lo, hi, products(*arrays))
+
+
+def _pack(form: _ArrayForm, columns: Iterable[np.ndarray]):
+    """(inside, key): whether each row lies in the box of S's column
+    ranges, and its key in mixed radix over their spans, column by column
+    (0 where a row leaves the box)."""
+    inside, key, radix = True, 0, 1
+    for c, lo, hi in zip(columns, form.lo, form.hi):
+        ok = (c >= lo) & (c <= hi)
+        inside = inside & ok
+        key = key + np.where(ok, c - lo, 0) * radix
+        radix *= hi - lo + 1
+    return inside, key
+
+
+def _product_index(elements: Sequence[GroupElem],
+                   rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The product index of S = ``elements`` (sorted, no repeats) in
+    blocks of ``rows`` whole rows: yields (top, index) where index[i, j] is
+    the position of elements[top + i] * elements[j] in S, or -1.
+
+    Each product row is found by its packed key (:func:`_pack`) with one
+    ``searchsorted`` per block over the sorted keys of S.  Without an
+    array form, each pair costs one :func:`mul` and one dict lookup.
+    """
+    size = len(elements)
+    form = _array_form(elements) if size else None
+    if form is None:
+        position = {g: k for k, g in enumerate(elements)}.get
+        for top in range(0, size, rows):
+            yield top, np.array([[position(mul(g, h), -1) for h in elements]
+                                 for g in elements[top:top + rows]],
+                                dtype=np.int64)
+        return
+    _, keys = _pack(form, form.columns)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    for top in range(0, size, rows):
+        inside, key = _pack(form, form.block(slice(top, top + rows)))
+        at = np.minimum(np.searchsorted(keys, key), size - 1)
+        yield top, np.where(inside & (keys[at] == key), order[at], -1)

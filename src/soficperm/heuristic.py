@@ -10,15 +10,19 @@ predicts none, > 0 predicts many.  For comparison the report carries the
 model coefficient 2*eps + eps_prime - 1/k: since log P ~ -(1/k) n log n,
 the model predicts log(P*K) ~ (2*eps + eps_prime - 1/k) n log n.
 
-All logs are natural and carried at 200-bit precision.
+All logs are natural and carried at 200-bit precision.  mpmath is
+imported by :func:`heuristic_report` alone, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 from . import limits
 from . import perm as permmod
@@ -57,6 +61,8 @@ def heuristic_report(n: int, k: int, eps, eps_prime) -> HeuristicReport:
     eps_prime = to_fraction(eps_prime)
     if eps < 0 or eps_prime < 0:
         raise ValueError("defect rates must be >= 0")
+
+    import mpmath
 
     count = permmod.count_order_dividing(n, k)
     coeff = 2 * eps + eps_prime

@@ -23,10 +23,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
+import sys
 from fractions import Fraction
 from typing import Any
-
-import mpmath
 
 from . import approx as approxmod
 from . import conjsearch as conjmod
@@ -81,7 +80,7 @@ def _obj(value) -> Any:
         return perm_to_obj(value)
     if isinstance(value, GenWord):
         return genword_to_obj(value)
-    if isinstance(value, mpmath.mpf):
+    if _is_mpf(value):
         return mpf_to_obj(value)
     if isinstance(value, _ELEMENT_TYPES):
         return elem_to_obj(value)
@@ -142,12 +141,21 @@ def _opt(fn, value):
     return None if value is None else fn(value)
 
 
+def _is_mpf(value) -> bool:
+    """Whether value is an mpmath ``mpf``, without importing mpmath: no
+    mpf exists until something has imported it."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(value, mpmath.mpf)
+
+
 def mpf_to_obj(x) -> str:
+    import mpmath
     with mpmath.workprec(heurmod.PRECISION_BITS):
         return mpmath.nstr(x, MPF_DIGITS)
 
 
 def mpf_from_obj(obj: str):
+    import mpmath
     with mpmath.workprec(heurmod.PRECISION_BITS):
         return mpmath.mpf(obj)
 

@@ -177,6 +177,15 @@ def brute_heis_fixed(n: int, lam: int, mu: int, nu: int) -> int:
     return count
 
 
+def product_index(elements, mul) -> list[list[int]]:
+    """The product index of the distinct ``elements``, one ``mul(g, h)``
+    and one dict lookup per pair: row i, column j holds the position of
+    mul(elements[i], elements[j]) in elements, or -1.  The product is
+    passed in, so the index rests on that function alone."""
+    position = {g: k for k, g in enumerate(elements)}
+    return [[position.get(mul(g, h), -1) for h in elements] for g in elements]
+
+
 def z2_ball_points(radius: int) -> set[tuple[int, int]]:
     """Lattice points (lam, mu) with |lam| + |mu| <= radius."""
     return {

@@ -112,7 +112,7 @@ DIGESTS = {
     "search-exact/json": "213a527b86483e8f46ad1ffcf948cc69f999f9f0838770b937219c39cc81f4f0",
     "search-exact/csv": "1a790e85210b652d4ad059b39ec08df76aff34f82ecb2ee5b783bf5d4b019174",
     "search-exact-obstructed/json": "639271d063b05dc48ddd54f51f4a51d897dec189f795cb5acd672b967d6025f8",
-    "search-exact-obstructed/csv": "f838bcbe86730679b4500f3d5156775d8bd8353b072257ec580aef320a32b784",
+    "search-exact-obstructed/csv": "a9f6a33464a2fad18a68fd3f1e746970ea8977b43d66e1990e56db7e8f4555c9",
     "search-local/json": "f61463fe5ffda4444d50bcb65d8aee1f8d0c2ce5020da56582130e00c23183c7",
     "search-local/csv": "499cb4fbd633501d287d8388a1060429acb834e03827762440986590c6e80459",
     "verify-fail/json": "74cf2f0e21b2343d4fdfc43adae61103b04e73110e41c391a498a8ec2f41e2ea",
@@ -252,3 +252,16 @@ def test_csv_header_and_epilog_follow_the_column_table(inputs, command):
     assert all(len(row) == len(rows[0]) for row in rows)
     epilog = _subparsers()[command].epilog
     assert re.search(r"schema,command,seed\S*", epilog).group() == want
+
+
+def test_csv_run_without_rows_keeps_its_columns(inputs):
+    """An exact search with no solution writes the full header and one row
+    of empty cells that still carries its config."""
+    code, text = _run(CASES["search-exact-obstructed"] + ["--format", "csv"])
+    header, row = csv.reader(io.StringIO(text))
+    assert code == 1
+    assert header == ["schema", "command", "seed", *cli._COLUMNS["search"],
+                      "config"]
+    assert row[:3] == ["1", "search", "0"]
+    assert row[3:-1] == [""] * len(cli._COLUMNS["search"])
+    assert json.loads(row[-1])["options"]["algo"] == "exact"

@@ -40,6 +40,22 @@ class TestGenWord:
         w = gr.genword([("a", 2), ("b", -1)])
         assert gr.word_mul(w, gr.word_inverse(w)).is_empty()
 
+    @given(random_words(8), random_words(), st.integers(0, 8),
+           st.integers(-3, 3))
+    @example(gr.genword([("a", 2), ("b", -1)]), gr.genword([]), 2, 0)
+    @example(gr.genword([("a", 2), ("b", -1)]), gr.genword([("b", 1)]), 1, 1)
+    @settings(max_examples=300)
+    def test_word_mul_reduces_at_the_junction(self, w1, tail, cut, nudge):
+        """w2 undoes the last ``cut`` letters of w1, then adds ``nudge`` to
+        the exponent of the letter before them (cut = len(w1), nudge = 0
+        and an empty tail is full cancellation)."""
+        cut = min(cut, len(w1.letters))
+        keep = w1.letters[:len(w1.letters) - cut]
+        undo = gr.word_inverse(gr.GenWord(w1.letters[len(keep):])).letters
+        merge = [(keep[-1][0], nudge)] if keep and nudge else []
+        w2 = gr.genword([*undo, *merge, *tail.letters])
+        assert gr.word_mul(w1, w2) == gr.genword(w1.letters + w2.letters)
+
     def test_length_and_str(self):
         w = gr.genword([("a", 2), ("b", -1)])
         assert w.length() == 3

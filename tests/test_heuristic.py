@@ -1,6 +1,10 @@
 """Counting-estimate report: exact ingredients, frozen n=100 values."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -77,3 +81,18 @@ class TestValidation:
         # 200-bit values survive printing well past double precision
         text = mpmath.nstr(rep.log_factorial, 40)
         assert len(text.replace("-", "").replace(".", "")) >= 35
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    """mpmath is imported only where an mpf is made or written, so the
+    subcommands that need none do not pay for it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, soficperm, soficperm.cli; "
+            "print('mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 """``verify`` over the product index: the homomorphism property it rests on,
-pinned reports for every ``verify-grid`` row, the witness when images are
-skewed on purpose, and the bounded metab fold.
+the array index against products by ``groups.mul``, pinned reports for every
+``verify-grid`` row, the witness when images are skewed on purpose, and the
+bounded metab fold.
 
 The property ``image(gh) == image(g) o image(h)`` is the oracle for the
 batched closed form in ``approx.verify``: it holds for all five families,
@@ -27,6 +28,8 @@ from soficperm import approx as ap
 from soficperm import groups as gr
 from soficperm import perm as pm
 from soficperm import serialize as ser
+
+import oracles as orc
 
 M_CHOICES = (-6, -3, -2, 2, 3, 5, 6, 7)
 METAB_PQ = (2, 3, 5, 7, 11)
@@ -83,6 +86,136 @@ def test_image_is_a_homomorphism(case):
     spec, g, h = case
     assert ap.image(spec, gr.mul(g, h)) == \
         ap.image(spec, g).compose(ap.image(spec, h))
+
+
+# ---------------------------------------------------------------------------
+# the array index against one groups.mul per pair
+# ---------------------------------------------------------------------------
+
+@cache
+def _reference_index(elements: tuple) -> list[list[int]]:
+    return orc.product_index(elements, gr.mul)
+
+
+def _check_blocks(elements, rows, blocks):
+    """Each (top, block) equals the reference index of the sorted, distinct
+    ``elements``, built with ``groups.mul``; returns how many products the
+    blocks found in S."""
+    want = _reference_index(tuple(elements))
+    assert [top for top, _ in blocks] == list(range(0, len(elements), rows))
+    for top, block in blocks:
+        assert block.dtype == np.int64
+        assert block.tolist() == want[top:top + rows]
+    return sum(int((block >= 0).sum()) for _, block in blocks)
+
+
+def _check_index(elements, rows):
+    elements = sorted(set(elements), key=gr.sort_key)
+    return _check_blocks(elements, rows,
+                         list(gr._product_index(elements, rows)))
+
+
+# every verify-grid family and radius, then one larger radius each
+INDEX_BALLS = [
+    *(("z2", r, None) for r in (2, 4, 5, 6, 7, 8, 9, 11)),
+    *(("heis", r, None) for r in (2, 3, 4, 5, 6)),
+    *(("bs", r, 3) for r in (2, 3, 4)),
+    ("bs", 5, 2), ("bs", 5, -3),
+    *(("zwrz", r, None) for r in (2, 3, 4, 5)),
+    *(("metab", r, None) for r in (2, 3, 4)),
+]
+SPEC_PARAMS = {"z2": dict(p=2, q=3), "heis": {}, "bs": {}, "zwrz": dict(m=3),
+               "metab": dict(p=2, q=3)}
+
+
+@pytest.mark.parametrize("family,radius,m", INDEX_BALLS)
+@pytest.mark.parametrize("chunk", [7, 1 << 11])
+def test_verify_reads_the_mul_index(monkeypatch, family, radius, m, chunk):
+    """The blocks ``verify`` reads, with its chunk small and large, are the
+    index ``groups.mul`` gives; the array form is int64 on every ball."""
+    S = gr.ball(family, radius, m=m)
+    elements = sorted(S, key=gr.sort_key)
+    form = gr._array_form(elements)
+    assert (form is None) if family == "metab" else (form.dtype is np.int64)
+
+    blocks, index = [], gr._product_index
+
+    def spy(*args):
+        for top, block in index(*args):
+            blocks.append((top, block))
+            yield top, block
+    monkeypatch.setattr(gr, "_product_index", spy)
+    monkeypatch.setattr(ap, "_PAIR_CHUNK", chunk)
+    spec = ap.make_approx(family, 31 if family == "heis" else 1009,
+                          **(dict(m=m) if m else SPEC_PARAMS[family]))
+    ap.verify(spec, S, 1)
+    _check_blocks(elements, max(1, chunk // len(S)), blocks)
+
+
+@given(st.sampled_from([("z2", None), ("heis", None), ("bs", 2), ("bs", -3),
+                        ("bs", 6), ("zwrz", None)]),
+       st.integers(1, 3), st.integers(1, 9), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_array_index_matches_mul_on_subsets(fm, radius, rows, rnd):
+    family, m = fm
+    S = gr.ball(family, radius, m=m).elements
+    _check_index(rnd.sample(S, rnd.randint(1, len(S))), rows)
+
+
+B = 2**62
+OBJECT_CASES = {
+    "z2 near 2^62": [gr.Z2Elem(0, 0), gr.Z2Elem(B, 0), gr.Z2Elem(0, 1),
+                     gr.Z2Elem(B, 1), gr.Z2Elem(-B, 0),
+                     gr.Z2Elem(2 * B - 1, 0)],
+    "heis central overflow": [
+        gr.HeisElem(0, 0, 0), gr.HeisElem(2**31, 2**31, 0),
+        gr.HeisElem(2**31, 0, 0), gr.HeisElem(0, 2**32, 5),
+        gr.HeisElem(2**32, 2**32, -B)],
+    "bs large den_exp": [
+        gr.BSElem(2, 0, 0, 0), gr.BSElem(2, 1, 70, 0), gr.BSElem(2, 3, 70, 1),
+        gr.BSElem(2, 1, 69, 0), gr.BSElem(2, 0, 0, 1), gr.BSElem(2, 0, 0, -1),
+        gr.BSElem(2, 1, 0, 0)],
+    "bs large pow, no value": [
+        gr.BSElem(-3, 0, 0, 0), gr.BSElem(-3, 0, 0, 40),
+        gr.BSElem(-3, 0, 0, -40), gr.BSElem(-3, 0, 0, 80)],
+    "zwrz large coefficients": [
+        gr.WreathElem((), 0), gr.WreathElem((), 1),
+        gr.WreathElem(((0, B),), 0), gr.WreathElem(((1, B),), 0),
+        gr.WreathElem(((0, 2 * B),), 0), gr.WreathElem(((0, -B), (1, B)), -1)],
+    "zwrz far exponents": [
+        gr.WreathElem((), 0), gr.WreathElem((), 2 * 10**30),
+        gr.WreathElem(((-10**30, 1), (10**30, 1)), 0),
+        gr.WreathElem(((10**30, 1),), 0), gr.WreathElem(((-10**30, 1),), 0),
+        gr.WreathElem(((10**30, 1),), -2 * 10**30)],
+}
+INT64_CASES = {
+    "z2 at the int64 edge": [gr.Z2Elem(0, 0), gr.Z2Elem(1, 0),
+                             gr.Z2Elem(2**61 - 1, 0), gr.Z2Elem(2**61, 0),
+                             gr.Z2Elem(-2**61, 0)],
+    "zwrz sparse exponents": [
+        gr.WreathElem((), 0), gr.WreathElem((), 10**6),
+        gr.WreathElem(((-10**6, 1), (10**6, 1)), 0),
+        gr.WreathElem(((10**6, 1),), 0), gr.WreathElem(((-10**6, 1),), 0),
+        gr.WreathElem(((10**6, 1),), -2 * 10**6)],
+}
+
+
+@pytest.mark.parametrize("name,dtype", [*((k, object) for k in OBJECT_CASES),
+                                        *((k, np.int64) for k in INT64_CASES)])
+@pytest.mark.parametrize("rows", [1, 2, 16])
+def test_array_index_dtype_follows_the_bound(name, dtype, rows):
+    """Past the int64 bound the same code runs on object ints; below it,
+    int64 holds every value exactly."""
+    S = {**OBJECT_CASES, **INT64_CASES}[name]
+    assert gr._array_form(sorted(S, key=gr.sort_key)).dtype is dtype
+    assert _check_index(S, rows) >= len(S)  # the identity times each
+
+
+def test_array_index_leaves_mixed_sets_to_mul():
+    S = [gr.BSElem(2, 0, 0, 0), gr.BSElem(3, 0, 0, 1)]
+    assert gr._array_form(S) is None
+    with pytest.raises(ValueError, match="parameter mismatch"):
+        list(gr._product_index(S, 1))
 
 
 # ---------------------------------------------------------------------------
