@@ -423,12 +423,11 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     """
     delta = _check_delta(delta)
     elements = sorted(set(S), key=groups.sort_key)
-    images = [image(spec, g) for g in elements]
     npoints = spec.npoints
 
     # distances are disagreement counts over npoints until the report
     columns = [np.array(c, dtype=object)
-               for c in zip(*(f.coeffs for f in images))]
+               for c in zip(*(image(spec, g).coeffs for g in elements))]
     pairs = worst_defect = 0
     hom_witness: Optional[tuple[GroupElem, GroupElem]] = None
     rows = max(1, _PAIR_CHUNK // max(len(elements), 1))
@@ -448,15 +447,17 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
             worst_defect = npoints - agree[at]
             hom_witness = (elements[at_g[at]], elements[at_h[at]])
 
-    ident = image(spec, groups.identity(spec.family, m=spec.m))
+    # the identity pass: the first nontrivial element closest to the identity
     worst_closeness: Optional[int] = None
     id_witness: Optional[GroupElem] = None
-    for g, image_g in zip(elements, images):
-        if _is_identity_elem(g):
-            continue
-        d = npoints - image_g.agree_count(ident)
-        if worst_closeness is None or d < worst_closeness:
-            worst_closeness, id_witness = d, g
+    at = [i for i, g in enumerate(elements) if not _is_identity_elem(g)]
+    if at:
+        ident = image(spec, groups.identity(spec.family, m=spec.m))
+        agree = _agree_counts(spec.n, npoints, [c[at] for c in columns],
+                              ident.coeffs)
+        best = int(np.argmax(agree))  # the first largest agreement
+        worst_closeness = npoints - agree[best]
+        id_witness = elements[at[best]]
 
     defect = Fraction(worst_defect, npoints)
     closeness = (None if worst_closeness is None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -112,8 +111,8 @@ def agreement(f: Perm, prob: ConjProblem) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SearchReport:
-    """One search outcome.  ``elapsed_s`` is diagnostic only and is kept out
-    of the serialized data stream so runs are byte-reproducible."""
+    """One search outcome.  For ``local_search``, ``iterations`` is summed
+    over the restarts by the restart rule, :func:`_best_restart`."""
 
     problem: ConjProblem
     algorithm: str
@@ -123,10 +122,9 @@ class SearchReport:
     agreement_count: int
     agreement_fraction: Fraction
     iterations: int
-    elapsed_s: float
 
 
-def _make_report(prob, algorithm, seed, f, iterations, elapsed) -> SearchReport:
+def _make_report(prob, algorithm, seed, f, iterations) -> SearchReport:
     count = agreement(f, prob)
     return SearchReport(
         problem=prob,
@@ -137,7 +135,6 @@ def _make_report(prob, algorithm, seed, f, iterations, elapsed) -> SearchReport:
         agreement_count=count,
         agreement_fraction=Fraction(count, prob.n),
         iterations=iterations,
-        elapsed_s=elapsed,
     )
 
 
@@ -186,7 +183,7 @@ def exact_search(prob: ConjProblem) -> Optional[SearchReport]:
     f = exact_multiplicative(prob.n, p, q, prob.k)
     if f is None:
         return None
-    return _make_report(prob, "exact", None, f, 1, 0.0)
+    return _make_report(prob, "exact", None, f, 1)
 
 
 def brute_force(prob: ConjProblem) -> SearchReport:
@@ -194,16 +191,13 @@ def brute_force(prob: ConjProblem) -> SearchReport:
     lexicographically smallest image array.  n is bounded by the
     ``brute_force_n`` limit of :mod:`soficperm.limits`."""
     limits.check("brute_force_n", prob.n)
-    t0 = time.perf_counter()
     F = permmod._order_dividing_rows(prob.n, prob.k)
     scores = np.count_nonzero(
         F[:, prob.alpha.images] == prob.beta.images[F], axis=1
     )
     best = min(F[scores == scores.max()].tolist())
     f = Perm(np.asarray(best, dtype=np.int64), _trusted=True)
-    return _make_report(
-        prob, "brute", None, f, len(F), time.perf_counter() - t0
-    )
+    return _make_report(prob, "brute", None, f, len(F))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +209,23 @@ def _check_budget(iters: int, restarts: int) -> None:
         raise ValueError("iters must be >= 0")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+
+
+def _best_restart(restarts: int, seed: int, attempt):
+    """The restart rule of :func:`local_search` and :func:`align`.
+
+    Restart r runs ``attempt(r, Random(seed * 2^32 + r))``, which returns
+    (key, steps).  Returns the smallest key, so score ties go to the smaller
+    f or tau tuple, and the steps summed over all restarts.
+    """
+    best = None
+    steps = 0
+    for r in range(restarts):
+        key, taken = attempt(r, random.Random((seed << 32) + r))
+        steps += taken
+        if best is None or key < best:
+            best = key
+    return best, steps
 
 
 def _greedy_chain_start(prob: ConjProblem) -> Perm:
@@ -333,42 +344,33 @@ def local_search(
 ) -> SearchReport:
     """Seeded hill climbing over {f : f^k = id}.
 
-    Restart r climbs from, in order: the exact-multiplicative seed when the
-    problem is a translation pair (r = 0), the greedy chain extension
-    (r <= 1), then uniform order-dividing-k samples.  Restart RNGs are
-    derived as seed * 2^32 + r, restarts run independently, and the winner
-    is the best score with lexicographically smallest f, so the result does
-    not depend on how restarts are scheduled.  The greedy start always
-    exists, so the samples begin at r = 2; with more than two restarts the
-    ``count_table`` limit of :mod:`soficperm.limits` is checked before any
-    restart climbs.
+    Restart r climbs ``iters`` steps from, in order: the
+    exact-multiplicative seed when the problem is a translation pair
+    (r = 0), the greedy chain extension (r <= 1), then uniform
+    order-dividing-k samples.  :func:`_best_restart` runs the restarts with
+    key (-score, f), so the winner is the best score with lexicographically
+    smallest f.  The greedy start always exists, so the samples begin at
+    r = 2; with more than two restarts the ``count_table`` limit of
+    :mod:`soficperm.limits` is checked before any restart climbs.
     """
     if iters is None:
         iters = 200 * prob.n
     _check_budget(iters, restarts)
     if restarts > 2:
         limits.check("count_table", prob.n)
-    t0 = time.perf_counter()
-    best_key: Optional[tuple[int, tuple[int, ...]]] = None
-    total = 0
-    for r in range(restarts):
-        rng = random.Random((seed << 32) + r)
-        start: Optional[Perm] = None
-        if r == 0:
-            start = _multiplicative_start(prob)
+
+    def attempt(r, rng):
+        start = _multiplicative_start(prob) if r == 0 else None
         if start is None and r <= 1:
             start = _greedy_chain_start(prob)
         if start is None:
             start = permmod._sample_order_k_rng(prob.n, prob.k, rng)
         f, score = _climb(prob, start.images.tolist(), iters, rng)
-        total += iters
-        key = (-score, tuple(f))
-        if best_key is None or key < best_key:
-            best_key = key
-    f = Perm(np.asarray(best_key[1], dtype=np.int64), _trusted=True)
-    return _make_report(
-        prob, "local", seed, f, total, time.perf_counter() - t0
-    )
+        return (-score, tuple(f)), iters
+
+    (_, f), total = _best_restart(restarts, seed, attempt)
+    f = Perm(np.asarray(f, dtype=np.int64), _trusted=True)
+    return _make_report(prob, "local", seed, f, total)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +431,6 @@ class AlignmentReport:
     per_element: tuple[ElementDistance, ...]
     max_distance: Fraction
     iterations: int
-    elapsed_s: float
 
 
 # swap pairs scored per numpy pass in align; bounds its temporaries
@@ -524,8 +525,11 @@ def align(
     full block.  After the swap the counts are recomputed from tau.
 
     Best-effort only: the search stops at local optima, after ``iters``
-    steps (default 50n) per restart; restarts beyond the identity start use
-    seeded random tau.  Reported distances are exact.
+    steps (default 50n) per restart.  Restart 0 starts from the identity
+    and the others from a seeded random tau; :func:`_best_restart` runs
+    them with key ((max, total), tau) and ``iterations`` sums the steps.
+    The reported distances are the winner's exact mismatch counts over n,
+    read from :func:`_align_state`.
     """
     if spec1.npoints != spec2.npoints:
         raise ValueError("degree mismatch between the two specs")
@@ -538,45 +542,34 @@ def align(
     elements = sorted(set(S), key=groups.sort_key)
     rho1 = [approxmod.eval(spec1, s).images for s in elements]
     rho2 = [approxmod.eval(spec2, s).images for s in elements]
-    t0 = time.perf_counter()
 
-    best: Optional[tuple[tuple[int, int], tuple[int, ...]]] = None
-    steps_total = 0
-    for r in range(restarts):
+    def attempt(r, rng):
         if r == 0:
             tau = np.arange(n, dtype=np.int64)
         else:
-            rng = random.Random((seed << 32) + r)
             lst = list(range(n))
             rng.shuffle(lst)
             tau = np.asarray(lst, dtype=np.int64)
         state, obj = _align_state(tau, rho1, rho2)
-        for _ in range(iters):
-            steps_total += 1
+        steps = 0
+        for steps in range(1, iters + 1):
             swap = _best_swap(state, obj, n)
             if swap is None:
                 break
             _, i, j = swap
             tau[i], tau[j] = tau[j], tau[i]
             state, obj = _align_state(tau, rho1, rho2)
-        key = (obj, tuple(tau.tolist()))
-        if best is None or key < best:
-            best = key
+        return (obj, tuple(tau.tolist())), steps
 
-    tau = Perm(np.asarray(best[1], dtype=np.int64), _trusted=True)
-    per_element = []
-    worst = Fraction(0)
-    for s, r1, r2 in zip(elements, rho1, rho2):
-        conj = permmod.conjugate(Perm(r1, _trusted=True), tau)
-        d = permmod.hamming(conj, Perm(r2, _trusted=True))
-        per_element.append(ElementDistance(s, d))
-        worst = max(worst, d)
+    ((worst, _), tau), steps = _best_restart(restarts, seed, attempt)
+    tau = Perm(np.asarray(tau, dtype=np.int64), _trusted=True)
+    state, _ = _align_state(tau.images, rho1, rho2)
     return AlignmentReport(
         tau=tau,
-        per_element=tuple(per_element),
-        max_distance=worst,
-        iterations=steps_total,
-        elapsed_s=time.perf_counter() - t0,
+        per_element=tuple(ElementDistance(s, Fraction(entry[-1], n))
+                          for s, entry in zip(elements, state)),
+        max_distance=Fraction(worst, n),
+        iterations=steps,
     )
 
 

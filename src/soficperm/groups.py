@@ -286,18 +286,8 @@ def _check_family(family: str) -> None:
 # ---------------------------------------------------------------------------
 
 def identity(family: str, *, m: int | None = None) -> GroupElem:
-    _check_family(family)
-    if family == "z2":
-        return Z2Elem(0, 0)
-    if family == "heis":
-        return HeisElem(0, 0, 0)
-    if family == "bs":
-        if m is None:
-            raise ValueError("bs needs the parameter m")
-        return BSElem(m, 0, 0, 0)
-    if family == "zwrz":
-        return WreathElem((), 0)
-    return FreeWord(GenWord(()))
+    """The identity of the family, as the generator power a^0."""
+    return generator(family, "a", 0, m=m)
 
 
 def generator(family: str, gen: str, exp: int = 1, *, m: int | None = None) -> GroupElem:

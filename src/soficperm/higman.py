@@ -246,30 +246,19 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     t_order_ok = t4 == ident
     checks.append(RelationCheck("t^4", t_order_ok, _first_difference(p, t4, ident)))
 
-    a_t = permmod.conjugate(act.perms["a"], t)
-    ok_ad = a_t == act.perms["d"]
+    names = ("a", "b", "c", "d")
+    conj = {name: permmod.conjugate(act.perms[name], t) for name in names}
+    ok_ad = conj["a"] == act.perms["d"]
     checks.append(RelationCheck("a^t = d", ok_ad,
-                                _first_difference(p, a_t, act.perms["d"])))
+                                _first_difference(p, conj["a"], act.perms["d"])))
 
     # discover where conjugation by t sends each named generator
-    by_perm = {act.perms[name]: name for name in ("a", "b", "c", "d")}
-    succ: dict[str, Optional[str]] = {}
-    for name in ("a", "b", "c", "d"):
-        image = permmod.conjugate(act.perms[name], t)
-        succ[name] = by_perm.get(image)
-    cycle: Optional[tuple[str, ...]] = None
-    if all(succ.values()):
-        walk = ["a"]
-        while True:
-            nxt = succ[walk[-1]]
-            if nxt == "a":
-                break
-            if nxt in walk or len(walk) > 4:
-                walk = []
-                break
-            walk.append(nxt)
-        if len(walk) == 4:
-            cycle = tuple(walk)
+    by_perm = {act.perms[name]: name for name in names}
+    succ = {name: by_perm.get(conj[name]) for name in names}
+    walk = ["a"]
+    while succ[walk[-1]] not in (None, *walk):
+        walk.append(succ[walk[-1]])
+    cycle = tuple(walk) if len(walk) == 4 and succ[walk[-1]] == "a" else None
     checks.append(RelationCheck("t-conjugation is a 4-cycle on {a,b,c,d}",
                                 cycle is not None, None))
 

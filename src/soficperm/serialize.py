@@ -8,9 +8,7 @@ One walk, :func:`_obj`, encodes each value by its type:
 * high-precision floats are decimal strings (30 significant digits);
 * a record (dataclass or named tuple) is a dict of its fields in
   declaration order; a problem adds its ``orientation``, and a spec holds
-  its ``params()``, its relabelling when set and its two images;
-* wall-clock fields (``elapsed_s``) are excluded everywhere so that equal
-  computations serialize to identical bytes.
+  its ``params()``, its relabelling when set and its two images.
 
 The ``*_from_obj`` decoders are written out, since decoding is input
 validation: they re-validate the data rather than trust it.  Alignment,
@@ -99,13 +97,11 @@ def _obj(value) -> Any:
 
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls)
-                 if f.name != "elapsed_s")
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _fields(record) -> dict:
-    """A dataclass's fields in declaration order, each through :func:`_obj`;
-    ``elapsed_s`` is left out."""
+    """A dataclass's fields in declaration order, each through :func:`_obj`."""
     return {name: _obj(getattr(record, name))
             for name in _field_names(type(record))}
 
@@ -279,7 +275,6 @@ def search_report_from_obj(obj: dict) -> conjmod.SearchReport:
         agreement_count=count,
         agreement_fraction=fraction_from_obj(obj["agreement_fraction"]),
         iterations=_int(obj["iterations"]),
-        elapsed_s=0.0,
     )
 
 

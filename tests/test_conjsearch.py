@@ -167,6 +167,38 @@ class TestBruteForce:
             cj.brute_force(cj.translation_problem(10, 1, 2, 4))
 
 
+class TestBestRestart:
+    def test_restart_rng_is_seeded_by_restart(self):
+        drawn = {}
+
+        def attempt(r, rng):
+            drawn[r] = rng.random()
+            return (0, (r,)), 0
+
+        for seed in (0, 7, 2 ** 40):
+            drawn.clear()
+            cj._best_restart(5, seed, attempt)
+            assert drawn == {r: random.Random((seed << 32) + r).random()
+                             for r in range(5)}
+
+    @pytest.mark.parametrize("keys, best", [
+        # local_search's (-score, f): the later, smaller f wins the tie
+        ([(-3, (2, 0, 1)), (-5, (1, 2, 0)), (-5, (0, 2, 1)), (-4, (0, 1, 2))],
+         (-5, (0, 2, 1))),
+        # align's ((max, total), tau): the earlier, smaller tau keeps it
+        ([((2, 3), (1, 0, 2)), ((1, 4), (0, 2, 1)), ((1, 4), (2, 1, 0))],
+         ((1, 4), (0, 2, 1))),
+    ])
+    def test_score_tie_goes_to_the_smaller_tuple(self, keys, best):
+        got, _ = cj._best_restart(len(keys), 0,
+                                  lambda r, rng: (keys[r], 0))
+        assert got == best
+
+    def test_steps_are_summed_over_restarts(self):
+        _, steps = cj._best_restart(6, 3, lambda r, rng: ((r,), 10 + r * r))
+        assert steps == sum(10 + r * r for r in range(6))
+
+
 class TestLocalSearch:
     def test_deterministic_and_order_preserving(self):
         prob = cj.multiplication_problem(40, 3, 4)

@@ -153,6 +153,28 @@ class TestVerifyAction:
             assert ours == orc.wreath_conjugates_commute(p, list(f), list(lam), i, j)
             assert ours
 
+    @pytest.mark.parametrize("shift, chain, cycle", [
+        (4, 4, ("a", "b", "c", "d")),  # t of order 4: a -> b -> c -> d -> a
+        (1, 4, None),                  # t of order 16: d^t is none of them
+        (8, 2, None),                  # t an involution: a -> b -> a
+    ])
+    def test_t_cycle_walk(self, shift, chain, cycle):
+        # on 2^4 points: t is x -> x + shift, and the first `chain` names are
+        # the t-conjugates of the transposition (0 1), the rest unrelated
+        t = pm.Perm([(x + shift) % 16 for x in range(16)])
+        perms = {"t": t, "a": pm.Perm([1, 0] + list(range(2, 16)))}
+        names = ("a", "b", "c", "d")
+        for prev, name in zip(names, names[1:chain]):
+            perms[name] = pm.conjugate(perms[prev], t)
+        for x, name in enumerate(names[chain:]):
+            perms[name] = pm.Perm([x + 7, x + 6] + [y for y in range(16)
+                                                    if y not in (x + 6, x + 7)])
+        act = hg.ActionTable(2, (), (), perms)
+        rep = hg.verify_action(act, window=1)
+        assert rep.t_cycle == cycle
+        check = next(c for c in rep.checks if c.name.startswith("t-conj"))
+        assert check.ok is (cycle is not None)
+
     def test_window_validation(self):
         f, lam = hg.random_tables(3, seed=0)
         act = hg.make_action(3, f, lam)

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import random
-import time
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -114,7 +113,6 @@ def align_reference(
     rho2 = [approxmod.eval(spec2, s).images for s in elements]
     if iters is None:
         iters = 50 * n
-    t0 = time.perf_counter()
 
     best: Optional[tuple[tuple[int, int], tuple[int, ...]]] = None
     steps_total = 0
@@ -160,7 +158,6 @@ def align_reference(
         per_element=tuple(per_element),
         max_distance=worst,
         iterations=steps_total,
-        elapsed_s=time.perf_counter() - t0,
     )
 
 
