@@ -36,6 +36,7 @@ from . import conjsearch as conjmod
 from . import groups as groupsmod
 from . import heuristic as heurmod
 from . import higman as higmod
+from . import limits
 from . import perm as permmod
 from . import serialize as ser
 
@@ -258,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "make-approx", parents=[common],
         help="build generator images for a group family",
         epilog=f"csv columns: {_csv_header('make-approx')} "
-               "(permutations space-joined)")
+               "(permutations space-joined; psi_a and psi_b are listed up "
+               f"to {ser.SPEC_TABLE_POINTS} points, as in the json record)")
     p.add_argument("--group", required=True, choices=groupsmod.FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
@@ -361,7 +363,12 @@ def _cmd_count_orders(ns):
 
 def _cmd_make_approx(ns):
     spec = approxmod.make_approx(ns.group, ns.n, p=ns.p, q=ns.q, m=ns.m)
-    return ser.spec_to_obj(spec), [_row("make-approx", spec)]
+    # refused as before although a record above SPEC_TABLE_POINTS builds no
+    # table: its spec could not be tabled anywhere else either
+    limits.check("table_entries", spec.npoints)
+    untabled = {} if spec.npoints <= ser.SPEC_TABLE_POINTS else {
+        "psi_a": None, "psi_b": None}
+    return ser.spec_to_obj(spec), [_row("make-approx", spec, **untabled)]
 
 
 def _cmd_verify(ns):
@@ -533,7 +540,9 @@ def _emit(ns, config: ExperimentConfig, result, rows: list[list]) -> None:
                 "config": config.to_obj(),
                 "result": result,
             }
-            text = _dumps(record) + "\n"
+            # the closing newline is written on its own rather than
+            # appended to a copy of the whole record text
+            pieces = [_dumps(record), "\n"]
         else:
             config_cell = json.dumps(config.to_obj(), sort_keys=True,
                                      separators=(",", ":"))
@@ -548,12 +557,12 @@ def _emit(ns, config: ExperimentConfig, result, rows: list[list]) -> None:
                     *(_join(v) if isinstance(v, permmod.Perm) else v
                       for v in row),
                     config_cell])
-            text = buf.getvalue()
+            pieces = [buf.getvalue()]
         if ns.out:
             with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
     finally:
         if set_digits is not None:
             set_digits(saved)

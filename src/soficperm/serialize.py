@@ -7,8 +7,10 @@ One walk, :func:`_obj`, encodes each value by its type:
 * group elements are dicts tagged with their ``family``;
 * high-precision floats are decimal strings (30 significant digits);
 * a record (dataclass or named tuple) is a dict of its fields in
-  declaration order; a problem adds its ``orientation``, and a spec holds
-  its ``params()``, its relabelling when set and its two images.
+  declaration order, and a problem adds its ``orientation``;
+* a spec holds its family, its ``params()`` and its relabelling when set,
+  which fix it; its two images are listed too when it has at most
+  :data:`SPEC_TABLE_POINTS` points.
 
 The ``*_from_obj`` decoders are written out, since decoding is input
 validation: they re-validate the data rather than trust it.  Alignment,
@@ -55,10 +57,14 @@ __all__ = [
     "action_table_to_obj", "action_table_from_obj",
     "relation_report_to_obj",
     "heuristic_report_to_obj",
-    "MPF_DIGITS",
+    "MPF_DIGITS", "SPEC_TABLE_POINTS",
 ]
 
 MPF_DIGITS = 30
+
+# the most points for which a spec record lists psi_a and psi_b; a larger
+# spec is recorded by its parameters alone, which spec_from_obj rebuilds
+SPEC_TABLE_POINTS = 1 << 18
 
 _ELEMENT_TYPES = (Z2Elem, HeisElem, BSElem, WreathElem, FreeWord)
 
@@ -210,14 +216,15 @@ def spec_to_obj(spec: approxmod.ApproxSpec) -> dict:
     out.update(spec.params())
     if spec.sigma is not None:
         out["sigma"] = perm_to_obj(spec.sigma)
-    out["psi_a"] = perm_to_obj(spec.psi_a)
-    out["psi_b"] = perm_to_obj(spec.psi_b)
+    if spec.npoints <= SPEC_TABLE_POINTS:
+        out["psi_a"] = perm_to_obj(spec.psi_a)
+        out["psi_b"] = perm_to_obj(spec.psi_b)
     return out
 
 
 def spec_from_obj(obj: dict) -> approxmod.ApproxSpec:
-    """Rebuild from parameters and relabelling, then insist the stored
-    images agree."""
+    """Rebuild from parameters and relabelling, then insist that the stored
+    images, where the record lists them, agree."""
     spec = approxmod.make_approx(
         obj["family"], _int(obj["n"]),
         p=_opt(_int, obj.get("p")),

@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficperm import cli
+from soficperm import approx, cli, groups, serialize
 from soficperm.cli import ExperimentConfig, run
 from soficperm.perm import count_order_dividing
 
@@ -360,6 +361,80 @@ class TestSubcommands:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["npoints"] == "16"
         assert len(rows[0]["psi_a"].split()) == 16
+
+
+class TestSpecRecords:
+    """Above serialize.SPEC_TABLE_POINTS a spec record holds its parameters
+    and no tables; make-approx builds none and verify --spec needs none."""
+
+    BIG = ["--group", "z2", "--n", "1000003", "--p", "31337", "--q", "77777"]
+
+    @staticmethod
+    def _spy(monkeypatch, module, name):
+        """Wrap module.name so that every spec it returns is kept."""
+        specs = []
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            specs.append(real(*args, **kwargs))
+            return specs[-1]
+        monkeypatch.setattr(module, name, spy)
+        return specs
+
+    @staticmethod
+    def _untabled(spec):
+        return "psi_a" not in vars(spec) and "psi_b" not in vars(spec)
+
+    def test_parameters_only_and_verify(self, tmp_path, capsys, monkeypatch):
+        made = self._spy(monkeypatch, approx, "make_approx")
+        loaded = self._spy(monkeypatch, serialize, "spec_from_obj")
+        path = tmp_path / "big.json"
+        code, _, _ = invoke(capsys, ["make-approx", *self.BIG,
+                                     "--out", str(path)])
+        assert code == 0
+        result = json.loads(path.read_text())["result"]
+        assert result == {"family": "z2", "n": 1000003, "p": 31337,
+                          "q": 77777}
+        code, out, _ = invoke(capsys, ["verify", "--spec", str(path),
+                                       "--ball", "2", "--delta", "1/10"])
+        assert code == 0
+        spec = approx.make_approx("z2", 1000003, p=31337, q=77777)
+        want = approx.verify(spec, groups.ball("z2", 2), Fraction(1, 10))
+        assert json.loads(out)["result"] == serialize.verify_report_to_obj(want)
+        assert len(loaded) == 1
+        assert all(map(self._untabled, made + loaded))
+
+    def test_csv_psi_cells_empty(self, capsys, monkeypatch):
+        made = self._spy(monkeypatch, approx, "make_approx")
+        code, out, _ = invoke(capsys, ["make-approx", *self.BIG,
+                                       "--format", "csv"])
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert row["npoints"] == "1000003"
+        assert row["psi_a"] == row["psi_b"] == ""
+        assert self._untabled(made[0])
+
+    def test_tabled_record_above_threshold_checked(self, tmp_path, capsys,
+                                                   monkeypatch):
+        path = tmp_path / "spec.json"
+        code, _, _ = invoke(capsys, ["make-approx", "--group", "z2", "--n",
+                                     "11", "--p", "2", "--q", "3",
+                                     "--out", str(path)])
+        assert code == 0
+        record = json.loads(path.read_text())
+        assert "psi_a" in record["result"]
+        # the record now lists tables that a new one would leave out
+        monkeypatch.setattr(serialize, "SPEC_TABLE_POINTS", 5)
+        argv = ["verify", "--spec", str(path), "--ball", "2", "--delta",
+                "1/10"]
+        code, _, _ = invoke(capsys, argv)
+        assert code == 0
+        psi_a = record["result"]["psi_a"]
+        psi_a[0], psi_a[1] = psi_a[1], psi_a[0]
+        path.write_text(json.dumps(record))
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and out == ""
+        assert "stored psi_a disagrees" in err
 
 
 # JSON trees for the writer: every scalar json.dumps accepts, keys of every

@@ -19,7 +19,7 @@ import re
 
 import pytest
 
-from soficperm import cli
+from soficperm import approx, cli, serialize
 
 PLACEHOLDER = "<TMP>"
 
@@ -212,6 +212,21 @@ def test_large_cli_bytes_pinned(inputs, name, fmt):
     argv = [a.replace("{tmp}", str(inputs)) for a in LARGE_CASES[name]]
     assert digest(inputs, argv + ["--format", fmt]) == \
         LARGE_DIGESTS[f"{name}/{fmt}"]
+
+
+def test_spec_table_threshold_placement():
+    # every make-approx golden lists its tables, and the benchmark's record
+    # (a prime at or above 10^6 points) does not: moving the threshold
+    # across either fails here rather than re-pinning a digest
+    parser = cli._build_parser()
+    sizes = []
+    for argv in [*CASES.values(), *LARGE_CASES.values()]:
+        if argv[0] == "make-approx":
+            ns = parser.parse_args(argv)
+            sizes.append(approx.make_approx(
+                ns.group, ns.n, p=ns.p, q=ns.q, m=ns.m).npoints)
+    assert max(sizes) == 100003
+    assert max(sizes) < serialize.SPEC_TABLE_POINTS < 10**6
 
 
 # one case per subcommand whose CSV has at least one row

@@ -126,6 +126,10 @@ def table_files(tmp_path):
 
 SWEEP = [
     ("table_entries", ["make-approx", "--group", "heis", "--n", "100000"]),
+    # a record above serialize.SPEC_TABLE_POINTS builds no table, and is
+    # refused all the same
+    ("table_entries", ["make-approx", "--group", "z2", "--n", "4194305",
+                       "--p", "1", "--q", "2"]),
     ("table_entries", ["higman-action", "--p", "1009", "--random"]),
     ("table_entries", ["amplify", "--perm", "{perm}",
                        "--target-n", "1000000000000"]),

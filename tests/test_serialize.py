@@ -109,6 +109,44 @@ class TestSpec:
         with pytest.raises(ValueError):
             ser.spec_from_obj(obj)
 
+    def test_tables_up_to_the_threshold(self):
+        at = ser.spec_to_obj(ap.make_approx("z2", ser.SPEC_TABLE_POINTS,
+                                            p=1, q=3))
+        assert len(at["psi_a"]) == len(at["psi_b"]) == ser.SPEC_TABLE_POINTS
+        above = ap.make_approx("z2", ser.SPEC_TABLE_POINTS + 1, p=1, q=3)
+        assert ser.spec_to_obj(above) == {
+            "family": "z2", "n": ser.SPEC_TABLE_POINTS + 1, "p": 1, "q": 3}
+        assert "psi_a" not in vars(above) and "psi_b" not in vars(above)
+
+    def test_amplified_above_threshold_roundtrip(self, monkeypatch):
+        monkeypatch.setattr(ser, "SPEC_TABLE_POINTS", 20)
+        spec = ap.amplify_spec(ap.make_approx("z2", 11, p=2, q=3), 25)
+        obj = ser.spec_to_obj(spec)
+        assert obj == {"family": "z2", "n": 11, "p": 2, "q": 3,
+                       "amplified_to": 25}
+        back = ser.spec_from_obj(json_roundtrip(obj))
+        assert back.params() == spec.params() and back.psi_a == spec.psi_a
+
+    def test_conjugated_above_threshold_roundtrip(self, monkeypatch):
+        monkeypatch.setattr(ser, "SPEC_TABLE_POINTS", 10)
+        sigma = Perm(random.Random(4).sample(range(11), 11))
+        spec = ap.conjugate_spec(ap.make_approx("z2", 11, p=2, q=3), sigma)
+        obj = ser.spec_to_obj(spec)
+        assert obj["sigma"] == sigma.tolist()
+        assert "psi_a" not in obj and "psi_b" not in obj
+        back = ser.spec_from_obj(json_roundtrip(obj))
+        assert back.sigma == sigma
+        assert back.psi_a == spec.psi_a and back.psi_b == spec.psi_b
+
+    def test_tabled_record_above_threshold_still_checked(self, monkeypatch):
+        obj = ser.spec_to_obj(ap.make_approx("z2", 11, p=2, q=3))
+        monkeypatch.setattr(ser, "SPEC_TABLE_POINTS", 10)
+        assert ser.spec_from_obj(json_roundtrip(obj)).psi_b.tolist() == \
+            obj["psi_b"]
+        obj["psi_b"] = obj["psi_b"][::-1]
+        with pytest.raises(ValueError, match="stored psi_b disagrees"):
+            ser.spec_from_obj(obj)
+
 
 class TestStrictIntegers:
     """Decoders refuse non-integer fields instead of truncating them."""
