@@ -14,11 +14,12 @@ integer coefficients and built as a full table only on request.  Each map
 is an exact homomorphism of its family; :func:`verify` confirms the zero
 homomorphism defect and checks the distance-from-identity condition over a
 finite set S at a tolerance delta, with exact arithmetic throughout and
-closed-form agreement counts, so its cost does not depend on n.  It builds
-the product index of S once (one group product per pair, recording which
-pairs multiply back into S) and then evaluates composition and agreement
-for all recorded pairs at once: the closed forms are written once, in
-helpers that take Python ints or numpy object arrays of Python ints alike,
+closed-form agreement counts, so its cost does not depend on n.  It reads
+the product index of S (which pairs multiply back into S, and where; see
+``groups._product_index``) and evaluates composition and agreement for
+all indexed pairs at once: the closed forms are written once, in helpers
+that take Python ints or numpy arrays alike.  The arrays are int64 while
+n^2 + 2n and the degree fit, and object arrays of Python ints past that,
 so n = 10^12 needs no second path.  Amplified specs (block-diagonal copies
 of a smaller spec, see :func:`amplify_spec`) keep the homomorphism defect
 at zero while the identity-distance condition degrades by at most 1/(q+1)
@@ -88,15 +89,15 @@ def to_fraction(x) -> Fraction:
 
 
 def _gcd(x, n: int):
-    """gcd(x, n) for a Python int or elementwise for an object array."""
+    """gcd(x, n) for a Python int or elementwise for an array."""
     return np.gcd(x, n) if isinstance(x, np.ndarray) else math.gcd(x, n)
 
 
 def _compose_coeffs(n: int, first: tuple, second: tuple) -> tuple:
     """Coefficients of first o second (``second`` acts first), mod n.
 
-    Each coefficient is a Python int or an object array of them, so one
-    call composes one pair of maps or many pairs at once.
+    Each coefficient is a Python int or an array of them (int64 or
+    object), so one call composes one pair of maps or many pairs at once.
     """
     if len(first) == 2:
         u1, v1 = first
@@ -373,8 +374,9 @@ class VerifyReport:
 
 
 # products per block of rows of the product index in :func:`verify`; a
-# block's index and object-array temporaries peak near 200 bytes per product
-# (tracemalloc, z2 radius 9 at n = 1009 and at n = 10^12 + 39)
+# block's index and temporaries grow by about 90 bytes per product on int64
+# coefficients and 180 on object ints (tracemalloc, z2 radius 9 at n = 1009
+# and at n = 10^12 + 39)
 _PAIR_CHUNK = 1 << 11
 
 
@@ -412,21 +414,26 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     (g, h) in that order reads the product index: the position of gh in S,
     or -1 when gh lies outside S.  ``groups._product_index`` builds it from
     S's coordinates in arrays, one ``searchsorted`` of packed keys per
-    block (metab words take one ``groups.mul`` per pair).  The pairs with
-    gh in S are checked in batches: psi(g) o psi(h) is composed and
-    compared with psi(gh) by the closed forms behind :class:`AffineImage`,
-    on object arrays of exact coefficients.  The pass runs in blocks of
-    whole rows of at most ``_PAIR_CHUNK`` products, so memory does not grow
-    with |S|^2.  The homomorphism witness is the first pair in (g, h) scan
-    order with the largest defect (a later block wins only when strictly
-    worse), and there is none when the defect is 0.
+    block, for metab words too.  The pairs with gh in S are checked in
+    batches: psi(g) o psi(h) is composed and compared with psi(gh) by the
+    closed forms behind :class:`AffineImage`, on int64 coefficient arrays
+    when n^2 + 2n and npoints fit in int64 and on object arrays of exact
+    ints otherwise.  The pass runs in blocks of whole rows of at most
+    ``_PAIR_CHUNK`` products, so memory does not grow with |S|^2.  The
+    homomorphism witness is the first pair in (g, h) scan order with the
+    largest defect (a later block wins only when strictly worse), and
+    there is none when the defect is 0.
     """
     delta = _check_delta(delta)
     elements = sorted(set(S), key=groups.sort_key)
     npoints = spec.npoints
 
-    # distances are disagreement counts over npoints until the report
-    columns = [np.array(c, dtype=object)
+    # distances are disagreement counts over npoints until the report; the
+    # coefficients lie in [0, n), so every value the closed forms build is
+    # below n^2 + 2n or npoints: int64 when that fits, exact ints otherwise
+    n = spec.n
+    fits = max(n * n + 2 * n, npoints) <= groups._INT64_MAX
+    columns = [np.array(c, dtype=np.int64 if fits else object)
                for c in zip(*(image(spec, g).coeffs for g in elements))]
     pairs = worst_defect = 0
     hom_witness: Optional[tuple[GroupElem, GroupElem]] = None
@@ -438,13 +445,13 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
         at_gh = index[at_g, at_h]
         at_g += top
         pairs += len(at_gh)
-        composed = _compose_coeffs(spec.n, [c[at_g] for c in columns],
+        composed = _compose_coeffs(n, [c[at_g] for c in columns],
                                    [c[at_h] for c in columns])
-        agree = _agree_counts(spec.n, npoints, composed,
+        agree = _agree_counts(n, npoints, composed,
                               [c[at_gh] for c in columns])
         at = int(np.argmin(agree))  # the block's first largest defect
-        if npoints - agree[at] > worst_defect:
-            worst_defect = npoints - agree[at]
+        if npoints - int(agree[at]) > worst_defect:
+            worst_defect = npoints - int(agree[at])
             hom_witness = (elements[at_g[at]], elements[at_h[at]])
 
     # the identity pass: the first nontrivial element closest to the identity
@@ -453,10 +460,10 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     at = [i for i, g in enumerate(elements) if not _is_identity_elem(g)]
     if at:
         ident = image(spec, groups.identity(spec.family, m=spec.m))
-        agree = _agree_counts(spec.n, npoints, [c[at] for c in columns],
+        agree = _agree_counts(n, npoints, [c[at] for c in columns],
                               ident.coeffs)
         best = int(np.argmax(agree))  # the first largest agreement
-        worst_closeness = npoints - agree[best]
+        worst_closeness = npoints - int(agree[best])
         id_witness = elements[at[best]]
 
     defect = Fraction(worst_defect, npoints)

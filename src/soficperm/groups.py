@@ -32,15 +32,18 @@ evaluates to c = (0, 0, 1).  The opposite convention would flip nu's sign.
 product of two of its elements, in blocks of whole rows.  It holds S as
 integer coordinate columns -- (lam, mu) for z2, (lam, mu, nu) for heis,
 (pow, value * m^E) for bs with E the largest den_exp plus the largest
-|pow|, and for zwrz pow plus the coefficient at each exponent S uses --
-and builds a block's product columns by the formulas of ``mul``.  A
-product leaving S's per-column [min, max] is outside S; otherwise it is
-packed column by column into one mixed-radix key and found by
-``searchsorted`` among S's sorted keys.  A bound on every value is
-computed in Python ints first: the columns are int64 when it fits and
-object (exact Python ints) otherwise, so nothing wraps.  metab words have
-no normal form and take one ``mul`` and one dict lookup per pair.
-``mul`` stays the product the rest of the package uses.
+|pow|, for zwrz pow plus the coefficient at each exponent S uses, and for
+metab one key: the word's unit letters as base-5 digits 1..4 -- and builds
+a block's product columns by the formulas of ``mul`` (for metab words, by
+the count of letters that cancel where g meets h).  A product leaving S's
+per-column [min, max] is outside S; otherwise it is packed column by
+column into one mixed-radix key and found by ``searchsorted`` among S's
+sorted keys.  A bound on every value is computed in Python ints first:
+the columns are int64 when it fits and object (exact Python ints)
+otherwise, so nothing wraps.  A set of metab words whose products' keys
+could pass int64 (a word of more than 13 letters), or a set that mixes
+families, takes one ``mul`` and one dict lookup per pair.  ``mul`` stays
+the product the rest of the package uses.
 """
 
 from __future__ import annotations
@@ -597,20 +600,59 @@ def _zwrz_form(elements):
     return columns, max(2 * _amax(*columns), 1), products
 
 
+def _metab_form(elements):
+    # one column: the word's unit letters a, a^-1, b, b^-1 as the base-5
+    # digits 1..4, first letter most significant; no digit is 0, so words
+    # of different lengths get different keys.  gh keeps g's first |g| - c
+    # letters and h's last |h| - c, for c the letters that cancel.
+    lengths = np.array([x.word.length() for x in elements], dtype=np.int64)
+    width = int(lengths.max())
+    if 5 ** (2 * width) > _INT64_MAX:
+        return None  # a product's key has up to 2 * width digits
+    # one column past the longest word, so every row ends in a pad
+    digits = np.zeros((len(elements), width + 1), dtype=np.int64)
+    for k, x in enumerate(elements):
+        digits[k, :lengths[k]] = [(1 if g == "a" else 3) + (e < 0)
+                                  for g, e in x.word.letters
+                                  for _ in range(abs(e))]
+    pow5 = 5 ** np.arange(width + 1, dtype=np.int64)
+    # back[k, i]: the place of letter i from the end, negative past the word
+    back = lengths[:, None] - 1 - np.arange(width + 1)
+    keys = (digits * pow5[np.maximum(back, 0)]).sum(axis=1)
+    # g's letters from the last, padded with 0, against h's inverted
+    # letters from the first (1 <-> 2, 3 <-> 4), padded with -1: the
+    # letters that cancel end at the first mismatch, a pad at the latest
+    reversed_ = np.where(back >= 0, np.take_along_axis(
+        digits, np.maximum(back, 0), axis=1), 0)
+    inverted = digits - 1 + 2 * (digits % 2)
+
+    def products(key):
+        def block(g):
+            cancel = (reversed_[g, None] != inverted).argmax(axis=2)
+            kept = lengths - cancel
+            yield key[g, None] // pow5[cancel] * pow5[kept] + key % pow5[kept]
+        return block
+    return [keys.tolist()], 5 ** (2 * width), products
+
+
 _FORMS = {Z2Elem: _z2_form, HeisElem: _heis_form, BSElem: _bs_form,
-          WreathElem: _zwrz_form}
+          WreathElem: _zwrz_form, FreeWord: _metab_form}
 
 
 def _array_form(elements: Sequence[GroupElem]) -> Optional[_ArrayForm]:
-    """The array form of a nonempty S, or None when S has none: metab
-    words, or a set that mixes families or bs parameters (``mul`` refuses
-    such pairs)."""
+    """The array form of a nonempty S, or None when S has none: a set that
+    mixes families or bs parameters (``mul`` refuses such pairs), or metab
+    words whose products' keys could pass int64 (a word longer than 13
+    letters)."""
     kind = type(elements[0])
     if kind not in _FORMS or any(type(x) is not kind for x in elements):
         return None
     if kind is BSElem and any(x.m != elements[0].m for x in elements):
         return None
-    columns, bound, products = _FORMS[kind](elements)
+    form = _FORMS[kind](elements)
+    if form is None:
+        return None
+    columns, bound, products = form
     lo, hi = [min(c) for c in columns], [max(c) for c in columns]
     # besides the products, _pack computes a column less its min and keys
     # below the product of the spans

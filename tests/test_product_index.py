@@ -1,7 +1,8 @@
 """``verify`` over the product index: the homomorphism property it rests on,
 the array index against products by ``groups.mul``, pinned reports for every
-``verify-grid`` row, the witness when images are skewed on purpose, and the
-bounded metab fold.
+``verify-grid`` row, the witness when images are skewed on purpose, the
+defect's int64 and object columns against scalar ``AffineImage`` arithmetic,
+and the bounded metab fold.
 
 The property ``image(gh) == image(g) o image(h)`` is the oracle for the
 batched closed form in ``approx.verify``: it holds for all five families,
@@ -12,10 +13,12 @@ replaced it; the batched verifier must reproduce every report byte for byte.
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import sys
 import time
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -135,8 +138,7 @@ def test_verify_reads_the_mul_index(monkeypatch, family, radius, m, chunk):
     index ``groups.mul`` gives; the array form is int64 on every ball."""
     S = gr.ball(family, radius, m=m)
     elements = sorted(S, key=gr.sort_key)
-    form = gr._array_form(elements)
-    assert (form is None) if family == "metab" else (form.dtype is np.int64)
+    assert gr._array_form(elements).dtype is np.int64
 
     blocks, index = [], gr._product_index
 
@@ -153,13 +155,37 @@ def test_verify_reads_the_mul_index(monkeypatch, family, radius, m, chunk):
 
 
 @given(st.sampled_from([("z2", None), ("heis", None), ("bs", 2), ("bs", -3),
-                        ("bs", 6), ("zwrz", None)]),
+                        ("bs", 6), ("zwrz", None), ("metab", None)]),
        st.integers(1, 3), st.integers(1, 9), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_array_index_matches_mul_on_subsets(fm, radius, rows, rnd):
     family, m = fm
     S = gr.ball(family, radius, m=m).elements
     _check_index(rnd.sample(S, rnd.randint(1, len(S))), rows)
+
+
+def _free(*letters):
+    return gr.FreeWord(gr.genword(letters))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 40])
+def test_metab_words_past_int64_keys_take_mul(rows):
+    """A word of 14 letters has products of 28, whose base-5 keys pass
+    int64: the set has no array form and its index comes from ``mul``.
+    13 letters still fit."""
+    long = sorted({_free(("a", e)) for e in range(-14, 15)}
+                  | {_free(("b", 1), ("a", -2))}, key=gr.sort_key)
+    assert gr._array_form(long) is None
+    assert _check_index(long, rows) >= len(long)
+    fits = [x for x in long if x.word.length() <= 13]
+    assert gr._array_form(fits).dtype is np.int64
+    assert _check_index(fits, rows) >= len(fits)
+
+
+def test_metab_index_of_the_empty_word():
+    empty = [_free()]
+    assert gr._array_form(empty).dtype is np.int64
+    assert _check_index(empty, 1) == 1
 
 
 B = 2**62
@@ -419,6 +445,24 @@ def test_verify_grid_reports_pinned(seed):
 # nonzero defects: the witness is the first worst pair in scan order
 # ---------------------------------------------------------------------------
 
+def _skew_images(monkeypatch, S, m, step):
+    """Make ``ap.image`` shift coefficient 1 of psi(g) by (i % 3) * step,
+    mod n, for the i-th element g of S, so that psi is no homomorphism;
+    psi(1) stays the identity."""
+    skew = {g: (i % 3) * step
+            for i, g in enumerate(sorted(S, key=gr.sort_key))}
+    skew[gr.identity(S.family, m=m)] = 0
+    true_image = ap.image
+
+    def skewed(spec, x):
+        f = true_image(spec, x)
+        coeffs = list(f.coeffs)
+        coeffs[1] = (coeffs[1] + skew.get(x, 0)) % f.n
+        return ap.AffineImage(f.n, tuple(coeffs), f.npoints)
+
+    monkeypatch.setattr(ap, "image", skewed)
+
+
 SKEW_CASES = [
     ("z2", 10, dict(p=2, q=3), 3, None),
     ("heis", 4, {}, 2, None),
@@ -442,22 +486,100 @@ def test_skewed_images_match_table_reference(monkeypatch, family, n, params,
     if amplify_to is not None:
         spec = ap.amplify_spec(spec, amplify_to)
     S = gr.ball(family, radius, m=params.get("m"))
-    skew = {g: i % 3 for i, g in enumerate(sorted(S, key=gr.sort_key))}
-    skew[gr.identity(family, m=params.get("m"))] = 0  # psi(1) stays the identity
-    true_image = ap.image
-
-    def skewed(spec, x):
-        f = true_image(spec, x)
-        coeffs = list(f.coeffs)
-        coeffs[1] = (coeffs[1] + skew.get(x, 0)) % f.n
-        return ap.AffineImage(f.n, tuple(coeffs), f.npoints)
-
-    monkeypatch.setattr(ap, "image", skewed)
+    _skew_images(monkeypatch, S, params.get("m"), 1)
     monkeypatch.setattr(ap, "_PAIR_CHUNK", chunk)
     for delta in ("1/10", 1):
         got = ap.verify(spec, S, delta)
         assert got == reference_verify(spec, S, delta)
         assert got.worst_hom_defect > 0 and got.hom_witness is not None
+
+
+# ---------------------------------------------------------------------------
+# the closed-form defect on int64 while n^2 + 2n and npoints fit
+# ---------------------------------------------------------------------------
+
+def scalar_verify(spec, S, delta):
+    """The report ``verify`` gives, from one ``AffineImage.compose`` and
+    ``agree_count`` per pair, in Python ints."""
+    delta = ap.to_fraction(delta)
+    elements = sorted(set(S), key=gr.sort_key)
+    images = {g: ap.image(spec, g) for g in elements}
+    npoints = spec.npoints
+
+    worst, hom_witness, pairs = 0, None, 0
+    for g, h in itertools.product(elements, elements):
+        gh = gr.mul(g, h)
+        if gh not in images:
+            continue
+        pairs += 1
+        d = npoints - images[g].compose(images[h]).agree_count(images[gh])
+        if d > worst:
+            worst, hom_witness = d, (g, h)
+
+    ident = ap.image(spec, gr.identity(spec.family, m=spec.m))
+    closeness, id_witness = None, None
+    for g in elements:
+        if gr.is_trivial(g):
+            continue
+        d = npoints - images[g].agree_count(ident)
+        if closeness is None or d < closeness:
+            closeness, id_witness = d, g
+
+    worst = Fraction(worst, npoints)
+    if closeness is not None:
+        closeness = Fraction(closeness, npoints)
+    passed = worst < delta and (closeness is None or closeness > 1 - delta)
+    return ap.VerifyReport(spec.family, npoints, delta, worst, hom_witness,
+                           closeness, id_witness, passed, len(elements), pairs)
+
+
+N_INT64 = 3037000498  # the largest n with n^2 + 2n <= 2^63 - 1
+# (family, n, params, radius, amplified degree or None, coefficient dtype)
+DEFECT_DTYPE_CASES = [
+    ("z2", N_INT64, dict(p=10**9 + 7, q=-(2**31 + 11)), 3, None, np.int64),
+    ("z2", N_INT64 + 1, dict(p=10**9 + 7, q=-(2**31 + 11)), 3, None, object),
+    ("heis", N_INT64, {}, 2, None, np.int64),
+    ("heis", N_INT64 + 1, {}, 2, None, object),
+    ("bs", N_INT64, dict(m=3), 2, None, np.int64),
+    ("bs", N_INT64 + 1, dict(m=3), 2, None, object),
+    ("z2", 101, dict(p=2, q=3), 3, 2**63 - 1, np.int64),
+    ("z2", 101, dict(p=2, q=3), 3, 2**63, object),
+]
+
+
+@pytest.mark.parametrize(
+    "family,n,params,radius,amplify_to,dtype", DEFECT_DTYPE_CASES)
+def test_defect_dtype_follows_the_bound(monkeypatch, family, n, params,
+                                        radius, amplify_to, dtype):
+    """Coefficient columns are int64 while n^2 + 2n and npoints fit, exact
+    ints past that; on both sides the report, with images skewed so that
+    defects and witnesses show, is the scalar one byte for byte."""
+    assert (N_INT64 + 1)**2 - 1 <= 2**63 - 1 < (N_INT64 + 2)**2 - 1
+    spec = ap.make_approx(family, n, **params)
+    if amplify_to is not None:
+        spec = ap.amplify_spec(spec, amplify_to)
+    S = gr.ball(family, radius, m=params.get("m"))
+    _skew_images(monkeypatch, S, params.get("m"), n // 3 + 1)
+    seen = set()
+    compose, agree = ap._compose_coeffs, ap._agree_counts
+
+    def compose_spy(n, first, second):
+        seen.add(first[0].dtype)
+        return compose(n, first, second)
+
+    def agree_spy(n, npoints, first, second):
+        seen.add(first[0].dtype)
+        return agree(n, npoints, first, second)
+
+    want = scalar_verify(spec, S, "1/10")
+    # the scalar reference calls the same helpers, so spy only after it
+    monkeypatch.setattr(ap, "_compose_coeffs", compose_spy)
+    monkeypatch.setattr(ap, "_agree_counts", agree_spy)
+    got = ap.verify(spec, S, "1/10")
+    assert got == want
+    assert _report_digest(got) == _report_digest(want)
+    assert got.worst_hom_defect > 0 and got.id_witness is not None
+    assert seen == {np.dtype(dtype)}
 
 
 # ---------------------------------------------------------------------------
