@@ -494,7 +494,8 @@ class PolyConditionResult:
     Admissible: degree <= C, integer coefficients with |t_i| < C.  When the
     answer is False, ``witness`` holds the coefficients (t_0, ..., t_d) of
     the first offending polynomial in the (degree, coefficients) scan and
-    ``witness_value`` its value at m.
+    ``witness_value`` its value at m.  ``mode`` names the path that
+    answered: "vacuous" (C = 0), "fast" or "exhaustive".
     """
 
     ok: bool
@@ -506,28 +507,19 @@ class PolyConditionResult:
         return self.ok
 
 
-def check_poly_condition(
-    n: int, m: int, C: int, *, mode: str = "auto"
-) -> PolyConditionResult:
+def check_poly_condition(n: int, m: int, C: int) -> PolyConditionResult:
     """Test whether n | t(m) fails for every nonzero t of degree <= C with
-    |t_i| < C; exhaustive for C within the ``poly_C`` limit, with the
-    sufficient fast path |m| > 2C + 1 and n > |m|^(C+1).
+    |t_i| < C: by the sufficient fast path |m| > 2C + 1 and n > |m|^(C+1)
+    where it holds, else exhaustively for C within the ``poly_C`` limit.
     """
     if C < 0:
         raise ValueError("C must be >= 0")
     if math.gcd(m, n) != 1:
         raise ValueError(f"m={m} must be coprime to n={n}")
-    if mode not in ("auto", "exhaustive", "fast"):
-        raise ValueError(f"unknown mode {mode!r}")
     if C == 0:
         # no nonzero polynomial has degree <= 0 and |t_0| < 0 < 1: vacuous
         return PolyConditionResult(True, None, None, "vacuous")
-    fast_ok = abs(m) > 2 * C + 1 and n > abs(m) ** (C + 1)
-    if mode == "fast":
-        if not fast_ok:
-            raise ValueError("fast-path hypotheses do not hold; use exhaustive")
-        return PolyConditionResult(True, None, None, "fast")
-    if mode == "auto" and fast_ok:
+    if abs(m) > 2 * C + 1 and n > abs(m) ** (C + 1):
         return PolyConditionResult(True, None, None, "fast")
     limits.check("poly_C", C)
     coeff_range = range(-(C - 1), C)

@@ -12,7 +12,10 @@ Output contract
   form).  Each CSV row repeats schema/command/seed, then holds the columns
   of its subcommand in :data:`_COLUMNS` (the table each ``--help`` epilog
   lists), and ends with a ``config`` column of the resolved configuration
-  as compact JSON.  A permutation cell is its images space-joined.
+  as compact JSON.  A permutation or witness cell is its entries
+  space-joined.  Subcommands hand :func:`_emit` raw values, and every cell
+  is rendered there, under ``--format csv`` only, so a JSON run does no
+  CSV work.
 * Exit status: 0 on success, 1 when the computation itself reports failure
   (a verification that does not pass, an exact search with no solution, a
   relation check that fails), 2 on bad flags, malformed input files or
@@ -27,9 +30,8 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from . import approx as approxmod
 from . import conjsearch as conjmod
@@ -40,11 +42,9 @@ from . import limits
 from . import perm as permmod
 from . import serialize as ser
 
-__all__ = ["ExperimentConfig", "run", "main", "SCHEMA_VERSION"]
+__all__ = ["run", "main", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
-
-_CONFIG_KEYS = ("subcommand", "options", "seed", "out")
 
 # the CSV columns of each subcommand between seed and config; every row a
 # subcommand builds lists its cells in this order
@@ -66,73 +66,29 @@ _COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully resolved run: subcommand, its flag values, seed, output path."""
-
-    subcommand: str
-    options: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    out: Optional[str] = None
-
-    def to_obj(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "options": dict(self.options),
-            "seed": self.seed,
-            "out": self.out,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ExperimentConfig":
-        unknown = set(obj) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("subcommand", "options"):
-            if key not in obj:
-                raise ValueError(f"config missing {key!r}")
-        options = obj["options"]
-        if not isinstance(options, dict):
-            raise ValueError("options must be a mapping")
-        subcommand = obj["subcommand"]
-        if not isinstance(subcommand, str):
-            raise ValueError(f"subcommand must be a string, got {subcommand!r}")
-        out = obj.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ValueError(f"out must be a string or null, got {out!r}")
-        return cls(
-            subcommand=subcommand,
-            options=dict(options),
-            seed=ser._int(obj.get("seed", 0)),
-            out=out,
-        )
-
-
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _fnum(x) -> str:
-    """Plot-ready cell: exact rationals and floats as repr'd floats."""
-    return repr(float(x))
-
-
 def _cell(value):
-    """A report value as a CSV cell: a rational as :func:`_fnum`, an mpf as
-    its record string, None as empty; a Perm is left for _emit to join."""
-    if value is None:
-        return ""
+    """A row value as a CSV cell: a rational as a repr'd float, an mpf as
+    its record string, a Perm or tuple as its entries space-joined; any
+    other value is left for csv.writer (None empty, the rest through str)."""
     if isinstance(value, Fraction):
-        return _fnum(value)
+        return repr(float(value))
     if ser._is_mpf(value):
         return ser.mpf_to_obj(value)
-    return value
+    if isinstance(value, permmod.Perm):
+        value = value.tolist()
+    elif not isinstance(value, tuple):
+        return value
+    return " ".join(map(str, value))
 
 
 def _row(command: str, source, **extra) -> list:
-    """The cells of _COLUMNS[command], each read by name from extra or else
-    from source's attributes, through :func:`_cell`."""
-    return [_cell(extra[c] if c in extra else getattr(source, c))
+    """The values of _COLUMNS[command], each read by name from extra or
+    else from source's attributes."""
+    return [extra[c] if c in extra else getattr(source, c)
             for c in _COLUMNS[command]]
 
 
@@ -164,11 +120,6 @@ def _load_perm(path: str) -> permmod.Perm:
                 obj = obj[key]
                 break
     return ser.perm_from_obj(obj)
-
-
-def _join(perm: permmod.Perm) -> str:
-    """A permutation's CSV cell: its images, space-joined."""
-    return " ".join(map(str, perm.tolist()))
 
 
 _encode = json.JSONEncoder().encode
@@ -343,17 +294,19 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=f"csv columns: {_csv_header('heuristic')}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", default="1/100")
-    p.add_argument("--eps-prime", default="1/100")
+    p.add_argument("--eps", default="1/100",
+                   help="defect rate, a fraction of the n points in [0, 1] "
+                        "(default 1/100)")
+    p.add_argument("--eps-prime", default="1/100",
+                   help="second defect rate, a fraction of the n points in "
+                        "[0, 1] (default 1/100)")
 
     return parser
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns (result_obj, csv_rows), a row being the
-# cells of _COLUMNS in order; the record's options are the parsed flags
-# themselves (see run).  A permutation cell holds the Perm itself; _emit
-# joins it for CSV only
+# raw values of _COLUMNS in order; _emit renders them as cells for CSV only
 # ---------------------------------------------------------------------------
 
 def _cmd_count_orders(ns):
@@ -437,8 +390,7 @@ def _cmd_defect(ns):
         "pairs": [[ser.genword_to_obj(b), ser.genword_to_obj(phib)]
                   for b, phib in pairs],
     }
-    return result, [[_fnum(worst), worst.numerator, worst.denominator,
-                      len(pairs)]]
+    return result, [[worst, worst.numerator, worst.denominator, len(pairs)]]
 
 
 def _cmd_amplify(ns):
@@ -454,7 +406,7 @@ def _cmd_align(ns):
     S = groupsmod.ball(spec1.family, ns.ball, m=spec1.m)
     report = conjmod.align(spec1, spec2, S, **_search_kwargs(ns))
     result = ser.alignment_report_to_obj(report)
-    rows = [[str(g), _fnum(d), _fnum(report.max_distance), report.iterations]
+    rows = [[g, d, report.max_distance, report.iterations]
             for g, d in report.per_element]
     return result, rows
 
@@ -477,10 +429,8 @@ def _cmd_higman_action(ns):
     if ns.check:
         relations = higmod.verify_action(act, ns.window)
         result["relations"] = ser.relation_report_to_obj(relations)
-        for check in relations.checks:
-            witness = ("" if check.witness is None
-                       else " ".join(map(str, check.witness)))
-            rows.append([ns.p, check.name, check.ok, witness])
+        rows.extend([ns.p, check.name, check.ok, check.witness]
+                    for check in relations.checks)
         rows.append([ns.p, "passed", relations.passed, ""])
     else:
         result["relations"] = None
@@ -493,7 +443,7 @@ def _cmd_higman_action(ns):
             "nontrivial_identities": [ser.elem_to_obj(g) for g in collisions],
         }
         rows.append([ns.p, f"probe_depth_{ns.probe_depth}", not collisions,
-                     str(len(collisions))])
+                     len(collisions)])
     else:
         result["probe"] = None
 
@@ -524,7 +474,15 @@ _COMMANDS = {
 # record emission
 # ---------------------------------------------------------------------------
 
-def _emit(ns, config: ExperimentConfig, result, rows: list[list]) -> None:
+def _emit(ns, result, rows: list[list]) -> None:
+    """Write the record of one run: its config from the parsed flags, then
+    result as JSON, or rows as CSV cells through :func:`_cell`."""
+    # the options are every subcommand flag, in parser order, then --format
+    options = {k: v for k, v in vars(ns).items()
+               if k not in ("command", "format", "seed", "out")}
+    options["format"] = ns.format
+    config = {"subcommand": ns.command, "options": options,
+              "seed": ns.seed, "out": ns.out}
     # exact counts (count-orders, heuristic) run past the default 4300-digit
     # cap on int -> str conversion; the cap exists only from Python 3.11 on
     set_digits = getattr(sys, "set_int_max_str_digits", None)
@@ -537,14 +495,14 @@ def _emit(ns, config: ExperimentConfig, result, rows: list[list]) -> None:
                 "schema": SCHEMA_VERSION,
                 "command": ns.command,
                 "seed": ns.seed,
-                "config": config.to_obj(),
+                "config": config,
                 "result": result,
             }
             # the closing newline is written on its own rather than
             # appended to a copy of the whole record text
             pieces = [_dumps(record), "\n"]
         else:
-            config_cell = json.dumps(config.to_obj(), sort_keys=True,
+            config_cell = json.dumps(config, sort_keys=True,
                                      separators=(",", ":"))
             buf = io.StringIO()
             buf.write(_csv_header(ns.command) + "\n")
@@ -554,8 +512,7 @@ def _emit(ns, config: ExperimentConfig, result, rows: list[list]) -> None:
             for row in rows or [[""] * len(_COLUMNS[ns.command])]:
                 writer.writerow([
                     SCHEMA_VERSION, ns.command, ns.seed,
-                    *(_join(v) if isinstance(v, permmod.Perm) else v
-                      for v in row),
+                    *map(_cell, row),
                     config_cell])
             pieces = [buf.getvalue()]
         if ns.out:
@@ -586,23 +543,12 @@ def run(argv) -> int:
         result, rows, message = failure.args
         print(f"failure: {message}", file=sys.stderr)
         exit_code = 1
-    except (ValueError, OSError, KeyError, TypeError, MemoryError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         # a bare MemoryError has no message of its own
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
-
-    # the options are every subcommand flag, in parser order, then --format
-    options = {k: v for k, v in vars(ns).items()
-               if k not in ("command", "format", "seed", "out")}
-    config = ExperimentConfig(
-        subcommand=ns.command,
-        options=dict(options, format=ns.format),
-        seed=ns.seed,
-        out=ns.out,
-    )
-    _emit(ns, config, result, rows)
+    _emit(ns, result, rows)
     print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
     return exit_code
 

@@ -170,7 +170,7 @@ def exact_multiplicative(n: int, p: int, q: int, k: int) -> Optional[Perm]:
     Such an f intertwines x -> x+p with x -> x+q at every point.
     """
     l = _multiplier(n, p, q)
-    if l is None or pow(l, k, n) != 1:
+    if l is None or pow(l, k, n) != 1 % n:
         return None
     return multiplication_perm(n, l)
 

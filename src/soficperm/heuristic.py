@@ -4,7 +4,8 @@ imposing ~n local recurrence constraints still leave any?
 P = count(n, k) / n! is computed from the exact big-integer count;
 K = n^((2*eps + eps_prime) * n) bounds the number of functions satisfying
 the local constraints up to the allowed defects (it deliberately counts
-functions, not permutations).  Under an independence guess the expected
+functions, not permutations); the defect rates eps and eps_prime are
+fractions of the n points, each in [0, 1].  Under an independence guess the expected
 number of good permutations is P * K, so log(P * K) < 0 says the guess
 predicts none, > 0 predicts many.  For comparison the report carries the
 model coefficient 2*eps + eps_prime - 1/k: since log P ~ -(1/k) n log n,
@@ -51,7 +52,10 @@ class HeuristicReport:
 
 def heuristic_report(n: int, k: int, eps, eps_prime) -> HeuristicReport:
     """Exact-count ingredients of the independence estimate at (n, k),
-    for n within the ``heuristic_n`` limit of :mod:`soficperm.limits`."""
+    for n within the ``heuristic_n`` limit of :mod:`soficperm.limits`.
+
+    eps and eps_prime are fractions of the n points, so each must lie in
+    [0, 1]; a value outside is a ValueError."""
     if n < 1:
         raise ValueError("n must be >= 1")
     limits.check("heuristic_n", n)
@@ -59,8 +63,8 @@ def heuristic_report(n: int, k: int, eps, eps_prime) -> HeuristicReport:
         raise ValueError("k must be >= 2")
     eps = to_fraction(eps)
     eps_prime = to_fraction(eps_prime)
-    if eps < 0 or eps_prime < 0:
-        raise ValueError("defect rates must be >= 0")
+    if not (0 <= eps <= 1 and 0 <= eps_prime <= 1):
+        raise ValueError("defect rates eps and eps_prime must lie in [0, 1]")
 
     import mpmath
 

@@ -104,6 +104,14 @@ class TestExactMultiplicative:
         miss = cj.translation_problem(7, 1, 2, 2)
         assert cj.exact_search(miss) is None
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_point_matches_brute_force(self, k):
+        # on Z/1 every residue is 1 % 1 = 0, so l^k = 1 holds for any l
+        prob = cj.translation_problem(1, 0, 0, k)
+        rep = cj.exact_search(prob)
+        assert rep is not None
+        assert rep.agreement_count == cj.brute_force(prob).agreement_count == 1
+
     def test_exact_search_needs_translations(self):
         prob = cj.multiplication_problem(7, 3, 4)
         with pytest.raises(ValueError):

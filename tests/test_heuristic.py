@@ -69,6 +69,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             hr.heuristic_report(10, 4, "-1/10", 0)
 
+    @pytest.mark.parametrize("eps, eps_prime", [
+        ("11/10", 0), (0, "11/10"), ("1e400", 0), (0, "-1e400"),
+    ])
+    def test_rates_outside_unit_interval(self, eps, eps_prime):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            hr.heuristic_report(10, 4, eps, eps_prime)
+
+    def test_rate_one_accepted(self):
+        rep = hr.heuristic_report(10, 4, 1, 1)
+        assert rep.eps == rep.eps_prime == 1
+
     def test_practicality_cap(self):
         with pytest.raises(ValueError):
             hr.heuristic_report(6000, 4, 0, 0)

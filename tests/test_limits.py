@@ -85,7 +85,7 @@ TABLE = limits.LIMITS["table_entries"].value
     ("brute_force_n", lambda: cj.brute_force(cj.translation_problem(10, 1, 2, 4))),
     ("probe_depth", lambda: hg.injectivity_probe(
         hg.make_action(3, [1, 1, 1], [1, 1, 1]), 7)),
-    ("poly_C", lambda: ap.check_poly_condition(9, 2, 5, mode="exhaustive")),
+    ("poly_C", lambda: ap.check_poly_condition(9, 2, 5)),
     ("heuristic_n", lambda: hr.heuristic_report(5001, 4, 0, 0)),
 ])
 def test_call_sites_refuse_past_the_limit(name, call):

@@ -272,7 +272,7 @@ class TestReports:
         assert isinstance(obj["log_PK"], str)
 
     def test_poly_and_fixed_objs(self):
-        res = ap.check_poly_condition(9, 2, 4, mode="exhaustive")
+        res = ap.check_poly_condition(9, 2, 4)
         obj = json_roundtrip(ser.poly_result_to_obj(res))
         assert obj == {"ok": False, "witness": [-3, -3],
                        "witness_value": -9, "mode": "exhaustive"}
@@ -293,7 +293,7 @@ def _report_cases():
          ser.search_report_to_obj),
         (cj.align(spec9, spec9, gr.ball("z2", 1), seed=0, restarts=1),
          ser.alignment_report_to_obj),
-        (ap.check_poly_condition(9, 2, 4, mode="exhaustive"),
+        (ap.check_poly_condition(9, 2, 4),
          ser.poly_result_to_obj),
         (ap.heis_fixed_bound(9, 2, 1, 1), ser.heis_fixed_to_obj),
         (act, ser.action_table_to_obj),
