@@ -69,8 +69,6 @@ __all__ = [
     "conjugate_spec",
     "check_poly_condition",
     "heis_fixed_bound",
-    "z2_ball_constant",
-    "wreath_ball_constant",
     "to_fraction",
 ]
 
@@ -535,28 +533,6 @@ def check_poly_condition(n: int, m: int, C: int) -> PolyConditionResult:
                 if value % n == 0:
                     return PolyConditionResult(False, coeffs, value, "exhaustive")
     return PolyConditionResult(True, None, None, "exhaustive")
-
-
-def z2_ball_constant(S: Iterable[Z2Elem]) -> int:
-    """C = 3 * (largest generator exponent in S); with p > C q and n > C p
-    every nontrivial element of S maps to a nonzero translation."""
-    biggest = max((max(abs(g.lam), abs(g.mu)) for g in S), default=0)
-    return 3 * max(1, biggest)
-
-
-def wreath_ball_constant(S: Iterable[WreathElem], delta) -> int:
-    """The polynomial bound C that makes check_poly_condition(n, m, C)
-    sufficient for verify() to pass on S at delta (for prime-free gcd
-    situations it covers both the pure-Laurent and the shifted cases)."""
-    C = math.floor(1 / _check_delta(delta)) + 1
-    for g in S:
-        if g.poly:
-            exps = [e for e, _ in g.poly]
-            span = max(exps) - min(exps)
-            coeff = max(abs(c) for _, c in g.poly)
-            C = max(C, span, coeff + 1)
-        C = max(C, abs(g.pow))
-    return C
 
 
 @dataclass(frozen=True)

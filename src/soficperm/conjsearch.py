@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -49,8 +49,6 @@ __all__ = [
     "psi_f_eval",
     "higman_defect",
     "align",
-    "sign_flip_perm",
-    "transport_sign_flip",
 ]
 
 # the single scored orientation: f o alpha = beta o f
@@ -571,34 +569,3 @@ def align(
         max_distance=Fraction(worst, n),
         iterations=steps,
     )
-
-
-# ---------------------------------------------------------------------------
-# sign-flip transport between reciprocal multiplication targets
-# ---------------------------------------------------------------------------
-
-def sign_flip_perm(f: Perm) -> Perm:
-    """f~(x) = -f(-x) mod n; conjugation by negation, so cycle type (and
-    order) are preserved."""
-    n = f.n
-    idx = np.arange(n, dtype=np.int64)
-    neg = (-idx) % n
-    return Perm((-f.images[neg]) % n, _trusted=True)
-
-
-def transport_sign_flip(prob: ConjProblem, f: Perm) -> tuple[ConjProblem, Perm]:
-    """Carry (prob, f) with alpha = +t, beta = *u to the reciprocal problem
-    beta' = *u^-1 with f~ = sign_flip_perm(f); agreement counts match
-    point-for-point and the transport is an involution."""
-    t = _translation_offset(prob.alpha)
-    if t is None:
-        raise ValueError("transport needs alpha to be a translation")
-    n = prob.n
-    u = int(prob.beta.images[1]) if n > 1 else 0  # beta(1) = u for x -> u*x
-    if not np.array_equal(
-        prob.beta.images, (u * np.arange(n, dtype=np.int64)) % n
-    ) or math.gcd(u, n) != 1:
-        raise ValueError("transport needs beta to be an invertible multiplication")
-    new_beta = multiplication_perm(n, pow(u, -1, n))
-    new_prob = replace(prob, beta=new_beta)
-    return new_prob, sign_flip_perm(f)

@@ -40,10 +40,8 @@ per-column [min, max] is outside S; otherwise it is packed column by
 column into one mixed-radix key and found by ``searchsorted`` among S's
 sorted keys.  A bound on every value is computed in Python ints first:
 the columns are int64 when it fits and object (exact Python ints)
-otherwise, so nothing wraps.  A set of metab words whose products' keys
-could pass int64 (a word of more than 13 letters), or a set that mixes
-families, takes one ``mul`` and one dict lookup per pair.  ``mul`` stays
-the product the rest of the package uses.
+otherwise, so nothing wraps.  ``mul`` stays the product the rest of the
+package uses.
 """
 
 from __future__ import annotations
@@ -51,8 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -607,15 +604,15 @@ def _metab_form(elements):
     # letters and h's last |h| - c, for c the letters that cancel.
     lengths = np.array([x.word.length() for x in elements], dtype=np.int64)
     width = int(lengths.max())
-    if 5 ** (2 * width) > _INT64_MAX:
-        return None  # a product's key has up to 2 * width digits
     # one column past the longest word, so every row ends in a pad
     digits = np.zeros((len(elements), width + 1), dtype=np.int64)
     for k, x in enumerate(elements):
         digits[k, :lengths[k]] = [(1 if g == "a" else 3) + (e < 0)
                                   for g, e in x.word.letters
                                   for _ in range(abs(e))]
-    pow5 = 5 ** np.arange(width + 1, dtype=np.int64)
+    # a word's key is below 5^width: int64 when that fits, else exact ints
+    pow5 = np.array([5 ** i for i in range(width + 1)],
+                    dtype=np.int64 if 5 ** width <= _INT64_MAX else object)
     # back[k, i]: the place of letter i from the end, negative past the word
     back = lengths[:, None] - 1 - np.arange(width + 1)
     keys = (digits * pow5[np.maximum(back, 0)]).sum(axis=1)
@@ -627,11 +624,15 @@ def _metab_form(elements):
     inverted = digits - 1 + 2 * (digits % 2)
 
     def products(key):
+        place = pow5.astype(key.dtype)
+
         def block(g):
             cancel = (reversed_[g, None] != inverted).argmax(axis=2)
             kept = lengths - cancel
-            yield key[g, None] // pow5[cancel] * pow5[kept] + key % pow5[kept]
+            yield (key[g, None] // place[cancel] * place[kept]
+                   + key % place[kept])
         return block
+    # a product's key has up to 2 * width digits
     return [keys.tolist()], 5 ** (2 * width), products
 
 
@@ -639,20 +640,18 @@ _FORMS = {Z2Elem: _z2_form, HeisElem: _heis_form, BSElem: _bs_form,
           WreathElem: _zwrz_form, FreeWord: _metab_form}
 
 
-def _array_form(elements: Sequence[GroupElem]) -> Optional[_ArrayForm]:
-    """The array form of a nonempty S, or None when S has none: a set that
-    mixes families or bs parameters (``mul`` refuses such pairs), or metab
-    words whose products' keys could pass int64 (a word longer than 13
-    letters)."""
-    kind = type(elements[0])
-    if kind not in _FORMS or any(type(x) is not kind for x in elements):
-        return None
-    if kind is BSElem and any(x.m != elements[0].m for x in elements):
-        return None
-    form = _FORMS[kind](elements)
-    if form is None:
-        return None
-    columns, bound, products = form
+def _array_form(elements: Sequence[GroupElem]) -> _ArrayForm:
+    """The array form of a nonempty S.  A set that mixes families or bs
+    parameters raises the error :func:`mul` raises on such a pair, and a
+    non-element the ``TypeError`` of :func:`family_of`."""
+    first = elements[0]
+    family = family_of(first)
+    for x in elements:
+        if type(x) is not type(first):
+            raise ValueError(f"family mismatch: {family} vs {family_of(x)}")
+        if type(x) is BSElem and x.m != first.m:
+            raise ValueError(f"parameter mismatch: m={first.m} vs m={x.m}")
+    columns, bound, products = _FORMS[type(first)](elements)
     lo, hi = [min(c) for c in columns], [max(c) for c in columns]
     # besides the products, _pack computes a column less its min and keys
     # below the product of the spans
@@ -683,18 +682,12 @@ def _product_index(elements: Sequence[GroupElem],
     the position of elements[top + i] * elements[j] in S, or -1.
 
     Each product row is found by its packed key (:func:`_pack`) with one
-    ``searchsorted`` per block over the sorted keys of S.  Without an
-    array form, each pair costs one :func:`mul` and one dict lookup.
+    ``searchsorted`` per block over the sorted keys of S.
     """
     size = len(elements)
-    form = _array_form(elements) if size else None
-    if form is None:
-        position = {g: k for k, g in enumerate(elements)}.get
-        for top in range(0, size, rows):
-            yield top, np.array([[position(mul(g, h), -1) for h in elements]
-                                 for g in elements[top:top + rows]],
-                                dtype=np.int64)
+    if not size:
         return
+    form = _array_form(elements)
     _, keys = _pack(form, form.columns)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

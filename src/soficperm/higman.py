@@ -165,6 +165,12 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _check_p(p: int) -> None:
+    limits.check("table_entries", p ** 4)
+    if not _is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+
+
 def _check_table(p: int, table: Sequence[int], name: str) -> tuple[int, ...]:
     if len(table) != p:
         raise ValueError(f"{name} must have one value per residue (length {p})")
@@ -190,9 +196,7 @@ def make_action(
     p: int, f_table: Sequence[int], lambda_table: Sequence[int]
 ) -> ActionTable:
     """Build the five permutations on p^4 points from the value tables."""
-    limits.check("table_entries", p ** 4)
-    if not _is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    _check_p(p)
     f = np.asarray(_check_table(p, f_table, "f_table"), dtype=np.int64)
     lam = np.asarray(_check_table(p, lambda_table, "lambda_table"), dtype=np.int64)
 
@@ -217,18 +221,19 @@ def make_action(
 
 def random_tables(p: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two uniform random tables F_p -> F_p - {0}, deterministic in the seed."""
-    limits.check("table_entries", p ** 4)
+    _check_p(p)
     rng = random.Random(seed)
     f = tuple(rng.randrange(1, p) for _ in range(p))
     lam = tuple(rng.randrange(1, p) for _ in range(p))
     return f, lam
 
 
-def _first_difference(p: int, g: Perm, h: Perm) -> Optional[tuple[int, int, int, int]]:
-    diff = np.nonzero(g.images != h.images)[0]
-    if len(diff) == 0:
-        return None
-    return _decode(p, int(diff[0]))
+def _relation(name: str, p: int, g: Perm, h: Perm) -> RelationCheck:
+    """The check that g = h; its witness is the first point where they
+    differ."""
+    diff = np.flatnonzero(g.images != h.images)
+    witness = _decode(p, int(diff[0])) if len(diff) else None
+    return RelationCheck(name, witness is None, witness)
 
 
 def verify_action(act: ActionTable, window: int) -> RelationReport:
@@ -238,19 +243,13 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     if window < 1:
         raise ValueError("window must be >= 1")
     p = act.p
-    checks: list[RelationCheck] = []
-    ident = Perm.identity(p ** 4)
-
     t = act.perms["t"]
-    t4 = permmod.power(t, 4)
-    t_order_ok = t4 == ident
-    checks.append(RelationCheck("t^4", t_order_ok, _first_difference(p, t4, ident)))
+    t_order = _relation("t^4", p, permmod.power(t, 4), Perm.identity(p ** 4))
+    checks = [t_order]
 
     names = ("a", "b", "c", "d")
     conj = {name: permmod.conjugate(act.perms[name], t) for name in names}
-    ok_ad = conj["a"] == act.perms["d"]
-    checks.append(RelationCheck("a^t = d", ok_ad,
-                                _first_difference(p, conj["a"], act.perms["d"])))
+    checks.append(_relation("a^t = d", p, conj["a"], act.perms["d"]))
 
     # discover where conjugation by t sends each named generator
     by_perm = {act.perms[name]: name for name in names}
@@ -273,17 +272,15 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
                    for i in range(-window, window + 1)}
         for i in range(-window, window + 1):
             for j in range(i + 1, window + 1):
-                lhs = permmod.compose(shifted[i], shifted[j])
-                rhs = permmod.compose(shifted[j], shifted[i])
-                ok = lhs == rhs
-                checks.append(RelationCheck(
+                checks.append(_relation(
                     f"[{lamp_name}^({base_name}^{i}), {lamp_name}^({base_name}^{j})]",
-                    ok,
-                    _first_difference(p, lhs, rhs),
+                    p,
+                    permmod.compose(shifted[i], shifted[j]),
+                    permmod.compose(shifted[j], shifted[i]),
                 ))
 
     passed = all(c.ok for c in checks)
-    return RelationReport(tuple(checks), t_order_ok, cycle, passed)
+    return RelationReport(tuple(checks), t_order.ok, cycle, passed)
 
 
 def injectivity_probe(act: ActionTable, depth: int) -> list[WreathElem]:

@@ -135,9 +135,6 @@ class Perm:
     def images(self) -> np.ndarray:
         return self._images
 
-    def apply(self, x: int) -> int:
-        return int(self._images[x])
-
     def __call__(self, x: int) -> int:
         return int(self._images[x])
 
@@ -500,9 +497,3 @@ def random_perm(n: int, rng: random.Random) -> Perm:
     images = list(range(n))
     rng.shuffle(images)
     return Perm(np.asarray(images, dtype=np.int64), _trusted=True)
-
-
-def all_perms(n: int) -> Iterable[Perm]:
-    """All of Sym(n) in lexicographic image order; desk-scale oracle helper."""
-    for tup in itertools.permutations(range(n)):
-        yield Perm(np.asarray(tup, dtype=np.int64), _trusted=True)

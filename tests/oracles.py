@@ -248,3 +248,55 @@ def wreath_conjugates_commute(p: int, f: list[int], lam: list[int],
         if ij != ji:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# sign-flip transport and ball constants, on plain tuples and attributes
+# ---------------------------------------------------------------------------
+
+def sign_flip_perm(f: tuple) -> tuple:
+    """f~(x) = -f(-x) mod n: conjugation by negation, so the cycle type
+    (and order) is f's."""
+    n = len(f)
+    return tuple(-f[-x % n] % n for x in range(n))
+
+
+def transport_sign_flip(alpha: tuple, beta: tuple,
+                        f: tuple) -> tuple[tuple, tuple]:
+    """(beta', f~) for alpha: x -> x + t and beta: x -> u*x with u a unit:
+    beta' is x -> u^-1 x and f~ = sign_flip_perm(f), which agrees with
+    (alpha, beta') at exactly as many points as f with (alpha, beta)."""
+    n = len(f)
+    if any(alpha[x] != (x + alpha[0]) % n for x in range(n)):
+        raise ValueError("transport needs alpha to be a translation")
+    u = beta[1] if n > 1 else 0
+    if any(beta[x] != u * x % n for x in range(n)) or math.gcd(u, n) != 1:
+        raise ValueError(
+            "transport needs beta to be an invertible multiplication")
+    v = pow(u, -1, n)
+    return tuple(v * x % n for x in range(n)), sign_flip_perm(f)
+
+
+def z2_ball_constant(S) -> int:
+    """C = 3 * (largest generator exponent in S); with p > C q and n > C p
+    every nontrivial element of S maps to a nonzero translation."""
+    biggest = max((max(abs(g.lam), abs(g.mu)) for g in S), default=0)
+    return 3 * max(1, biggest)
+
+
+def wreath_ball_constant(S, delta) -> int:
+    """The polynomial bound C that makes check_poly_condition(n, m, C)
+    sufficient for verify() to pass on the wreath elements S at delta, which
+    must lie in (0, 1] as for verify."""
+    delta = Fraction(delta)
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    C = math.floor(1 / delta) + 1
+    for g in S:
+        if g.poly:
+            exps = [e for e, _ in g.poly]
+            span = max(exps) - min(exps)
+            coeff = max(abs(c) for _, c in g.poly)
+            C = max(C, span, coeff + 1)
+        C = max(C, abs(g.pow))
+    return C

@@ -282,12 +282,12 @@ class TestPolyCondition:
 
 class TestBallConstants:
     def test_z2_constant(self):
-        assert ap.z2_ball_constant(gr.ball("z2", 2)) == 6
-        assert ap.z2_ball_constant([gr.identity("z2")]) == 3
+        assert orc.z2_ball_constant(gr.ball("z2", 2)) == 6
+        assert orc.z2_ball_constant([gr.identity("z2")]) == 3
 
     def test_z2_constant_sufficiency(self):
         S = list(gr.ball("z2", 2))
-        C = ap.z2_ball_constant(S)
+        C = orc.z2_ball_constant(S)
         p, q = C + 1, (C + 1) * C + 1  # p > C, q > C p
         n = C * q + 1                  # n > C q
         spec = ap.make_approx("z2", n, p=p, q=q)
@@ -298,7 +298,7 @@ class TestBallConstants:
         import math
         m = 12
         S = list(gr.ball("zwrz", 2, m=m))
-        C = ap.wreath_ball_constant(S, Fraction(1, 2))
+        C = orc.wreath_ball_constant(S, Fraction(1, 2))
         assert C == 3
         assert m > 2 * C + 1  # fast-path headroom for this ball
         n = m ** (C + 1) + 1
@@ -309,13 +309,13 @@ class TestBallConstants:
 
     def test_wreath_constant_scales_with_delta(self):
         S = list(gr.ball("zwrz", 2, m=2))
-        assert ap.wreath_ball_constant(S, Fraction(1, 10)) == 11
+        assert orc.wreath_ball_constant(S, Fraction(1, 10)) == 11
 
     @pytest.mark.parametrize("delta", [0, -1, 2])
     def test_wreath_constant_delta_policy_matches_verify(self, delta):
         S = list(gr.ball("zwrz", 1, m=2))
         with pytest.raises(ValueError, match="delta must lie in"):
-            ap.wreath_ball_constant(S, delta)
+            orc.wreath_ball_constant(S, delta)
         with pytest.raises(ValueError, match="delta must lie in"):
             ap.verify(ap.make_approx("zwrz", 11, m=2), S, delta)
 

@@ -335,6 +335,13 @@ class TestSubcommands:
         assert invoke(capsys, ["higman-action", "--p", "3", "--random",
                                "--f-table", str(ftab)])[0] == 2
 
+    @pytest.mark.parametrize("p", ["0", "1", "-3"])
+    def test_higman_action_random_refuses_non_prime_p(self, capsys, p):
+        code, out, err = invoke(capsys, ["higman-action", "--p", p,
+                                         "--random"])
+        assert code == 2 and out == ""
+        assert f"p={p} is not prime" in err and "Traceback" not in err
+
     def test_heuristic_record(self, capsys):
         code, out, _ = invoke(capsys, ["heuristic", "--n", "100", "--k", "4"])
         res = json.loads(out)["result"]

@@ -168,16 +168,19 @@ def _free(*letters):
     return gr.FreeWord(gr.genword(letters))
 
 
+# a word of 14 letters has products of 28, whose base-5 keys pass int64;
+# past 27 letters the words' own keys do
+LONG_METAB = sorted({_free(("a", e)) for e in range(-28, 29)}
+                    | {_free(("b", 1), ("a", -2))}, key=gr.sort_key)
+
+
 @pytest.mark.parametrize("rows", [1, 3, 40])
-def test_metab_words_past_int64_keys_take_mul(rows):
-    """A word of 14 letters has products of 28, whose base-5 keys pass
-    int64: the set has no array form and its index comes from ``mul``.
-    13 letters still fit."""
-    long = sorted({_free(("a", e)) for e in range(-14, 15)}
-                  | {_free(("b", 1), ("a", -2))}, key=gr.sort_key)
-    assert gr._array_form(long) is None
-    assert _check_index(long, rows) >= len(long)
-    fits = [x for x in long if x.word.length() <= 13]
+def test_metab_words_past_int64_keys_take_object_ints(rows):
+    """Past 13 letters the metab key columns are exact ints on the same
+    code, and the index is the one ``mul`` gives; 13 letters fit int64."""
+    assert gr._array_form(LONG_METAB).dtype is object
+    assert _check_index(LONG_METAB, rows) >= len(LONG_METAB)
+    fits = [x for x in LONG_METAB if x.word.length() <= 13]
     assert gr._array_form(fits).dtype is np.int64
     assert _check_index(fits, rows) >= len(fits)
 
@@ -238,10 +241,45 @@ def test_array_index_dtype_follows_the_bound(name, dtype, rows):
 
 
 def test_array_index_leaves_mixed_sets_to_mul():
-    S = [gr.BSElem(2, 0, 0, 0), gr.BSElem(3, 0, 0, 1)]
-    assert gr._array_form(S) is None
-    with pytest.raises(ValueError, match="parameter mismatch"):
-        list(gr._product_index(S, 1))
+    """A set that mixes families or bs parameters, or holds a non-element,
+    is refused up front with the error ``mul`` raises on such a pair."""
+    for S, error, match in [
+            ([gr.BSElem(2, 0, 0, 0), gr.BSElem(3, 0, 0, 1)],
+             ValueError, "parameter mismatch"),
+            ([gr.Z2Elem(0, 0), gr.HeisElem(0, 0, 0)],
+             ValueError, "family mismatch"),
+            ([gr.Z2Elem(0, 0), (0, 0)], TypeError, "not a group element"),
+            ([(0, 0)], TypeError, "not a group element")]:
+        with pytest.raises(error, match=match):
+            gr._array_form(S)
+        with pytest.raises(error, match=match):
+            list(gr._product_index(S, 1))
+
+
+NO_MUL_CASES = {
+    **{f"{family} r{radius} m={m}": (family, radius, m)
+       for family, radius, m in INDEX_BALLS},
+    "metab past int64 keys": LONG_METAB,
+    **OBJECT_CASES,
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", NO_MUL_CASES)
+def test_product_index_calls_no_mul(monkeypatch, name):
+    """Every set takes the array path: with ``mul`` broken once S is
+    built, the index still completes, one block per row (none when S is
+    empty)."""
+    S = NO_MUL_CASES[name]
+    if isinstance(S, tuple):
+        S = gr.ball(*S[:2], m=S[2]).elements
+    elements = sorted(set(S), key=gr.sort_key)
+
+    def broken(x, y):
+        raise AssertionError("the product index called mul")
+    monkeypatch.setattr(gr, "mul", broken)
+    blocks = list(gr._product_index(elements, 1))
+    assert [top for top, _ in blocks] == list(range(len(elements)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +554,11 @@ def scalar_verify(spec, S, delta):
         if d > worst:
             worst, hom_witness = d, (g, h)
 
-    ident = ap.image(spec, gr.identity(spec.family, m=spec.m))
+    one = gr.identity(spec.family, m=spec.m)  # the one trivial metab word
+    ident = ap.image(spec, one)
     closeness, id_witness = None, None
     for g in elements:
-        if gr.is_trivial(g):
+        if g == one:
             continue
         d = npoints - images[g].agree_count(ident)
         if closeness is None or d < closeness:
@@ -531,6 +570,23 @@ def scalar_verify(spec, S, delta):
     passed = worst < delta and (closeness is None or closeness > 1 - delta)
     return ap.VerifyReport(spec.family, npoints, delta, worst, hom_witness,
                            closeness, id_witness, passed, len(elements), pairs)
+
+
+def test_verify_on_metab_words_past_int64_keys(monkeypatch):
+    """Words past 13 letters put the metab index on object keys; with
+    images skewed so that defects and witnesses show, the report is the
+    scalar one byte for byte."""
+    S = gr.Ball("metab", 28, tuple(sorted(set(gr.ball("metab", 3))
+                                          | set(LONG_METAB),
+                                          key=gr.sort_key)))
+    assert gr._array_form(S.elements).dtype is object
+    _skew_images(monkeypatch, S, None, 7)
+    spec = ap.make_approx("metab", 1009, p=2, q=3)
+    want = scalar_verify(spec, S, "1/10")
+    got = ap.verify(spec, S, "1/10")
+    assert got == want
+    assert _report_digest(got) == _report_digest(want)
+    assert got.worst_hom_defect > 0 and got.id_witness is not None
 
 
 N_INT64 = 3037000498  # the largest n with n^2 + 2n <= 2^63 - 1
