@@ -555,3 +555,7 @@ def run(argv) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -270,14 +270,18 @@ def _climb(prob: ConjProblem, f_list: list[int], iters: int,
            rng: random.Random) -> tuple[list[int], int]:
     """In-place hill climb; returns (f, score).
 
-    Each iteration draws i and j with two ``rng.randrange(n)`` calls and
-    proposes f' = t f t for the transposition t = (i j).  f' differs from f
-    only on {i, j, f^-1(i), f^-1(j)}; those new images go into a dict of at
-    most four entries, and an empty dict is a no-op move.  The agreement at x
-    reads f(x) and f(alpha(x)), so the score changes only on the changed
-    points and their alpha-preimages, at most eight points, and the delta is
-    summed over them.  A move is taken when it gains, and a sideways move
-    (delta 0) when ``rng.random() < 0.25``, the only other draw.
+    Each iteration draws i and j as two ``rng.randrange(n)`` calls would,
+    written out as the loop CPython runs for them:
+    ``getrandbits(n.bit_length())``, drawn again while the value is not
+    below n (``tests/test_perm.py::test_randrange_is_the_getrandbits_loop``
+    pins the equivalence).  It proposes f' = t f t for the transposition
+    t = (i j).  f' differs from f only on {i, j, f^-1(i), f^-1(j)}; those
+    new images go into a dict of at most four entries, and an empty dict is
+    a no-op move.  The agreement at x reads f(x) and f(alpha(x)), so the
+    score changes only on the changed points and their alpha-preimages, at
+    most eight points, and the delta is summed over them.  A move is taken
+    when it gains, and a sideways move (delta 0) when
+    ``rng.random() < 0.25``, the only other draw.
     """
     n = prob.n
     alpha = prob.alpha.images.tolist()
@@ -291,10 +295,15 @@ def _climb(prob: ConjProblem, f_list: list[int], iters: int,
         finv[y] = x
     score = sum(1 for x in range(n) if f[alpha[x]] == beta[f[x]])
 
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    width = n.bit_length()
     for _ in range(iters):
-        i = randrange(n)
-        j = randrange(n)
+        i = getrandbits(width)
+        while i >= n:
+            i = getrandbits(width)
+        j = getrandbits(width)
+        while j >= n:
+            j = getrandbits(width)
         if i == j:
             continue
         fi = f[i]

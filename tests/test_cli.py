@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -482,3 +485,27 @@ def test_main_raises_systemexit(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 0
+
+
+def _module_run(module, *argv):
+    """``python -m module argv`` in a fresh interpreter on this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_module_runs_as_a_script():
+    # python -m soficperm.cli is the same program as python -m soficperm
+    proc = _module_run("soficperm.cli", "higman-action", "--p", "1",
+                       "--random")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "p=1 is not prime" in proc.stderr
+    argv = ["count-orders", "--n", "8", "--k", "4"]
+    via_cli = _module_run("soficperm.cli", *argv)
+    via_package = _module_run("soficperm", *argv)
+    assert via_cli.returncode == via_package.returncode == 0
+    assert via_cli.stdout == via_package.stdout != ""

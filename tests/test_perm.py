@@ -436,18 +436,24 @@ def test_sampling_builds_no_exact_table():
     assert pm._order_dividing_table(4) == [1]
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 2**64, 2**64 + 1, 3**500, 10**3000 + 7])
+@pytest.mark.parametrize("bound", [
+    1, 2, 3, 2**64, 2**64 + 1, 3**500, 10**3000 + 7,
+    # the climb's sizes: conjsearch._climb draws i and j by the same loop
+    48, 64, 65, 100, 600, 1000, 1024, 1025, 2000, 2400])
 def test_randrange_is_the_getrandbits_loop(bound):
-    # the sampler writes rng.randrange(a(r)) out as this loop; a Python
-    # whose randrange draws otherwise must fail here
+    # the sampler writes rng.randrange(a(r)) out as this loop, and the climb
+    # rng.randrange(n); a Python whose randrange draws otherwise must fail here
+    redraws = 0
     for seed in range(6):
         ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(4):
+        for _ in range(200):
             u = ours.getrandbits(bound.bit_length())
             while u >= bound:
+                redraws += 1
                 u = ours.getrandbits(bound.bit_length())
             assert u == theirs.randrange(bound)
             assert ours.getstate() == theirs.getstate()
+    assert redraws > 0
 
 
 ORACLE_GRID = [(n, k, seed)

@@ -260,16 +260,27 @@ CLIMB_CASES = [
     for n in (1, 2, 3, 24, 48)
     for k in (2, 3, 4, 6)
     for seed in (1,)
+] + [
+    # _climb draws i and j by getrandbits(n.bit_length()), drawn again at
+    # or above n; the reference calls randrange.  n = 64 and 65 redraw about
+    # half their draws, n = 600 about 41 %
+    (kind, n, k, 1)
+    for kind in ("trans", "mult", "z2", "bs", "metab", "zwrz")
+    for n in (64, 65, 600) if n < 600 or kind in ("trans", "mult")
+    for k in (2, 4)
 ]
+# iterations per restart where 40 * n would cost the module seconds
+CLIMB_ITERS = {600: 3000}
 
 
 @pytest.mark.parametrize("kind,n,k,seed", CLIMB_CASES,
                          ids=[f"{c}-n{n}-k{k}" for c, n, k, _ in CLIMB_CASES])
 def test_climb_matches_reference(monkeypatch, kind, n, k, seed):
     prob = climb_problem(kind, n, k)
-    new = cj.local_search(prob, seed=seed, iters=40 * n, restarts=4)
+    iters = CLIMB_ITERS.get(n, 40 * n)
+    new = cj.local_search(prob, seed=seed, iters=iters, restarts=4)
     monkeypatch.setattr(cj, "_climb", climb_reference)
-    old = cj.local_search(prob, seed=seed, iters=40 * n, restarts=4)
+    old = cj.local_search(prob, seed=seed, iters=iters, restarts=4)
     assert _search_key(new) == _search_key(old)
 
 
