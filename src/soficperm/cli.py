@@ -183,124 +183,112 @@ class _Failure(Exception):
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output encoding (default json)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="RNG seed, echoed in every record (default 0)")
-    common.add_argument("--out", default=None, metavar="FILE",
-                        help="write data here instead of stdout")
+# every subcommand's help line, its --help epilog and its own flags, each
+# flag an add_argument call as (name, keywords); _COMMON_FLAGS come first
+_FILE = {"required": True, "metavar": "FILE"}
+_OPTIONAL_FILE = {"metavar": "FILE"}
+_REQUIRED_INT = {"type": int, "required": True}
+_INT = {"type": int}
+_BALL = {"type": int, "required": True, "metavar": "L"}
+_FAMILY_PARAMS = (("--p", _INT), ("--q", _INT), ("--m", _INT))
+_SEARCH_BUDGET = (("--iters", _INT), ("--restarts", _INT))
 
+_COMMON_FLAGS = (
+    ("--format", {"choices": ("json", "csv"), "default": "json",
+                  "help": "output encoding (default json)"}),
+    ("--seed", {"type": int, "default": 0,
+                "help": "RNG seed, echoed in every record (default 0)"}),
+    ("--out", {"metavar": "FILE",
+               "help": "write data here instead of stdout"}),
+)
+
+_SUBCOMMANDS = {
+    "count-orders": (
+        "exact count of permutations with f^k = id",
+        f"csv columns: {_csv_header('count-orders')}",
+        (("--n", _REQUIRED_INT), ("--k", _REQUIRED_INT))),
+    "make-approx": (
+        "build generator images for a group family",
+        f"csv columns: {_csv_header('make-approx')} (permutations "
+        "space-joined; psi_a and psi_b are listed up to "
+        f"{ser.SPEC_TABLE_POINTS} points, as in the json record)",
+        (("--group", {"required": True, "choices": groupsmod.FAMILIES}),
+         ("--n", _REQUIRED_INT), *_FAMILY_PARAMS)),
+    "verify": (
+        "check the two approximation conditions over a ball",
+        f"csv columns: {_csv_header('verify')}",
+        (("--spec", _FILE), ("--ball", _BALL),
+         ("--delta", {"required": True, "help": "threshold, exact ('1/10') "
+                                                "or decimal ('0.1')"}))),
+    "search": (
+        "find an order-k permutation almost intertwining alpha, beta",
+        "problem source: --spec FILE, or --alpha FILE --beta FILE, or "
+        f"--group TAG --n ... ; csv columns: {_csv_header('search')}",
+        (("--spec", _OPTIONAL_FILE), ("--alpha", _OPTIONAL_FILE),
+         ("--beta", _OPTIONAL_FILE),
+         ("--group", {"choices": groupsmod.FAMILIES}), ("--n", _INT),
+         *_FAMILY_PARAMS, ("--k", _REQUIRED_INT),
+         ("--algo", {"choices": ("exact", "brute", "local"),
+                     "default": "local"}),
+         *_SEARCH_BUDGET)),
+    "defect": (
+        "worst distance d(psi(b) f, f psi(phi b)) over given pairs",
+        "--pairs FILE: JSON list of [word, word] with words as "
+        f"[[gen,exp],...]; csv columns: {_csv_header('defect')}",
+        (("--spec", _FILE), ("--perm", _FILE), ("--pairs", _FILE))),
+    "amplify": (
+        "block-diagonal power of a permutation up to a larger degree",
+        f"csv columns: {_csv_header('amplify')}",
+        (("--perm", _FILE), ("--target-n", _REQUIRED_INT))),
+    "align": (
+        "search for tau minimizing max_s d(tau^-1 rho1(s) tau, rho2(s))",
+        f"csv rows, one per ball element: {_csv_header('align')}",
+        (("--spec1", _FILE), ("--spec2", _FILE), ("--ball", _BALL),
+         *_SEARCH_BUDGET)),
+    "higman-action": (
+        "build the five-generator action on p^4 points and examine it",
+        "tables: --f-table/--lambda-table JSON int lists, or --random to "
+        "draw both from --seed; csv rows, one per relation check plus "
+        f"summary/probe rows: {_csv_header('higman-action')}",
+        (("--p", _REQUIRED_INT), ("--f-table", _OPTIONAL_FILE),
+         ("--lambda-table", _OPTIONAL_FILE),
+         ("--random", {"action": "store_true",
+                       "help": "draw both tables from the seed"}),
+         ("--check", {"action": "store_true",
+                      "help": "verify relations; exit 1 if any fails"}),
+         ("--window", {"type": int, "default": 3}),
+         ("--probe-depth", {"type": int, "default": 0}))),
+    "heuristic": (
+        "independence estimate log(P*K) from the exact order count",
+        f"csv columns: {_csv_header('heuristic')}",
+        (("--n", _REQUIRED_INT), ("--k", _REQUIRED_INT),
+         ("--eps", {"default": "1/100", "help": "defect rate, a fraction "
+                    "of the n points in [0, 1] (default 1/100)"}),
+         ("--eps-prime", {"default": "1/100", "help": "second defect rate, "
+                          "a fraction of the n points in [0, 1] "
+                          "(default 1/100)"}))),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone.  Every
+    subcommand is registered with its help line, so usage, --help and
+    every error message read the same either way; only command's subparser
+    (each one's when command is None) gets its flags and epilog, which is
+    most of the cost of a build."""
     parser = argparse.ArgumentParser(
         prog="soficperm",
         description="Permutation models of five groups: build, verify, "
                     "search, count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "count-orders", parents=[common],
-        help="exact count of permutations with f^k = id",
-        epilog=f"csv columns: {_csv_header('count-orders')}")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser(
-        "make-approx", parents=[common],
-        help="build generator images for a group family",
-        epilog=f"csv columns: {_csv_header('make-approx')} "
-               "(permutations space-joined; psi_a and psi_b are listed up "
-               f"to {ser.SPEC_TABLE_POINTS} points, as in the json record)")
-    p.add_argument("--group", required=True, choices=groupsmod.FAMILIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-
-    p = sub.add_parser(
-        "verify", parents=[common],
-        help="check the two approximation conditions over a ball",
-        epilog=f"csv columns: {_csv_header('verify')}")
-    p.add_argument("--spec", required=True, metavar="FILE")
-    p.add_argument("--ball", type=int, required=True, metavar="L")
-    p.add_argument("--delta", required=True,
-                   help="threshold, exact ('1/10') or decimal ('0.1')")
-
-    p = sub.add_parser(
-        "search", parents=[common],
-        help="find an order-k permutation almost intertwining alpha, beta",
-        epilog="problem source: --spec FILE, or --alpha FILE --beta FILE, "
-               f"or --group TAG --n ... ; csv columns: {_csv_header('search')}")
-    p.add_argument("--spec", metavar="FILE")
-    p.add_argument("--alpha", metavar="FILE")
-    p.add_argument("--beta", metavar="FILE")
-    p.add_argument("--group", choices=groupsmod.FAMILIES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--algo", choices=("exact", "brute", "local"),
-                   default="local")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-
-    p = sub.add_parser(
-        "defect", parents=[common],
-        help="worst distance d(psi(b) f, f psi(phi b)) over given pairs",
-        epilog="--pairs FILE: JSON list of [word, word] with words as "
-               f"[[gen,exp],...]; csv columns: {_csv_header('defect')}")
-    p.add_argument("--spec", required=True, metavar="FILE")
-    p.add_argument("--perm", required=True, metavar="FILE")
-    p.add_argument("--pairs", required=True, metavar="FILE")
-
-    p = sub.add_parser(
-        "amplify", parents=[common],
-        help="block-diagonal power of a permutation up to a larger degree",
-        epilog=f"csv columns: {_csv_header('amplify')}")
-    p.add_argument("--perm", required=True, metavar="FILE")
-    p.add_argument("--target-n", type=int, required=True)
-
-    p = sub.add_parser(
-        "align", parents=[common],
-        help="search for tau minimizing max_s d(tau^-1 rho1(s) tau, rho2(s))",
-        epilog=f"csv rows, one per ball element: {_csv_header('align')}")
-    p.add_argument("--spec1", required=True, metavar="FILE")
-    p.add_argument("--spec2", required=True, metavar="FILE")
-    p.add_argument("--ball", type=int, required=True, metavar="L")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-
-    p = sub.add_parser(
-        "higman-action", parents=[common],
-        help="build the five-generator action on p^4 points and examine it",
-        epilog="tables: --f-table/--lambda-table JSON int lists, or --random "
-               "to draw both from --seed; csv rows, one per relation check "
-               f"plus summary/probe rows: {_csv_header('higman-action')}")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--f-table", metavar="FILE", default=None)
-    p.add_argument("--lambda-table", metavar="FILE", default=None)
-    p.add_argument("--random", action="store_true",
-                   help="draw both tables from the seed")
-    p.add_argument("--check", action="store_true",
-                   help="verify relations; exit 1 if any fails")
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--probe-depth", type=int, default=0)
-
-    p = sub.add_parser(
-        "heuristic", parents=[common],
-        help="independence estimate log(P*K) from the exact order count",
-        epilog=f"csv columns: {_csv_header('heuristic')}")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", default="1/100",
-                   help="defect rate, a fraction of the n points in [0, 1] "
-                        "(default 1/100)")
-    p.add_argument("--eps-prime", default="1/100",
-                   help="second defect rate, a fraction of the n points in "
-                        "[0, 1] (default 1/100)")
-
+    for name, (help_line, epilog, flags) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            sub.add_parser(name, help=help_line, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_line, epilog=epilog)
+        for flag, keywords in _COMMON_FLAGS + flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -436,7 +424,8 @@ def _cmd_higman_action(ns):
         result["relations"] = None
         rows.append([ns.p, "built", True, ""])
 
-    if ns.probe_depth > 0:
+    # a negative depth reaches the probe, which refuses it
+    if ns.probe_depth:
         collisions = higmod.injectivity_probe(act, ns.probe_depth)
         result["probe"] = {
             "depth": ns.probe_depth,
@@ -529,9 +518,13 @@ def run(argv) -> int:
     """Parse argv, run the subcommand, emit one record.  Returns the exit
     code instead of raising SystemExit so the function is callable in-process.
     """
-    parser = _build_parser()
+    argv = list(argv)
+    # a named subcommand's parser alone holds its flags; any other argv
+    # (--help, nothing, an unknown command) gets every subcommand's
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS
+                           else None)
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     handler = _COMMANDS[ns.command]
@@ -548,7 +541,12 @@ def run(argv) -> int:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
-    _emit(ns, result, rows)
+    try:
+        _emit(ns, result, rows)
+    except OSError as exc:
+        # an --out path that cannot be opened or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
     return exit_code
 

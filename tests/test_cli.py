@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, record shape, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -66,6 +67,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, target):
+        # the command runs, then its record cannot be written
+        out_path = tmp_path / ("no/such/dir/x.json" if target == "missing"
+                               else "")
+        code, out, err = invoke(capsys, ["count-orders", "--n", "8", "--k",
+                                         "4", "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_workers_flag_is_gone(self, capsys):
         code, _, _ = invoke(capsys, ["count-orders", "--n", "4", "--k", "4",
@@ -319,6 +331,16 @@ class TestSubcommands:
         assert res["relations"]["passed"] is True
         assert res["probe"]["nontrivial_identities"] == []
 
+    def test_higman_action_probe_depth_below_zero_is_2(self, capsys):
+        argv = ["higman-action", "--p", "3", "--random", "--probe-depth"]
+        code, out, err = invoke(capsys, argv + ["-1"])
+        assert code == 2
+        assert out == ""
+        assert "error: depth must be >= 0" in err
+        code, out, _ = invoke(capsys, argv + ["0"])
+        assert code == 0
+        assert json.loads(out)["result"]["probe"] is None
+
     def test_higman_action_table_files(self, tmp_path, capsys):
         ftab = tmp_path / "f.json"
         ltab = tmp_path / "l.json"
@@ -509,3 +531,55 @@ def test_cli_module_runs_as_a_script():
     via_package = _module_run("soficperm", *argv)
     assert via_cli.returncode == via_package.returncode == 0
     assert via_cli.stdout == via_package.stdout != ""
+
+
+# flags that parse, per subcommand; none of the files is read, since each
+# case below fails while parsing
+_GOOD_ARGV = {
+    "count-orders": ["--n", "8", "--k", "4"],
+    "make-approx": ["--group", "z2", "--n", "11"],
+    "verify": ["--spec", "s.json", "--ball", "2", "--delta", "1/10"],
+    "search": ["--group", "z2", "--n", "13", "--k", "4"],
+    "defect": ["--spec", "s.json", "--perm", "f.json", "--pairs", "p.json"],
+    "amplify": ["--perm", "f.json", "--target-n", "9"],
+    "align": ["--spec1", "a.json", "--spec2", "b.json", "--ball", "1"],
+    "higman-action": ["--p", "3", "--random"],
+    "heuristic": ["--n", "8", "--k", "4"],
+}
+_PARSE_CASES = [[], ["--help"], ["no-such-command"]] + [
+    argv for cmd, good in _GOOD_ARGV.items()
+    for argv in ([cmd, "--help"], [cmd], [cmd, "--format", "xml"],
+                 [cmd, *good, "extra"])]
+
+
+def test_parse_cases_cover_every_subcommand():
+    assert sorted(_GOOD_ARGV) == sorted(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_partial_parser_prints_what_the_full_one_does(monkeypatch, capsys,
+                                                      argv):
+    # run() builds only the named subcommand's flags; with every
+    # subcommand's built instead, the exit code and both streams match
+    monkeypatch.setenv("COLUMNS", "80")
+    partial = invoke(capsys, argv)
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: full_parser())
+    assert invoke(capsys, argv) == partial
+    assert partial[0] in (0, 2) and partial[1] + partial[2] != ""
+
+
+def test_run_builds_only_the_invoked_subcommands_flags(monkeypatch, capsys):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append((self.prog, args))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert invoke(capsys, ["count-orders", "--n", "8", "--k", "4"])[0] == 0
+    flags = [(prog, args) for prog, args in calls if args != ("-h", "--help")]
+    assert flags == [("soficperm count-orders", (flag,))
+                     for flag in ("--format", "--seed", "--out", "--n", "--k")]
