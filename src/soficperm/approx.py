@@ -386,21 +386,6 @@ def _is_identity_elem(x: GroupElem) -> bool:
     return groups.is_trivial(x)
 
 
-def _check_delta(delta) -> Fraction:
-    """The tolerance as an exact rational; it must lie in (0, 1]."""
-    delta = to_fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return delta
-
-
-def _passes(defect: Fraction, closeness: Optional[Fraction],
-            delta: Fraction) -> bool:
-    """The pass rule of :class:`VerifyReport`: defect < delta and, when some
-    element is nontrivial, closeness > 1 - delta."""
-    return defect < delta and (closeness is None or closeness > 1 - delta)
-
-
 def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyReport:
     """Check both approximation conditions of psi over S at tolerance delta.
 
@@ -422,7 +407,9 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     largest defect (a later block wins only when strictly worse), and
     there is none when the defect is 0.
     """
-    delta = _check_delta(delta)
+    delta = to_fraction(delta)
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     elements = sorted(set(S), key=groups.sort_key)
     npoints = spec.npoints
 
@@ -475,7 +462,8 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
         hom_witness=hom_witness,
         worst_id_closeness=closeness,
         id_witness=id_witness,
-        passed=_passes(defect, closeness, delta),
+        passed=defect < delta and (closeness is None
+                                   or closeness > 1 - delta),
         elements_checked=len(elements),
         pairs_checked=pairs,
     )

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -370,6 +372,9 @@ def _cmd_defect(ns):
     spec = _load_spec(ns.spec)
     f = _load_perm(ns.perm)
     raw = _read_json(ns.pairs)
+    if not isinstance(raw, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in raw):
+        raise ValueError("--pairs must be a JSON list of [word, word] pairs")
     pairs = [(ser.genword_from_obj(b), ser.genword_from_obj(phib))
              for b, phib in raw]
     worst = conjmod.higman_defect(spec, f, pairs)
@@ -514,6 +519,21 @@ def _emit(ns, result, rows: list[list]) -> None:
             set_digits(saved)
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that opening path for writing would when path is
+    a directory or its directory cannot be reached (missing, say), creating
+    and truncating nothing; any other failure is left to :func:`_emit`."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            os.stat(os.path.dirname(path) or ".")
+            return
+        except OSError as exc:
+            code = exc.errno
+    raise OSError(code, os.strerror(code), path)
+
+
 def run(argv) -> int:
     """Parse argv, run the subcommand, emit one record.  Returns the exit
     code instead of raising SystemExit so the function is callable in-process.
@@ -530,6 +550,9 @@ def run(argv) -> int:
     handler = _COMMANDS[ns.command]
     t0 = time.perf_counter()
     try:
+        if ns.out:
+            # before the command runs, so a bad path costs no computation
+            _check_out(ns.out)
         result, rows = handler(ns)
         exit_code = 0
     except _Failure as failure:

@@ -51,7 +51,6 @@ from . import limits
 __all__ = [
     "Perm",
     "CycleDecomposition",
-    "BigCount",
     "compose",
     "conjugate",
     "inverse",
@@ -67,9 +66,6 @@ __all__ = [
     "sample_order_k",
     "random_perm",
 ]
-
-# Exact counts get big fast; plain Python ints already are arbitrary precision.
-BigCount = int
 
 _BOOL_TYPES = frozenset({bool, np.bool_})
 
@@ -391,7 +387,7 @@ def _below(u: int, bound: _Bound, exact) -> bool:
     return u < exact()
 
 
-def count_order_dividing(n: int, k: int) -> BigCount:
+def count_order_dividing(n: int, k: int) -> int:
     """Exact number of f in Sym(n) with f^k = id (identity included)."""
     if n < 0:
         raise ValueError("n must be >= 0")

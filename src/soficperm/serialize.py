@@ -12,10 +12,11 @@ One walk, :func:`_obj`, encodes each value by its type:
   which fix it; its two images are listed too when it has at most
   :data:`SPEC_TABLE_POINTS` points.
 
-The ``*_from_obj`` decoders are written out, since decoding is input
-validation: they re-validate the data rather than trust it.  Alignment,
-polynomial-condition, fixed-point, relation and heuristic reports are
-output only and have no decoder.
+Only what a command reads back has a decoder: a spec (``--spec``), a
+permutation (``--perm``, ``--alpha``, ``--beta``) and the words of
+``--pairs``.  The ``*_from_obj`` decoders are written out, since decoding
+is input validation: they re-validate the data rather than trust it.
+Every other record is output only.
 """
 
 from __future__ import annotations
@@ -43,18 +44,16 @@ from .groups import (
 from .perm import Perm
 
 __all__ = [
-    "fraction_to_obj", "fraction_from_obj",
+    "fraction_to_obj",
     "perm_to_obj", "perm_from_obj",
     "genword_to_obj", "genword_from_obj",
-    "elem_to_obj", "elem_from_obj",
+    "elem_to_obj",
     "spec_to_obj", "spec_from_obj",
-    "problem_to_obj", "problem_from_obj",
-    "verify_report_to_obj", "verify_report_from_obj",
-    "search_report_to_obj", "search_report_from_obj",
+    "problem_to_obj",
+    "verify_report_to_obj",
+    "search_report_to_obj",
     "alignment_report_to_obj",
-    "poly_result_to_obj",
-    "heis_fixed_to_obj",
-    "action_table_to_obj", "action_table_from_obj",
+    "action_table_to_obj",
     "relation_report_to_obj",
     "heuristic_report_to_obj",
     "MPF_DIGITS", "SPEC_TABLE_POINTS",
@@ -123,20 +122,8 @@ def _int(value) -> int:
     return int(value)
 
 
-def _bool(value) -> bool:
-    """A decoded flag; only a JSON bool is accepted, not 0, 1 or a string."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected a bool, got {value!r}")
-    return value
-
-
 def fraction_to_obj(fr: Fraction) -> list:
     return [fr.numerator, fr.denominator]
-
-
-def fraction_from_obj(obj) -> Fraction:
-    num, den = obj
-    return Fraction(_int(num), _int(den))
 
 
 def _opt(fn, value):
@@ -154,12 +141,6 @@ def mpf_to_obj(x) -> str:
     import mpmath
     with mpmath.workprec(heurmod.PRECISION_BITS):
         return mpmath.nstr(x, MPF_DIGITS)
-
-
-def mpf_from_obj(obj: str):
-    import mpmath
-    with mpmath.workprec(heurmod.PRECISION_BITS):
-        return mpmath.mpf(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +171,6 @@ def elem_to_obj(x) -> dict:
     return {"family": family_of(x), **_fields(x)}
 
 
-def elem_from_obj(obj: dict):
-    family = obj["family"]
-    if family == "z2":
-        return Z2Elem(_int(obj["lam"]), _int(obj["mu"]))
-    if family == "heis":
-        return HeisElem(_int(obj["lam"]), _int(obj["mu"]), _int(obj["nu"]))
-    if family == "bs":
-        return BSElem(_int(obj["m"]), _int(obj["num"]),
-                      _int(obj["den_exp"]), _int(obj["pow"]))
-    if family == "zwrz":
-        return WreathElem(tuple((_int(e), _int(c)) for e, c in obj["poly"]),
-                          _int(obj["pow"]))
-    if family == "metab":
-        return FreeWord(genword_from_obj(obj["word"]))
-    raise ValueError(f"unknown family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # approximation specs
 # ---------------------------------------------------------------------------
@@ -225,6 +189,9 @@ def spec_to_obj(spec: approxmod.ApproxSpec) -> dict:
 def spec_from_obj(obj: dict) -> approxmod.ApproxSpec:
     """Rebuild from parameters and relabelling, then insist that the stored
     images, where the record lists them, agree."""
+    if not isinstance(obj, dict) or "family" not in obj or "n" not in obj:
+        raise ValueError("a spec record must be a JSON object with "
+                         "'family' and 'n'")
     spec = approxmod.make_approx(
         obj["family"], _int(obj["n"]),
         p=_opt(_int, obj.get("p")),
@@ -252,37 +219,8 @@ def problem_to_obj(prob: conjmod.ConjProblem) -> dict:
     return {**_fields(prob), "orientation": conjmod.ORIENTATION}
 
 
-def problem_from_obj(obj: dict) -> conjmod.ConjProblem:
-    prob = conjmod.ConjProblem(
-        _int(obj["n"]), _int(obj["k"]),
-        perm_from_obj(obj["alpha"]), perm_from_obj(obj["beta"]),
-    )
-    orientation = obj.get("orientation")
-    if orientation is not None and orientation != conjmod.ORIENTATION:
-        raise ValueError(f"unsupported orientation {orientation!r}")
-    return prob
-
-
 def search_report_to_obj(rep: conjmod.SearchReport) -> dict:
     return _fields(rep)
-
-
-def search_report_from_obj(obj: dict) -> conjmod.SearchReport:
-    prob = problem_from_obj(obj["problem"])
-    f = perm_from_obj(obj["f"])
-    count = conjmod.agreement(f, prob)
-    if count != _int(obj["agreement_count"]):
-        raise ValueError("agreement_count disagrees with f")
-    return conjmod.SearchReport(
-        problem=prob,
-        algorithm=str(obj["algorithm"]),
-        seed=_opt(_int, obj.get("seed")),
-        f=f,
-        order_of_f=_int(obj["order_of_f"]),
-        agreement_count=count,
-        agreement_fraction=fraction_from_obj(obj["agreement_fraction"]),
-        iterations=_int(obj["iterations"]),
-    )
 
 
 def alignment_report_to_obj(rep: conjmod.AlignmentReport) -> dict:
@@ -290,43 +228,10 @@ def alignment_report_to_obj(rep: conjmod.AlignmentReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verification and diagnostics
+# verification
 # ---------------------------------------------------------------------------
 
 def verify_report_to_obj(rep: approxmod.VerifyReport) -> dict:
-    return _fields(rep)
-
-
-def verify_report_from_obj(obj: dict) -> approxmod.VerifyReport:
-    """Decode a report, refuse a delta outside (0, 1] as ``approx.verify``
-    does, and check ``passed`` against the report's own figures."""
-    witness = obj.get("hom_witness")
-    rep = approxmod.VerifyReport(
-        family=str(obj["family"]),
-        npoints=_int(obj["npoints"]),
-        delta=approxmod._check_delta(fraction_from_obj(obj["delta"])),
-        worst_hom_defect=fraction_from_obj(obj["worst_hom_defect"]),
-        hom_witness=None if witness is None else (
-            elem_from_obj(witness[0]), elem_from_obj(witness[1])),
-        worst_id_closeness=_opt(fraction_from_obj, obj.get("worst_id_closeness")),
-        id_witness=_opt(elem_from_obj, obj.get("id_witness")),
-        passed=_bool(obj["passed"]),
-        elements_checked=_int(obj["elements_checked"]),
-        pairs_checked=_int(obj["pairs_checked"]),
-    )
-    if rep.passed != approxmod._passes(
-            rep.worst_hom_defect, rep.worst_id_closeness, rep.delta):
-        raise ValueError(
-            f"passed={rep.passed} disagrees with worst_hom_defect, "
-            "worst_id_closeness and delta")
-    return rep
-
-
-def poly_result_to_obj(res: approxmod.PolyConditionResult) -> dict:
-    return _fields(res)
-
-
-def heis_fixed_to_obj(rep: approxmod.HeisFixedReport) -> dict:
     return _fields(rep)
 
 
@@ -336,16 +241,6 @@ def heis_fixed_to_obj(rep: approxmod.HeisFixedReport) -> dict:
 
 def action_table_to_obj(act: higmod.ActionTable) -> dict:
     return _fields(act)
-
-
-def action_table_from_obj(obj: dict) -> higmod.ActionTable:
-    act = higmod.make_action(_int(obj["p"]), obj["f_table"], obj["lambda_table"])
-    stored = obj.get("perms")
-    if stored is not None:
-        for name, images in stored.items():
-            if perm_from_obj(images) != act.perms[name]:
-                raise ValueError(f"stored perm {name!r} disagrees with tables")
-    return act
 
 
 def relation_report_to_obj(rep: higmod.RelationReport) -> dict:

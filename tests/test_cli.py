@@ -69,15 +69,58 @@ class TestExitCodes:
         assert "error:" in err
 
     @pytest.mark.parametrize("target", ["missing", "directory"])
-    def test_unwritable_out_is_2(self, tmp_path, capsys, target):
-        # the command runs, then its record cannot be written
+    def test_unwritable_out_is_2(self, tmp_path, capsys, monkeypatch,
+                                 target):
+        # refused before the command runs, in open's own words
+        calls = []
+        monkeypatch.setitem(cli._COMMANDS, "count-orders", calls.append)
         out_path = tmp_path / ("no/such/dir/x.json" if target == "missing"
                                else "")
         code, out, err = invoke(capsys, ["count-orders", "--n", "8", "--k",
                                          "4", "--out", str(out_path)])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        with pytest.raises(OSError) as opened:
+            open(out_path, "w")
+        assert err == f"error: {opened.value}\n"
+        assert calls == []
+
+    def test_failing_run_leaves_an_existing_out_file(self, tmp_path, capsys):
+        path = tmp_path / "rec.json"
+        path.write_text("kept\n")
+        code, _, _ = invoke(capsys, ["verify", "--spec",
+                                     str(tmp_path / "missing.json"), "--ball",
+                                     "1", "--delta", "1/10", "--out",
+                                     str(path)])
+        assert code == 2
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("payload", [[1, 0, 2], {"n": 11}])
+    def test_spec_file_that_is_not_a_spec_is_2(self, tmp_path, capsys,
+                                               payload):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = invoke(capsys, ["verify", "--spec", str(path),
+                                         "--ball", "1", "--delta", "1/10"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: a spec record must be a JSON object with "
+                       "'family' and 'n'\n")
+
+    def test_pairs_file_without_pairs_is_2(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "13",
+                         "--p", "1", "--q", "5")
+        perm = tmp_path / "f.json"
+        perm.write_text(json.dumps([(5 * x) % 13 for x in range(13)]))
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([[["a", 1]]]))
+        code, out, err = invoke(capsys, ["defect", "--spec", spec,
+                                         "--perm", str(perm),
+                                         "--pairs", str(pairs)])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --pairs must be a JSON list of [word, word] "
+                       "pairs\n")
 
     def test_workers_flag_is_gone(self, capsys):
         code, _, _ = invoke(capsys, ["count-orders", "--n", "4", "--k", "4",
