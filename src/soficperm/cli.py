@@ -117,10 +117,13 @@ def _load_spec(path: str) -> approxmod.ApproxSpec:
 def _load_perm(path: str) -> permmod.Perm:
     obj = _read_json(path)
     if isinstance(obj, dict):
-        for key in ("perm", "f"):
-            if key in obj:
-                obj = obj[key]
-                break
+        if "perm" in obj:
+            obj = obj["perm"]
+        elif "f" in obj:
+            obj = obj["f"]
+        else:
+            raise ValueError(f"{path}: a permutation object needs a 'perm' "
+                             "or an 'f' key")
     return ser.perm_from_obj(obj)
 
 

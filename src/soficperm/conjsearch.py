@@ -266,6 +266,17 @@ def _multiplicative_start(prob: ConjProblem) -> Optional[Perm]:
         multiplication_perm(prob.n, l), prob.k)
 
 
+# _climb scans ahead once this many non-empty proposals have lost score
+# since the last event and they are over half of the proposals since.  The
+# scalar loop spends about 1 us on such a proposal and 0.25 us on an empty
+# one; a scan about 0.25 us per proposal plus some 100 us per block
+_SCAN_AFTER = 128
+# 32-bit words drawn per scan block, the first block's doubled up to the
+# last; 2048 words hold 512 to 1024 proposals, and a scan's temporaries
+# peak near 0.3 MB
+_SCAN_BLOCKS = (256, 2048)
+
+
 def _climb(prob: ConjProblem, f_list: list[int], iters: int,
            rng: random.Random) -> tuple[list[int], int]:
     """In-place hill climb; returns (f, score).
@@ -282,6 +293,14 @@ def _climb(prob: ConjProblem, f_list: list[int], iters: int,
     most eight points, and the delta is summed over them.  A move is taken
     when it gains, and a sideways move (delta 0) when
     ``rng.random() < 0.25``, the only other draw.
+
+    An event is a non-empty proposal that does not lose score, the only
+    kind that can move f or draw ``rng.random()``.  Once ``_SCAN_AFTER``
+    non-empty proposals since the last event have lost score, and they are
+    over half of the proposals since, :func:`_scan_ahead` skips every
+    proposal up to the next event, drawing the same words, and this loop
+    decides that one.  So the scan changes no f, score or generator state,
+    only the time.
     """
     n = prob.n
     alpha = prob.alpha.images.tolist()
@@ -297,50 +316,152 @@ def _climb(prob: ConjProblem, f_list: list[int], iters: int,
 
     getrandbits = rng.getrandbits
     width = n.bit_length()
-    for _ in range(iters):
-        i = getrandbits(width)
-        while i >= n:
+    scan_after = _SCAN_AFTER
+    quiet = 0  # non-empty proposals that lost score since the last event
+    last = 0  # the iteration of the last event
+    tables = None  # the scan's arrays, None until a scan and after a move
+    start = 0
+    while True:
+        if quiet >= scan_after and start < iters:
+            if tables is None:
+                F = np.asarray(f)
+                A = prob.alpha.images
+                B = prob.beta.images
+                tables = (F, np.asarray(finv), (F[A] == B[F]).view(np.int8),
+                          A, np.argsort(A), B)
+            start += _scan_ahead(tables, rng, width, iters - start)
+        for start in range(start, iters):
             i = getrandbits(width)
-        j = getrandbits(width)
-        while j >= n:
+            while i >= n:
+                i = getrandbits(width)
             j = getrandbits(width)
-        if i == j:
-            continue
-        fi = f[i]
-        fj = f[j]
-        changed = {}
-        v = j if fj == i else i if fj == j else fj  # f'(i) = t(f(j))
-        if v != fi:
-            changed[i] = v
-        v = j if fi == i else i if fi == j else fi  # f'(j) = t(f(i))
-        if v != fj:
-            changed[j] = v
-        y = finv[i]  # f'(y) = t(i) = j off {i, j}; likewise for f^-1(j)
-        if y != i and y != j:
-            changed[y] = j
-        y = finv[j]
-        if y != i and y != j:
-            changed[y] = i
-        if not changed:
-            continue
-        get = changed.get
-        affected = list(changed)
-        for d in changed:
-            x = ainv[d]
-            if x not in changed:
-                affected.append(x)
-        delta = 0
-        for x in affected:
-            ax = alpha[x]
-            fx = f[x]
-            fax = f[ax]
-            delta += (get(ax, fax) == beta[get(x, fx)]) - (fax == beta[fx])
-        if delta > 0 or (delta == 0 and rng.random() < 0.25):
-            for y, v in changed.items():
-                f[y] = v
-                finv[v] = y
-            score += delta
-    return f, score
+            while j >= n:
+                j = getrandbits(width)
+            if i == j:
+                continue
+            fi = f[i]
+            fj = f[j]
+            changed = {}
+            v = j if fj == i else i if fj == j else fj  # f'(i) = t(f(j))
+            if v != fi:
+                changed[i] = v
+            v = j if fi == i else i if fi == j else fi  # f'(j) = t(f(i))
+            if v != fj:
+                changed[j] = v
+            y = finv[i]  # f'(y) = t(i) = j off {i, j}; likewise for f^-1(j)
+            if y != i and y != j:
+                changed[y] = j
+            y = finv[j]
+            if y != i and y != j:
+                changed[y] = i
+            if not changed:
+                continue
+            get = changed.get
+            affected = list(changed)
+            for d in changed:
+                x = ainv[d]
+                if x not in changed:
+                    affected.append(x)
+            delta = 0
+            for x in affected:
+                ax = alpha[x]
+                fx = f[x]
+                fax = f[ax]
+                delta += (get(ax, fax) == beta[get(x, fx)]) - (fax == beta[fx])
+            if delta < 0:
+                quiet += 1
+                if quiet >= scan_after and 2 * quiet > start - last:
+                    break
+                continue
+            quiet = 0
+            last = start
+            if delta > 0 or rng.random() < 0.25:
+                for y, v in changed.items():
+                    f[y] = v
+                    finv[v] = y
+                score += delta
+                tables = None
+        else:
+            return f, score
+        start += 1
+
+
+def _scan_ahead(tables, rng: random.Random, width: int, budget: int) -> int:
+    """Skip the proposals before the next event, at most ``budget``;
+    returns how many were skipped.
+
+    An event is a proposal with i != j, t f t != f and delta >= 0.  Every
+    other proposal draws i and j and nothing else, so the proposals before
+    the first event are consecutive pairs of the draws below n in the
+    stream of 32-bit words, each draw the top ``width`` bits of its word.
+    Blocks of words are drawn as one ``getrandbits(32 * words)`` each, whose
+    value holds the words little-endian, the first drawn lowest.  A block's
+    proposals are scored at once on the points :func:`_climb` scores: i, j,
+    f^-1(i) and f^-1(j) off {i, j}, and the alpha-preimages of these four
+    that are none of them.  Then the generator is put back and advanced
+    past exactly the words the skipped proposals drew, so its state is the
+    one the scalar loop reaches.  Blocks double from ``_SCAN_BLOCKS[0]``
+    words to ``_SCAN_BLOCKS[1]`` while no event turns up.
+    """
+    F, finv, ok, alpha, ainv, beta = tables
+    n = len(F)
+    shift = np.uint32(32 - width)
+    state = rng.getstate()
+    block, largest = _SCAN_BLOCKS
+    skipped = 0
+    used = 0  # words drawn by the skipped proposals
+    base = 0  # words drawn before this block
+    pos = vals = np.empty(0, dtype=np.intp)  # word and value of unpaired draws
+    while skipped < budget:
+        draws = (np.frombuffer(
+            rng.getrandbits(32 * block).to_bytes(4 * block, "little"),
+            dtype="<u4") >> shift).astype(np.intp)
+        hit = np.flatnonzero(draws < n)
+        pos = np.concatenate([pos, hit + base])
+        vals = np.concatenate([vals, draws[hit]])
+        base += block
+        m = min(len(pos) // 2, budget - skipped)
+        IJ = vals[:2 * m].reshape(m, 2).T.copy()  # rows i and j
+        I, J = IJ
+        K = I ^ J
+
+        def t(y):  # the transposition (i j), column by column
+            swap = y == I
+            swap |= y == J
+            swap = K * swap
+            swap ^= y
+            return swap
+
+        Y = finv[IJ]  # f^-1(i), f^-1(j)
+        off = (Y != I) & (Y != J)  # t f t moves f^-1(i) (f^-1(j)) if so
+        C = np.concatenate([IJ, Y])
+        new = np.concatenate([t(F[IJ])[::-1], IJ[::-1]])  # t f t on C
+        R = ainv[C]
+        # t f t at alpha(C); at alpha(R) = C it is new, and at R it is f,
+        # since a point of R that t f t moves is in C and not scored twice
+        dC = (t(F[t(alpha[C])]) == beta[new]).view(np.int8) - ok[C]
+        dR = (new == beta[F[R]]).view(np.int8) - ok[R]
+        C[2:][~off] = -1
+        dR[(R[:, None] == C).any(1)] = 0
+        dC[2:] *= off
+        dR[2:] *= off
+        delta = dC.sum(0) + dR.sum(0)
+        hits = np.flatnonzero((delta >= 0) & (off[0] | off[1]) & (I != J))
+        first = int(hits[0]) if len(hits) else m
+        if first:
+            used = int(pos[2 * first - 1]) + 1
+        skipped += first
+        if first < m:
+            break
+        pos = pos[2 * m:]
+        vals = vals[2 * m:]
+        block = min(2 * block, largest)
+    rng.setstate(state)
+    while used:  # a block at a time, as one draw of all would build a big int
+        words = min(used, largest)
+        rng.getrandbits(32 * words)
+        used -= words
+    return skipped
 
 
 def local_search(

@@ -160,7 +160,18 @@ def genword_to_obj(w: GenWord) -> list:
 
 
 def genword_from_obj(obj) -> GenWord:
-    return GenWord(tuple((str(g), _int(e)) for g, e in obj))
+    """A word from its list of ``[gen, exp]`` letters; a word or a letter
+    of another shape is refused by name."""
+    if not isinstance(obj, list):
+        raise ValueError("a word must be a list of [gen, exp] letters, "
+                         f"got {obj!r}")
+    letters = []
+    for letter in obj:
+        if not isinstance(letter, list) or len(letter) != 2:
+            raise ValueError("a letter must be a [gen, exp] pair, "
+                             f"got {letter!r}")
+        letters.append((str(letter[0]), _int(letter[1])))
+    return GenWord(tuple(letters))
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,42 @@ class TestExitCodes:
         assert err == ("error: --pairs must be a JSON list of [word, word] "
                        "pairs\n")
 
+    @pytest.mark.parametrize("raw,bad", [
+        ([["ab", [["a", 1]]]], "a word must be a list of [gen, exp] letters, "
+                               "got 'ab'"),
+        ([[[["a", 1]], {"a": 1}]], "a word must be a list of [gen, exp] "
+                                   "letters, got {'a': 1}"),
+        ([[[["a", 1, 2]], []]], "a letter must be a [gen, exp] pair, "
+                                "got ['a', 1, 2]"),
+        ([[[["a", 1]], [["b"]]]], "a letter must be a [gen, exp] pair, "
+                                  "got ['b']"),
+        ([[["a", 1], [["b", 1]]]], "a letter must be a [gen, exp] pair, "
+                                   "got 'a'"),
+    ])
+    def test_pairs_with_a_bad_letter_are_2(self, tmp_path, capsys, raw, bad):
+        spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "13",
+                         "--p", "1", "--q", "5")
+        perm = tmp_path / "f.json"
+        perm.write_text(json.dumps([(5 * x) % 13 for x in range(13)]))
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps(raw))
+        code, out, err = invoke(capsys, ["defect", "--spec", spec,
+                                         "--perm", str(perm),
+                                         "--pairs", str(pairs)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}\n"
+
+    def test_perm_object_without_a_perm_key_is_2(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text('{"x": 1}')
+        code, out, err = invoke(capsys, ["amplify", "--perm", str(path),
+                                         "--target-n", "4"])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {path}: a permutation object needs a 'perm' "
+                       "or an 'f' key\n")
+
     def test_workers_flag_is_gone(self, capsys):
         code, _, _ = invoke(capsys, ["count-orders", "--n", "4", "--k", "4",
                                      "--workers", "1"])

@@ -296,6 +296,189 @@ def test_climb_matches_reference_from_any_start(k):
         assert got == want
 
 
+# ---------------------------------------------------------------------------
+# the climb's scan-ahead: the same draws, f, score and generator state
+# ---------------------------------------------------------------------------
+
+# _SCAN_AFTER values: scan from the first iteration, as shipped, never
+TRIGGERS = {"always": 0, "default": cj._SCAN_AFTER, "never": math.inf}
+
+
+def _reference_climb(prob, start, iters, seed):
+    rng = random.Random(seed)
+    f, score = climb_reference(prob, list(start), iters, rng)
+    return f, score, rng.getstate()
+
+
+def _scanned_climb(monkeypatch, prob, start, iters, seed, scan_after,
+                   blocks=None):
+    """_climb's (f, score, generator state), and per scan the generator
+    state it started from, the proposals it skipped and its budget."""
+    scans = []
+    scan = cj._scan_ahead
+
+    def recorded(tables, rng, width, budget):
+        state = rng.getstate()
+        skipped = scan(tables, rng, width, budget)
+        scans.append((state, skipped, budget))
+        return skipped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cj, "_scan_ahead", recorded)
+        patch.setattr(cj, "_SCAN_AFTER", scan_after)
+        if blocks is not None:
+            patch.setattr(cj, "_SCAN_BLOCKS", blocks)
+        rng = random.Random(seed)
+        f, score = cj._climb(prob, list(start), iters, rng)
+    return (f, score, rng.getstate()), scans
+
+
+def _climb_three_ways(monkeypatch, prob, start, iters, seed):
+    """Each trigger against the reference; returns the scans per trigger."""
+    want = _reference_climb(prob, start, iters, seed)
+    scans = {}
+    for name, scan_after in TRIGGERS.items():
+        got, scans[name] = _scanned_climb(monkeypatch, prob, start, iters,
+                                          seed, scan_after)
+        assert got == want, name
+    # a zero trigger scans before the first iteration, an infinite one never
+    assert len(scans["always"]) >= (iters > 0)
+    assert scans["never"] == []
+    return scans
+
+
+def _start(prob, how, seed=0):
+    if how == "exact":
+        return cj._multiplicative_start(prob).images.tolist()
+    if how == "greedy":
+        return cj._greedy_chain_start(prob).images.tolist()
+    return permmod._sample_order_k_rng(prob.n, prob.k,
+                                       random.Random(seed)).images.tolist()
+
+
+@pytest.mark.parametrize("n", [100, 400, 800])
+def test_scan_skips_an_exact_start(monkeypatch, n):
+    # 7^4 = 1 mod n: x -> 7x is exact, and every proposal loses score
+    prob = cj.translation_problem(n, 1, 7, 4)
+    start = _start(prob, "exact")
+    assert _reference_climb(prob, start, 10 * n, 1)[:2] == (start, n)
+    scans = _climb_three_ways(monkeypatch, prob, start, 10 * n, seed=1)
+    # the default trigger fires once, and that scan runs out the budget
+    [(_, skipped, budget)] = scans["default"]
+    assert skipped == budget
+
+
+def test_scan_stays_off_an_empty_dominated_climb(monkeypatch):
+    # the search-suite's local:mult:n80:u3, restart 1: most proposals leave
+    # f as it is, which the scalar loop settles as fast as a scan would
+    prob = cj.multiplication_problem(80, 3, 4)
+    scans = _climb_three_ways(monkeypatch, prob, _start(prob, "greedy"),
+                              100 * 80, seed=(1 << 32) + 1)
+    assert scans["default"] == []
+
+
+def test_scan_stays_off_an_obstructed_translation(monkeypatch):
+    # n = 1000 does not divide 7^4 - 1: about every third proposal is an
+    # event, so no run of lost proposals grows long enough to scan
+    prob = cj.translation_problem(1000, 1, 7, 4)
+    scans = _climb_three_ways(monkeypatch, prob, _start(prob, "exact"),
+                              3000, seed=1 << 32)
+    assert scans["default"] == []
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_scan_from_sampled_starts(monkeypatch, k):
+    prob = climb_problem("bs", 40, k)
+    for r in range(3):
+        _climb_three_ways(monkeypatch, prob, _start(prob, "sampled", r),
+                          3000, seed=r)
+
+
+@pytest.mark.parametrize("kind", ["trans", "mult", "z2"])
+@pytest.mark.parametrize("n", [1, 2, 64, 65])
+def test_scan_at_the_edge_sizes(monkeypatch, kind, n):
+    # n = 1 and 2 never leave f; n = 64 and 65 draw 7 bits and redraw about
+    # half of their words
+    prob = climb_problem(kind, n, 4)
+    for how, seed in (("greedy", 1), ("sampled", 2)):
+        _climb_three_ways(monkeypatch, prob, _start(prob, how, seed),
+                          40 * n, seed=seed)
+
+
+def _block_pairs(state, n, blocks):
+    """How many proposals are complete at the end of each of the first 64
+    blocks of a scan that starts from generator state ``state``."""
+    rng = random.Random()
+    rng.setstate(state)
+    width = n.bit_length()
+    block, largest = blocks
+    valid = 0
+    ends = []
+    for _ in range(64):
+        word = rng.getrandbits(32 * block)
+        valid += sum((word >> (32 * w + 32 - width)) & ((1 << width) - 1) < n
+                     for w in range(block))
+        ends.append(valid // 2)
+        block = min(2 * block, largest)
+    return ends
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 3), (4, 4)])
+def test_scan_events_that_open_a_block(monkeypatch, blocks):
+    # blocks of a few words: events fall on the first proposal of a later
+    # block, and draws left unpaired at a block's end carry into the next
+    prob = climb_problem("bs", 40, 4)
+    opened = 0
+    for r in range(4):
+        start = _start(prob, "sampled", r)
+        want = _reference_climb(prob, start, 1500, r)
+        got, scans = _scanned_climb(monkeypatch, prob, start, 1500, r, 0,
+                                    blocks)
+        assert got == want
+        for state, skipped, budget in scans:
+            if 0 < skipped < budget:
+                opened += skipped in _block_pairs(state, prob.n, blocks)
+    assert opened > 0
+
+
+def test_scan_event_as_the_first_proposal(monkeypatch):
+    # from a sampled start many proposals gain, so many scans stop at once
+    prob = climb_problem("bs", 40, 4)
+    start = _start(prob, "sampled", 5)
+    want = _reference_climb(prob, start, 500, 5)
+    got, scans = _scanned_climb(monkeypatch, prob, start, 500, 5, 0)
+    assert got == want
+    assert any(skipped == 0 for _, skipped, _ in scans)
+
+
+@pytest.mark.parametrize("iters", [1, 2, 37, 64, 333, 1001])
+def test_scan_budget_ends_inside_a_block(monkeypatch, iters):
+    # an exact start has no event: the scan stops where the budget does,
+    # in the first block (about 100 proposals at n = 100) or a later one
+    prob = cj.translation_problem(100, 1, 7, 4)
+    start = _start(prob, "exact")
+    want = _reference_climb(prob, start, iters, 3)
+    got, scans = _scanned_climb(monkeypatch, prob, start, iters, 3, 0)
+    assert got == want
+    assert [(skipped, budget) for _, skipped, budget in scans] == [
+        (iters, iters)]
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 64, 1000])
+def test_getrandbits_words_are_little_endian(words):
+    # the scan reads getrandbits(32 * words) as that many getrandbits(32)
+    # draws, the first in the lowest bits, and a draw of width w <= 32 as
+    # the top w bits of one word
+    big, small, narrow = (random.Random(words) for _ in range(3))
+    value = big.getrandbits(32 * words)
+    drawn = [small.getrandbits(32) for _ in range(words)]
+    assert [(value >> (32 * w)) & 0xFFFFFFFF for w in range(words)] == drawn
+    assert big.getstate() == small.getstate()
+    widths = [1 + (7 * w) % 32 for w in range(words)]
+    assert [narrow.getrandbits(width) for width in widths] == [
+        word >> (32 - width) for word, width in zip(drawn, widths)]
+
+
 def _full_rescoring_best_swap(tau, rho1, rho2, obj):
     """The reference step: rescore every swap from scratch, keep the first
     strict minimum below obj."""

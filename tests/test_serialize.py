@@ -167,6 +167,20 @@ class TestStrictIntegers:
             decode(obj)
 
 
+@pytest.mark.parametrize("obj,bad", [
+    ("ab", "a word must be a list of [gen, exp] letters, got 'ab'"),
+    ({"a": 1}, "a word must be a list of [gen, exp] letters, got {'a': 1}"),
+    (["a", 1], "a letter must be a [gen, exp] pair, got 'a'"),
+    ([["a", 1, 2]], "a letter must be a [gen, exp] pair, got ['a', 1, 2]"),
+    ([["a", 1], ["b"]], "a letter must be a [gen, exp] pair, got ['b']"),
+    ([{"a": 1}], "a letter must be a [gen, exp] pair, got {'a': 1}"),
+])
+def test_genword_refuses_a_bad_letter_by_name(obj, bad):
+    with pytest.raises(ValueError) as info:
+        ser.genword_from_obj(obj)
+    assert str(info.value) == bad
+
+
 class TestReports:
     def test_verify_report(self):
         spec = ap.make_approx("z2", 10, p=2, q=3)
