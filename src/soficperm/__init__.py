@@ -10,83 +10,13 @@ an independence estimate predicts about constrained ones).
 
 Everything numerical is exact: distances are fractions, counts are big
 integers; floats appear only in the 200-bit log estimates.
+
+The names of ``__all__`` are loaded on first use (PEP 562), each from the
+submodule in :data:`_EXPORTS`, so importing one submodule, as the command
+line does, loads only what that submodule imports.
 """
 
-from .approx import (
-    ApproxSpec,
-    HeisFixedReport,
-    PolyConditionResult,
-    VerifyReport,
-    amplify_spec,
-    check_poly_condition,
-    heis_fixed_bound,
-    make_approx,
-    to_fraction,
-    verify,
-)
-from .approx import eval as eval_spec
-from .conjsearch import (
-    AlignmentReport,
-    ConjProblem,
-    SearchReport,
-    agreement,
-    align,
-    brute_force,
-    exact_multiplicative,
-    exact_search,
-    higman_defect,
-    local_search,
-    multiplication_problem,
-    problem_from_spec,
-    psi_f_eval,
-    translation_problem,
-)
-from .groups import (
-    FAMILIES,
-    BSElem,
-    Ball,
-    FreeWord,
-    GenWord,
-    HeisElem,
-    WreathElem,
-    Z2Elem,
-    ball,
-    eval_word,
-    generator,
-    genword,
-    identity,
-    is_trivial,
-    mul,
-)
-from .heuristic import HeuristicReport, heuristic_report
-from .higman import (
-    ActionTable,
-    HigPresentation,
-    RelationReport,
-    hig_presentation,
-    injectivity_probe,
-    make_action,
-    mubar,
-    random_tables,
-    verify_action,
-)
-from .perm import (
-    CycleDecomposition,
-    Perm,
-    amplify,
-    compose,
-    conjugate,
-    count_order_dividing,
-    cycle_decomposition,
-    hamming,
-    hamming_count,
-    inverse,
-    order_divides,
-    order_of,
-    power,
-    project_to_order,
-    sample_order_k,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -117,3 +47,46 @@ __all__ = [
     # counting estimates
     "HeuristicReport", "heuristic_report",
 ]
+
+# the submodule that defines each name of __all__ after __version__, in
+# the order of __all__; eval_spec is approx.eval
+_EXPORTS = {
+    "perm": (
+        "Perm", "CycleDecomposition", "compose", "conjugate", "inverse",
+        "power", "hamming", "hamming_count", "cycle_decomposition",
+        "order_of", "order_divides", "project_to_order", "amplify",
+        "count_order_dividing", "sample_order_k"),
+    "groups": (
+        "FAMILIES", "GenWord", "Z2Elem", "HeisElem", "BSElem", "WreathElem",
+        "FreeWord", "Ball", "genword", "identity", "generator", "mul",
+        "eval_word", "is_trivial", "ball"),
+    "approx": (
+        "ApproxSpec", "VerifyReport", "PolyConditionResult",
+        "HeisFixedReport", "make_approx", "eval_spec", "amplify_spec",
+        "verify", "check_poly_condition", "heis_fixed_bound", "to_fraction"),
+    "conjsearch": (
+        "ConjProblem", "SearchReport", "AlignmentReport",
+        "translation_problem", "multiplication_problem", "problem_from_spec",
+        "agreement", "exact_multiplicative", "exact_search", "brute_force",
+        "local_search", "psi_f_eval", "higman_defect", "align"),
+    "higman": (
+        "HigPresentation", "ActionTable", "RelationReport",
+        "hig_presentation", "mubar", "make_action", "verify_action",
+        "injectivity_probe", "random_tables"),
+    "heuristic": ("HeuristicReport", "heuristic_report"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__),
+                    "eval" if name == "eval_spec" else name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

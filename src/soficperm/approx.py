@@ -74,13 +74,18 @@ __all__ = [
 
 def to_fraction(x) -> Fraction:
     """Exact tolerance parsing: Fraction, int, and decimal strings pass
-    through exactly; floats go through their shortest repr."""
+    through exactly; floats go through their shortest repr.  A string with
+    a zero denominator is a ``ValueError`` naming it, as any other string
+    Fraction refuses is."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         return Fraction(str(x))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

@@ -20,6 +20,17 @@ Output contract
   (a verification that does not pass, an exact search with no solution, a
   relation check that fails), 2 on bad flags, malformed input files or
   sizes over a limit of :mod:`soficperm.limits`.
+
+Start-up cost
+-------------
+* When argv names a subcommand, :func:`run` builds that subcommand's
+  parser alone (see :func:`_parse`), and the full parser of
+  :func:`_build_parser` only for any other argv or for arguments left
+  over; usage, ``--help`` and error text are the same either way.
+* ``import soficperm.cli`` loads ``perm``, ``groups``, ``limits`` and
+  ``serialize``.  Each subcommand imports the rest of what it runs
+  (``approx``, ``conjsearch``, ``higman``, ``heuristic``) in its handler,
+  so ``count-orders`` loads none of them.
 """
 
 from __future__ import annotations
@@ -33,16 +44,16 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import approx as approxmod
-from . import conjsearch as conjmod
 from . import groups as groupsmod
-from . import heuristic as heurmod
-from . import higman as higmod
 from . import limits
 from . import perm as permmod
 from . import serialize as ser
+
+if TYPE_CHECKING:
+    from .approx import ApproxSpec
+    from .conjsearch import ConjProblem
 
 __all__ = ["run", "main", "SCHEMA_VERSION"]
 
@@ -110,7 +121,7 @@ def _read_json(path: str):
     return obj
 
 
-def _load_spec(path: str) -> approxmod.ApproxSpec:
+def _load_spec(path: str) -> ApproxSpec:
     return ser.spec_from_obj(_read_json(path))
 
 
@@ -275,12 +286,14 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of command alone.  Every
-    subcommand is registered with its help line, so usage, --help and
-    every error message read the same either way; only command's subparser
-    (each one's when command is None) gets its flags and epilog, which is
-    most of the cost of a build."""
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for flag, keywords in _COMMON_FLAGS + flags:
+        parser.add_argument(flag, **keywords)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, each registered with its help line,
+    epilog and flags."""
     parser = argparse.ArgumentParser(
         prog="soficperm",
         description="Permutation models of five groups: build, verify, "
@@ -288,18 +301,36 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, epilog, flags) in _SUBCOMMANDS.items():
-        if command not in (None, name):
-            sub.add_parser(name, help=help_line, add_help=False)
-            continue
-        p = sub.add_parser(name, help=help_line, epilog=epilog)
-        for flag, keywords in _COMMON_FLAGS + flags:
-            p.add_argument(flag, **keywords)
+        _add_flags(sub.add_parser(name, help=help_line, epilog=epilog), flags)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace, or the SystemExit of --help or of an error.
+
+    The full parser hands everything after a subcommand's name to that
+    subcommand's parser, whose prog is ``soficperm <name>``.  So when
+    argv[0] names a subcommand, that parser alone, built the same way, is
+    the one that parses: usage, --help and errors read the same, and the
+    namespace is the same.  Only arguments it leaves over, which the full
+    parser refuses in its own name, are parsed again by the full parser.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        _, epilog, flags = _SUBCOMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"soficperm {argv[0]}",
+                                         epilog=epilog)
+        _add_flags(parser, flags)
+        ns, extras = parser.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return ns
+    return _build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns (result_obj, csv_rows), a row being the
-# raw values of _COLUMNS in order; _emit renders them as cells for CSV only
+# raw values of _COLUMNS in order; _emit renders them as cells for CSV only.
+# Each imports the modules of its own command, so a run loads no other.
 # ---------------------------------------------------------------------------
 
 def _cmd_count_orders(ns):
@@ -308,6 +339,7 @@ def _cmd_count_orders(ns):
 
 
 def _cmd_make_approx(ns):
+    from . import approx as approxmod
     spec = approxmod.make_approx(ns.group, ns.n, p=ns.p, q=ns.q, m=ns.m)
     # refused as before although a record above SPEC_TABLE_POINTS builds no
     # table: its spec could not be tabled anywhere else either
@@ -318,6 +350,7 @@ def _cmd_make_approx(ns):
 
 
 def _cmd_verify(ns):
+    from . import approx as approxmod
     spec = _load_spec(ns.spec)
     delta = approxmod.to_fraction(ns.delta)
     S = groupsmod.ball(spec.family, ns.ball, m=spec.m)
@@ -329,7 +362,9 @@ def _cmd_verify(ns):
     return result, rows
 
 
-def _search_problem(ns) -> conjmod.ConjProblem:
+def _search_problem(ns) -> ConjProblem:
+    from . import approx as approxmod
+    from . import conjsearch as conjmod
     sources = [ns.spec is not None,
                ns.alpha is not None or ns.beta is not None,
                ns.group is not None]
@@ -352,12 +387,18 @@ def _search_problem(ns) -> conjmod.ConjProblem:
 
 
 def _search_kwargs(ns) -> dict[str, Any]:
-    """The seed, plus --iters and --restarts where given (else defaults)."""
+    """The seed, plus --iters and --restarts where given (else defaults);
+    a budget out of range is refused here, before any input is built."""
+    from . import conjsearch as conjmod
+    conjmod._check_budget(ns.iters, ns.restarts)
     given = {"iters": ns.iters, "restarts": ns.restarts}
     return {"seed": ns.seed, **{k: v for k, v in given.items() if v is not None}}
 
 
 def _cmd_search(ns):
+    from . import conjsearch as conjmod
+    # exact and brute take no budget, so only a local search checks one
+    kwargs = _search_kwargs(ns) if ns.algo == "local" else None
     prob = _search_problem(ns)
     if ns.algo == "exact":
         report = conjmod.exact_search(prob)
@@ -366,12 +407,13 @@ def _cmd_search(ns):
     elif ns.algo == "brute":
         report = conjmod.brute_force(prob)
     else:
-        report = conjmod.local_search(prob, **_search_kwargs(ns))
+        report = conjmod.local_search(prob, **kwargs)
     row = _row("search", report, n=report.problem.n, k=report.problem.k)
     return ser.search_report_to_obj(report), [row]
 
 
 def _cmd_defect(ns):
+    from . import conjsearch as conjmod
     spec = _load_spec(ns.spec)
     f = _load_perm(ns.perm)
     raw = _read_json(ns.pairs)
@@ -397,10 +439,12 @@ def _cmd_amplify(ns):
 
 
 def _cmd_align(ns):
+    from . import conjsearch as conjmod
+    kwargs = _search_kwargs(ns)
     spec1 = _load_spec(ns.spec1)
     spec2 = _load_spec(ns.spec2)
     S = groupsmod.ball(spec1.family, ns.ball, m=spec1.m)
-    report = conjmod.align(spec1, spec2, S, **_search_kwargs(ns))
+    report = conjmod.align(spec1, spec2, S, **kwargs)
     result = ser.alignment_report_to_obj(report)
     rows = [[g, d, report.max_distance, report.iterations]
             for g, d in report.per_element]
@@ -408,6 +452,7 @@ def _cmd_align(ns):
 
 
 def _cmd_higman_action(ns):
+    from . import higman as higmod
     if ns.random:
         if ns.f_table or ns.lambda_table:
             raise ValueError("--random excludes explicit table files")
@@ -450,6 +495,7 @@ def _cmd_higman_action(ns):
 
 
 def _cmd_heuristic(ns):
+    from . import heuristic as heurmod
     report = heurmod.heuristic_report(ns.n, ns.k, ns.eps, ns.eps_prime)
     return ser.heuristic_report_to_obj(report), [_row("heuristic", report)]
 
@@ -541,13 +587,8 @@ def run(argv) -> int:
     """Parse argv, run the subcommand, emit one record.  Returns the exit
     code instead of raising SystemExit so the function is callable in-process.
     """
-    argv = list(argv)
-    # a named subcommand's parser alone holds its flags; any other argv
-    # (--help, nothing, an unknown command) gets every subcommand's
-    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS
-                           else None)
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     handler = _COMMANDS[ns.command]

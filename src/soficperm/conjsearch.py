@@ -202,10 +202,13 @@ def brute_force(prob: ConjProblem) -> SearchReport:
 # hill climbing
 # ---------------------------------------------------------------------------
 
-def _check_budget(iters: int, restarts: int) -> None:
-    if iters < 0:
+def _check_budget(iters: Optional[int], restarts: Optional[int]) -> None:
+    """Refuse a budget out of range; None stands for a default, which is in
+    range, so a caller can check the given values before it builds a
+    problem."""
+    if iters is not None and iters < 0:
         raise ValueError("iters must be >= 0")
-    if restarts < 1:
+    if restarts is not None and restarts < 1:
         raise ValueError("restarts must be >= 1")
 
 

@@ -26,12 +26,8 @@ import functools
 import numbers
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import approx as approxmod
-from . import conjsearch as conjmod
-from . import heuristic as heurmod
-from . import higman as higmod
 from .groups import (
     BSElem,
     FreeWord,
@@ -42,6 +38,12 @@ from .groups import (
     family_of,
 )
 from .perm import Perm
+
+if TYPE_CHECKING:
+    from .approx import ApproxSpec, VerifyReport
+    from .conjsearch import AlignmentReport, ConjProblem, SearchReport
+    from .heuristic import HeuristicReport
+    from .higman import ActionTable, RelationReport
 
 __all__ = [
     "fraction_to_obj",
@@ -87,8 +89,6 @@ def _obj(value) -> Any:
         return mpf_to_obj(value)
     if isinstance(value, _ELEMENT_TYPES):
         return elem_to_obj(value)
-    if isinstance(value, conjmod.ConjProblem):
-        return problem_to_obj(value)
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return {name: _obj(v) for name, v in zip(value._fields, value)}
     if isinstance(value, (tuple, list)):
@@ -96,7 +96,7 @@ def _obj(value) -> Any:
     if isinstance(value, dict):
         return {k: _obj(v) for k, v in value.items()}
     if dataclasses.is_dataclass(value):
-        return _fields(value)
+        return problem_to_obj(value) if _is_problem(value) else _fields(value)
     raise TypeError(f"cannot encode {type(value).__name__}: {value!r}")
 
 
@@ -139,7 +139,9 @@ def _is_mpf(value) -> bool:
 
 def mpf_to_obj(x) -> str:
     import mpmath
-    with mpmath.workprec(heurmod.PRECISION_BITS):
+
+    from .heuristic import PRECISION_BITS
+    with mpmath.workprec(PRECISION_BITS):
         return mpmath.nstr(x, MPF_DIGITS)
 
 
@@ -186,7 +188,7 @@ def elem_to_obj(x) -> dict:
 # approximation specs
 # ---------------------------------------------------------------------------
 
-def spec_to_obj(spec: approxmod.ApproxSpec) -> dict:
+def spec_to_obj(spec: ApproxSpec) -> dict:
     out: dict[str, Any] = {"family": spec.family}
     out.update(spec.params())
     if spec.sigma is not None:
@@ -197,9 +199,10 @@ def spec_to_obj(spec: approxmod.ApproxSpec) -> dict:
     return out
 
 
-def spec_from_obj(obj: dict) -> approxmod.ApproxSpec:
+def spec_from_obj(obj: dict) -> ApproxSpec:
     """Rebuild from parameters and relabelling, then insist that the stored
     images, where the record lists them, agree."""
+    from . import approx as approxmod
     if not isinstance(obj, dict) or "family" not in obj or "n" not in obj:
         raise ValueError("a spec record must be a JSON object with "
                          "'family' and 'n'")
@@ -226,15 +229,23 @@ def spec_from_obj(obj: dict) -> approxmod.ApproxSpec:
 # conjugation search
 # ---------------------------------------------------------------------------
 
-def problem_to_obj(prob: conjmod.ConjProblem) -> dict:
-    return {**_fields(prob), "orientation": conjmod.ORIENTATION}
+def _is_problem(value) -> bool:
+    """Whether value is a ConjProblem, without importing conjsearch: no
+    problem exists until something has imported it."""
+    conjmod = sys.modules.get(f"{__package__}.conjsearch")
+    return conjmod is not None and isinstance(value, conjmod.ConjProblem)
 
 
-def search_report_to_obj(rep: conjmod.SearchReport) -> dict:
+def problem_to_obj(prob: ConjProblem) -> dict:
+    from .conjsearch import ORIENTATION
+    return {**_fields(prob), "orientation": ORIENTATION}
+
+
+def search_report_to_obj(rep: SearchReport) -> dict:
     return _fields(rep)
 
 
-def alignment_report_to_obj(rep: conjmod.AlignmentReport) -> dict:
+def alignment_report_to_obj(rep: AlignmentReport) -> dict:
     return _fields(rep)
 
 
@@ -242,7 +253,7 @@ def alignment_report_to_obj(rep: conjmod.AlignmentReport) -> dict:
 # verification
 # ---------------------------------------------------------------------------
 
-def verify_report_to_obj(rep: approxmod.VerifyReport) -> dict:
+def verify_report_to_obj(rep: VerifyReport) -> dict:
     return _fields(rep)
 
 
@@ -250,11 +261,11 @@ def verify_report_to_obj(rep: approxmod.VerifyReport) -> dict:
 # finite actions
 # ---------------------------------------------------------------------------
 
-def action_table_to_obj(act: higmod.ActionTable) -> dict:
+def action_table_to_obj(act: ActionTable) -> dict:
     return _fields(act)
 
 
-def relation_report_to_obj(rep: higmod.RelationReport) -> dict:
+def relation_report_to_obj(rep: RelationReport) -> dict:
     return _fields(rep)
 
 
@@ -262,5 +273,5 @@ def relation_report_to_obj(rep: higmod.RelationReport) -> dict:
 # counting heuristic
 # ---------------------------------------------------------------------------
 
-def heuristic_report_to_obj(rep: heurmod.HeuristicReport) -> dict:
+def heuristic_report_to_obj(rep: HeuristicReport) -> dict:
     return _fields(rep)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, record shape, reproducibility."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -206,6 +207,56 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("command,budget", [
+        ("align", ["--restarts", "-5"]),
+        ("align", ["--iters", "-1"]),
+        ("search", ["--restarts", "0"]),
+    ])
+    def test_search_budget_is_checked_before_any_build(
+            self, tmp_path, capsys, monkeypatch, command, budget):
+        # a ball this deep takes seconds to build; the budget is refused
+        # before the specs are read or the ball or problem is built
+        spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "9",
+                         "--p", "1", "--q", "2")
+        built = []
+        monkeypatch.setattr(groups, "ball", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(cli, "_search_problem", built.append)
+        monkeypatch.setattr(cli, "_load_spec", built.append)
+        if command == "align":
+            argv = ["align", "--spec1", spec, "--spec2", spec,
+                    "--ball", "300"]
+        else:
+            argv = ["search", "--spec", spec, "--k", "4"]
+        code, out, err = invoke(capsys, argv + budget)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert built == []
+
+    @pytest.mark.parametrize("algo", ["exact", "brute"])
+    def test_unused_search_budget_is_not_checked(self, capsys, algo):
+        code, _, _ = invoke(capsys, [
+            "search", "--group", "z2", "--n", "7", "--p", "1", "--q", "5",
+            "--k", "6", "--algo", algo, "--restarts", "-5"])
+        assert code == 0
+
+    @pytest.mark.parametrize("command,rate", [
+        ("verify", ["--delta", "1/0"]),
+        ("heuristic", ["--eps", "1/0"]),
+        ("heuristic", ["--eps-prime", "3/0"]),
+    ])
+    def test_zero_denominator_is_2(self, tmp_path, capsys, command, rate):
+        if command == "verify":
+            spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "10",
+                             "--p", "2", "--q", "3")
+            argv = ["verify", "--spec", spec, "--ball", "2"]
+        else:
+            argv = ["heuristic", "--n", "10", "--k", "4"]
+        code, out, err = invoke(capsys, argv + rate)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: zero denominator in {rate[1]!r}\n"
 
     def test_non_integer_perm_file_is_2(self, tmp_path, capsys):
         path = tmp_path / "perm.json"
@@ -612,8 +663,38 @@ def test_cli_module_runs_as_a_script():
     assert via_cli.stdout == via_package.stdout != ""
 
 
-# flags that parse, per subcommand; none of the files is read, since each
-# case below fails while parsing
+def test_count_orders_loads_only_its_own_modules(tmp_path):
+    # the package, the cli and a count-orders run load none of the modules
+    # of the other commands
+    code = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('soficperm'))\n"
+        "import soficperm\n"
+        "seen = [loaded()]\n"
+        "import soficperm.cli\n"
+        "seen.append(loaded())\n"
+        f"code = soficperm.cli.run(['count-orders', '--n', '8', '--k', '4', "
+        f"'--out', {str(tmp_path / 'c.json')!r}])\n"
+        "seen.append(loaded())\n"
+        "print(json.dumps([code, seen]))\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, (package, imported, ran) = json.loads(proc.stdout)
+    assert exit_code == 0
+    assert package == ["soficperm"]
+    assert imported == ran == [
+        "soficperm", "soficperm.cli", "soficperm.groups", "soficperm.limits",
+        "soficperm.perm", "soficperm.serialize"]
+
+
+# flags that parse, per subcommand; none of the files is read, since the
+# test below replaces every command
 _GOOD_ARGV = {
     "count-orders": ["--n", "8", "--k", "4"],
     "make-approx": ["--group", "z2", "--n", "11"],
@@ -625,40 +706,79 @@ _GOOD_ARGV = {
     "higman-action": ["--p", "3", "--random"],
     "heuristic": ["--n", "8", "--k", "4"],
 }
-_PARSE_CASES = [[], ["--help"], ["no-such-command"]] + [
+_PARSE_CASES = [
+    [], ["--help"], ["-h", "x"], ["no-such-command"], ["--"], ["-x"],
+    ["--bogus", "1"], ["--format", "csv", *_GOOD_ARGV["count-orders"]],
+    ["--", "count-orders", *_GOOD_ARGV["count-orders"]],
+    ["--seed", "1", "count-orders", *_GOOD_ARGV["count-orders"]],
+] + [
     argv for cmd, good in _GOOD_ARGV.items()
-    for argv in ([cmd, "--help"], [cmd], [cmd, "--format", "xml"],
-                 [cmd, *good, "extra"])]
+    for argv in ([cmd, "--help"], [cmd, "-h", "x"], [cmd],
+                 [cmd, "--format", "xml"], [cmd, *good, "extra"],
+                 [cmd, *good, "--seed", "x"], [cmd, *good, "count-orders"],
+                 [cmd, *good, "--"], [cmd, "--", *good],
+                 [cmd, *good, "--fo", "csv"], [cmd, *good, "--format=csv"],
+                 [cmd, *good, "--bogus", "1"], [cmd, *good, "-x"])]
 
 
 def test_parse_cases_cover_every_subcommand():
     assert sorted(_GOOD_ARGV) == sorted(cli._SUBCOMMANDS)
 
 
+def _full_parse(argv):
+    """What the parser of every subcommand does with argv: the items of
+    its namespace, in order, or its exit code; and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = list(vars(cli._build_parser().parse_args(argv)).items())
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
 def test_partial_parser_prints_what_the_full_one_does(monkeypatch, capsys,
                                                       argv):
-    # run() builds only the named subcommand's flags; with every
-    # subcommand's built instead, the exit code and both streams match
-    monkeypatch.setenv("COLUMNS", "80")
-    partial = invoke(capsys, argv)
-    full_parser = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser",
-                        lambda command=None: full_parser())
-    assert invoke(capsys, argv) == partial
-    assert partial[0] in (0, 2) and partial[1] + partial[2] != ""
+    # run() parses a named subcommand with that subcommand's parser alone;
+    # at either width it hands the command the full parser's namespace, in
+    # the same key order, or exits as the full parser does, printing the
+    # same and nothing else
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        name: lambda ns: seen.append(list(vars(ns).items())) or ({}, [])
+        for name in cli._COMMANDS})
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        seen.clear()
+        code, out, err = invoke(capsys, argv)
+        full, full_out, full_err = _full_parse(argv)
+        if isinstance(full, list):
+            assert code == 0 and seen == [full]
+        else:
+            assert (code, out, err) == (0 if full in (0, None) else 2,
+                                        full_out, full_err)
+            assert seen == [] and out + err != ""
 
 
 def test_run_builds_only_the_invoked_subcommands_flags(monkeypatch, capsys):
-    calls = []
+    # one parser, the subcommand's own, with its flags alone
+    built, calls = [], []
+    init = argparse.ArgumentParser.__init__
     add_argument = argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
     def counting(self, *args, **kwargs):
         calls.append((self.prog, args))
         return add_argument(self, *args, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     assert invoke(capsys, ["count-orders", "--n", "8", "--k", "4"])[0] == 0
+    assert built == ["soficperm count-orders"]
     flags = [(prog, args) for prog, args in calls if args != ("-h", "--help")]
     assert flags == [("soficperm count-orders", (flag,))
                      for flag in ("--format", "--seed", "--out", "--n", "--k")]

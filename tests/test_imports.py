@@ -8,9 +8,12 @@ bind names and are skipped.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import soficperm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "soficperm"
 MODULES = sorted(SRC.glob("*.py"))
@@ -60,3 +63,17 @@ def test_check_flags_a_dead_import():
               "def f(x: Optional[int]) -> str:\n"
               "    return js.dumps(x)\n")
     assert unused_imports(source) == ["os (line 2)", "Any (line 4)"]
+
+
+def test_package_exports_every_name_from_its_module():
+    # __all__ is served by the package's __getattr__ from _EXPORTS
+    names = [n for names in soficperm._EXPORTS.values() for n in names]
+    assert soficperm.__all__ == ["__version__", *names]
+    for module, names in soficperm._EXPORTS.items():
+        mod = importlib.import_module(f"soficperm.{module}")
+        for name in names:
+            want = mod.eval if name == "eval_spec" else getattr(mod, name)
+            assert getattr(soficperm, name) is want
+    assert "Perm" in dir(soficperm)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(soficperm, "no_such_name")
