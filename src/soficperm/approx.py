@@ -91,6 +91,16 @@ def to_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _unit_delta(delta) -> Fraction:
+    """``delta`` as an exact rational in (0, 1], or a ``ValueError`` that
+    names it as given: the text 1e400 is five characters, its value 401
+    digits."""
+    value = to_fraction(delta)
+    if not 0 < value <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    return value
+
+
 def _gcd(x, n: int):
     """gcd(x, n) for a Python int or elementwise for an array."""
     return np.gcd(x, n) if isinstance(x, np.ndarray) else math.gcd(x, n)
@@ -412,9 +422,7 @@ def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyRepo
     largest defect (a later block wins only when strictly worse), and
     there is none when the defect is 0.
     """
-    delta = to_fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    delta = _unit_delta(delta)
     elements = sorted(set(S), key=groups.sort_key)
     npoints = spec.npoints
 

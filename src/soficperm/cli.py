@@ -352,7 +352,7 @@ def _cmd_make_approx(ns):
 def _cmd_verify(ns):
     from . import approx as approxmod
     spec = _load_spec(ns.spec)
-    delta = approxmod.to_fraction(ns.delta)
+    delta = approxmod._unit_delta(ns.delta)  # refused before the ball is built
     S = groupsmod.ball(spec.family, ns.ball, m=spec.m)
     report = approxmod.verify(spec, S, delta)
     result = ser.verify_report_to_obj(report)

@@ -22,10 +22,12 @@ search space).
 
 Sampling reads no exact table.  It walks on certified bounds
 lo * 2**e <= a(j) <= hi * 2**e with mantissas of about 128 bits, grown by
-the same recurrence with outward rounding (:func:`_bounds`), and makes
-exactly the RNG calls of ``rng.randrange(a(r))`` on the exact values.
-Each comparison the bounds leave open is settled by the exact table
-(:func:`_below`); at 128 bits that does not happen in practice.
+the same recurrence with outward rounding (:func:`_bounds`; the gap
+products are bounds too, :func:`_gap_bound`).  Each cycle length compares
+a uniform U in [0, 1), read lazily 64 and then 32 bits at a time, with the
+branch sizes over a(r) (:func:`_cycle_length`).  The words it reads depend
+on the exact values alone; a test the bounds leave open is settled by the
+exact table, which at 128 bits does not happen in practice.
 
 The tables of :func:`amplify`, :func:`_counts` and :func:`_bounds` are
 checked against :mod:`soficperm.limits` before they grow (see "Limits" in
@@ -317,22 +319,22 @@ def _order_dividing_bounds(k: int) -> list[_Bound]:
     return [(1, 1, 0)]
 
 
-def _grow(table: list, n: int, k: int, add, scale) -> list:
+def _grow(table: list, n: int, k: int, add, mul, gap) -> list:
     """Extend ``table`` to j = 0..n by the recurrence
     a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d).
 
     The sum is taken in nested form, from the largest d down to d = 1:
     acc = a(j-d) + (j-d)!/(j-d')! * acc, with d' the next larger divisor,
-    so each divisor after the first costs one product.  ``add`` and
-    ``scale`` (integer times entry) give the arithmetic of the entries."""
+    so each divisor after the first costs one product.  ``add``, ``mul``
+    and ``gap`` (the gap product x!/(x-g)!) give the arithmetic of the
+    entries."""
     divisors = _divisors(k, n)
     for j in range(len(table), n + 1):
         top = bisect.bisect_right(divisors, j) - 1
         acc = table[j - divisors[top]]
         for i in range(top - 1, -1, -1):
             d = divisors[i]
-            acc = add(table[j - d],
-                      scale(math.perm(j - d, divisors[i + 1] - d), acc))
+            acc = add(table[j - d], mul(gap(j - d, divisors[i + 1] - d), acc))
         table.append(acc)
     return table
 
@@ -340,10 +342,11 @@ def _grow(table: list, n: int, k: int, add, scale) -> list:
 def _counts(n: int, k: int) -> list[int]:
     """The exact table for k, grown to cover j = 0..n."""
     limits.check("count_table", n)
-    return _grow(_order_dividing_table(k), n, k, operator.add, operator.mul)
+    return _grow(_order_dividing_table(k), n, k, operator.add, operator.mul,
+                 math.perm)
 
 
-# Mantissa width of the bounds: a[j] below 2**_MANTISSA_BITS is held exactly.
+# Mantissa width of the bounds: a value below 2**_MANTISSA_BITS is held exactly.
 _MANTISSA_BITS = 128
 
 
@@ -363,28 +366,66 @@ def _add_bounds(x: _Bound, y: _Bound) -> _Bound:
     return _round_out(x[0] + (y[0] >> s), x[1] - (-y[1] >> s), x[2])
 
 
-def _scale_bound(p: int, x: _Bound) -> _Bound:
-    """A bound on p times a bounded value, p a positive integer."""
-    return _round_out(p * x[0], p * x[1], x[2])
+def _mul_bounds(x: _Bound, y: _Bound) -> _Bound:
+    """A bound on the product of two bounded values."""
+    return _round_out(x[0] * y[0], x[1] * y[1], x[2] + y[2])
+
+
+@lru_cache(maxsize=None)
+def _factorial_bounds(bits: int) -> list[_Bound]:
+    """Bounds on x! for x = 0, 1, ... at a mantissa width of ``bits``; one
+    list per width that :func:`_gap_bound` grows in place."""
+    return [(1, 1, 0)]
+
+
+def _gap_bound(x: int, g: int) -> _Bound:
+    """A bound on the gap product x!/(x-g)!, exact while it is below
+    2**_MANTISSA_BITS.  Past that it is the quotient of the bounds on x!
+    and (x-g)!, so its cost does not grow with the gap g."""
+    if g * x.bit_length() <= _MANTISSA_BITS:  # x**g fits, so the product does
+        p = math.perm(x, g)
+        return p, p, 0
+    fact = _factorial_bounds(_MANTISSA_BITS)
+    for y in range(len(fact), x + 1):
+        fact.append(_mul_bounds((y, y, 0), fact[-1]))
+    (nlo, nhi, ne), (dlo, dhi, de) = fact[x], fact[x - g]
+    if dlo:  # at a narrow width the lower bound on (x-g)! can round to 0
+        s = _MANTISSA_BITS + 1 + dhi.bit_length() - nlo.bit_length()
+        lo, hi, e = (nlo << s) // dhi, -(-(nhi << s) // dlo), ne - de - s
+        if lo.bit_length() + e > _MANTISSA_BITS:  # the product is 2**bits or more
+            return _round_out(lo, hi, e)
+    p = math.perm(x, g)
+    return _round_out(p, p, 0)
 
 
 def _bounds(n: int, k: int) -> list[_Bound]:
     """Bounds on the table for k, grown to cover j = 0..n by the same
     recurrence as :func:`_counts`, rounding outward after every step."""
     limits.check("count_table", n)
-    return _grow(_order_dividing_bounds(k), n, k, _add_bounds, _scale_bound)
+    return _grow(_order_dividing_bounds(k), n, k, _add_bounds, _mul_bounds,
+                 _gap_bound)
 
 
-def _below(u: int, bound: _Bound, exact) -> bool:
-    """u < x for a nonnegative u and an x within ``bound``; ``exact()``
-    gives x itself, called only when the bound leaves the answer open."""
-    lo, hi, e = bound
-    t = u >> e  # u < lo * 2**e iff t < lo; u >= hi * 2**e iff t >= hi
-    if t < lo:
-        return True
-    if t >= hi:
-        return False
-    return u < exact()
+def _side(x: int, m: int, c: _Bound, a: _Bound) -> int | None:
+    """Where the word interval [x, x + 1) / 2**m lies against c / a, for c
+    and a > 0 within their bounds: -1 wholly below, 1 wholly at or above,
+    0 across it; None when the bounds leave that open, which exact values
+    (lo == hi, e == 0) never do."""
+    clo, chi, ce = c
+    alo, ahi, ae = a
+    # x * a against c * 2**m becomes x * alo against clo * 2**s, and so on
+    s = ce + m - ae
+    if s >= 0:
+        clo, chi = clo << s, chi << s
+    else:
+        alo, ahi = alo << -s, ahi << -s
+    if (x + 1) * ahi <= clo:
+        return -1
+    if x * alo >= chi:
+        return 1
+    if x * ahi < clo and (x + 1) * alo > chi:
+        return 0
+    return None
 
 
 def count_order_dividing(n: int, k: int) -> int:
@@ -449,16 +490,7 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
     images = np.empty(n, dtype=np.int64)
     free = list(range(n - 1, -1, -1))  # unplaced points, descending
     while free:
-        r = len(free)
-        # u = rng.randrange(a(r)), written out as the loop CPython runs for
-        # it (Random._randbelow_with_getrandbits), so the bounds decide it
-        lo, hi, e = bounds[r]
-        bits = (hi.bit_length() + e if lo.bit_length() == hi.bit_length()
-                else _counts(r, k)[r].bit_length())
-        u = rng.getrandbits(bits)
-        while not _below(u, bounds[r], lambda: _counts(r, k)[r]):
-            u = rng.getrandbits(bits)
-        chosen = _cycle_length(u, r, k, divisors, bounds)
+        chosen = _cycle_length(len(free), k, divisors, bounds, rng)
         cycle = [free.pop()]
         # ordered (d-1)-tuple of partners, uniform among remaining points;
         # index i in ascending order is -1 - i in the descending list
@@ -468,24 +500,39 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
     return Perm(images, _trusted=True)
 
 
-def _cycle_length(u: int, r: int, k: int, divisors: tuple[int, ...],
-                  bounds: list[_Bound]) -> int:
-    """The first d | k with u below the sum over divisors d' <= d of
-    (r-1)!/(r-d')! * a(r-d'), for 0 <= u < a(r)."""
+def _cycle_length(r: int, k: int, divisors: tuple[int, ...],
+                  bounds: list[_Bound], rng: random.Random) -> int:
+    """The length of the cycle through the smallest of r free points: the
+    first d | k with U < C_d / a(r), where C_d sums (r-1)!/(r-d')! * a(r-d')
+    over the divisors d' <= d and U is uniform in [0, 1).
+
+    U is read lazily as a word x of m bits, U in [x, x + 1) / 2**m: 64 bits
+    for the first test, then 32 more each time the word lies across the
+    threshold C_d / a(r) under test.  So the words read depend on exact
+    values alone; the bounds only settle the tests, and the exact table is
+    read when they cannot.  When d = 1 is the only length that fits, no
+    word is read."""
     last = bisect.bisect_right(divisors, r) - 1
-    acc = (0, 0, 0)
+    if last == 0:
+        return 1
+    x, m = rng.getrandbits(64), 64
+    c = (0, 0, 0)
     for i in range(last):
         d = divisors[i]
-        acc = _add_bounds(acc, _scale_bound(math.perm(r - 1, d - 1), bounds[r - d]))
-        if _below(u, acc, lambda: _branch_sum(r, k, divisors[:i + 1])):
+        c = _add_bounds(c, _mul_bounds(_gap_bound(r - 1, d - 1), bounds[r - d]))
+        while True:
+            side = _side(x, m, c, bounds[r])
+            if side is None:
+                a = _counts(r, k)
+                exact = sum(math.perm(r - 1, e - 1) * a[r - e]
+                            for e in divisors[:i + 1])
+                side = _side(x, m, (exact, exact, 0), (a[r], a[r], 0))
+            if side:
+                break
+            x, m = x << 32 | rng.getrandbits(32), m + 32
+        if side < 0:
             return d
-    return divisors[last]  # the sum over every d <= r is a(r) > u
-
-
-def _branch_sum(r: int, k: int, lengths: tuple[int, ...]) -> int:
-    """The exact sum of (r-1)!/(r-d)! * a(r-d) over d in ``lengths``."""
-    a = _counts(r, k)
-    return sum(math.perm(r - 1, d - 1) * a[r - d] for d in lengths)
+    return divisors[last]  # C_d for the largest d <= r is a(r) > U * a(r)
 
 
 def random_perm(n: int, rng: random.Random) -> Perm:

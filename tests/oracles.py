@@ -96,10 +96,13 @@ def brute_count_order_dividing(n: int, k: int) -> int:
     return sum(1 for f in permutations(range(n)) if order_divides_k(f, k))
 
 
-# The sampler of soficperm.perm as it was before it walked on bounds of the
-# count table: the exact table a(0..n), summed term by term, and
-# rng.randrange(a(r)) for each cycle.  Copied verbatim with its helpers, but
-# for a list of images and a tuple result in place of numpy and Perm.
+# The sampler of soficperm.perm, written straight from the exact table
+# a(0..n), summed term by term.  At each step a uniform U in [0, 1) picks the
+# cycle length: the first d with U < C_d / a(r), C_d the sum of the terms up
+# to d.  U is read as a word x of m bits, U in [x, x + 1) / 2**m: 64 bits
+# first, and 32 more while the word lies across the threshold under test.
+# Its helpers are plain versions of the package's, for a list of images and
+# a tuple result in place of numpy and Perm.
 
 _ORDER_DIVIDING_TABLES: dict[int, list[int]] = {}
 
@@ -140,9 +143,18 @@ def sample_order_k_rng(n: int, k: int, rng) -> tuple:
     free = list(range(n))  # unplaced points, ascending
     while free:
         r = len(free)
-        u = rng.randrange(table[r])
-        cumulative = itertools.accumulate(_cycle_terms(table, r, divisors))
-        chosen = next(d for d, acc in zip(divisors, cumulative) if u < acc)
+        lengths = [d for d in divisors if d <= r]
+        chosen = lengths[-1]
+        if len(lengths) > 1:  # with one length there is nothing to draw
+            a = table[r]
+            x, m = rng.getrandbits(64), 64
+            cumulative = itertools.accumulate(_cycle_terms(table, r, divisors))
+            for d, c in zip(lengths[:-1], cumulative):
+                while x * a < c << m < (x + 1) * a:
+                    x, m = x << 32 | rng.getrandbits(32), m + 32
+                if (x + 1) * a <= c << m:
+                    chosen = d
+                    break
         start = free.pop(0)
         # ordered (d-1)-tuple of partners, uniform among remaining points
         cycle = [start]

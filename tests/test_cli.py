@@ -178,16 +178,21 @@ class TestExitCodes:
         assert json.loads(out)["result"]["passed"] is False
         assert "failure" in err
 
-    @pytest.mark.parametrize("delta", ["0", "-1", "2"])
+    @pytest.mark.parametrize("delta", ["0", "-1", "2", "1e400"])
     def test_verify_delta_outside_unit_interval_is_2(self, tmp_path, capsys,
-                                                     delta):
+                                                     monkeypatch, delta):
+        # named as typed, since the value of 1e400 has 401 digits, and
+        # refused before a ball that takes seconds to build
         spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "10",
                          "--p", "2", "--q", "3")
+        built = []
+        monkeypatch.setattr(groups, "ball", lambda *a, **k: built.append(a))
         code, out, err = invoke(capsys, ["verify", "--spec", spec, "--ball",
-                                         "2", f"--delta={delta}"])
+                                         "300", f"--delta={delta}"])
         assert code == 2
         assert out == ""
-        assert "delta" in err
+        assert err == f"error: delta must lie in (0, 1], got {delta}\n"
+        assert built == []
 
     @pytest.mark.parametrize("command,budget,message", [
         ("align", ["--restarts", "0"], "restarts must be >= 1"),

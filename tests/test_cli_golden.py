@@ -113,8 +113,8 @@ DIGESTS = {
     "search-exact/csv": "1a790e85210b652d4ad059b39ec08df76aff34f82ecb2ee5b783bf5d4b019174",
     "search-exact-obstructed/json": "639271d063b05dc48ddd54f51f4a51d897dec189f795cb5acd672b967d6025f8",
     "search-exact-obstructed/csv": "a9f6a33464a2fad18a68fd3f1e746970ea8977b43d66e1990e56db7e8f4555c9",
-    "search-local/json": "f61463fe5ffda4444d50bcb65d8aee1f8d0c2ce5020da56582130e00c23183c7",
-    "search-local/csv": "499cb4fbd633501d287d8388a1060429acb834e03827762440986590c6e80459",
+    "search-local/json": "4f12d2b72720786f602e91e08350d6197f4bb869b88bebf4744b39e021130a27",
+    "search-local/csv": "c016795017fb6c88f39457b25b2b2dca47d02fd74d65ddf38df3e645253ac8aa",
     "verify-fail/json": "74cf2f0e21b2343d4fdfc43adae61103b04e73110e41c391a498a8ec2f41e2ea",
     "verify-fail/csv": "7593c986a64fa3ce9d5ef62826505142eacfeecc92f56d16d0193d40cda7de9a",
     "verify-heis/json": "cc87b77ef4d03dcba63fa9b7d182fc1ffabd16f1a7b30fae2d0d71142ad8326e",

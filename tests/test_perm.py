@@ -293,6 +293,23 @@ def test_bounds_hold_the_table(k):
         else:
             assert (hi - lo) << 100 <= hi
 
+
+def test_gap_bounds_hold_the_gap_products():
+    # x!/(x-g)! exact below 2**_MANTISSA_BITS at any gap, such as 40!/16!
+    # (about 2**115); above it a true bracket from the factorial bounds
+    cases = [(x, g) for x in range(80) for g in range(x + 1)]
+    cases += [(x, g) for x in (200, 1000, 5000)
+              for g in (0, 1, 5, 20, 21, 50, 100, x // 2, x)]
+    for x, g in cases:
+        lo, hi, e = pm._gap_bound(x, g)
+        p = math.perm(x, g)
+        if p < 2**pm._MANTISSA_BITS:
+            assert lo == hi == p and e == 0
+        else:
+            assert e > 0 and lo << e <= p <= hi << e
+            assert (hi - lo) << 100 <= hi
+
+
 def test_divisors():
     for k in range(1, 2001):
         every = [d for d in range(1, k + 1) if k % d == 0]
@@ -330,7 +347,9 @@ def test_cache_sweep_empties_perm_memos():
     # does its work as in a fresh process
     from soficperm import conjsearch as cj
     count_order_dividing(300, 4)
-    sample_order_k(50, 6, 1)
+    # k = 2520 fills the factorial bounds too: below 300 its divisors leave
+    # gaps of up to 42, too long for an exact gap product
+    sample_order_k(300, 2520, 1)
     cj.brute_force(cj.translation_problem(6, 1, 5, 2))
     assert len(_perm_memos()) >= 2
     assert all(memo.cache_info().currsize > 0 for memo in _perm_memos())
@@ -374,23 +393,23 @@ class TestSampling:
 
 
 # sha256 over the little-endian int64 images of seeds 0, 1 and 7, recorded
-# before the order-dividing class moved into one recursion
+# from tests/oracles.py, the sampler written straight from the exact table
 SAMPLE_DIGESTS = {
-    (6, 2): "ef35036b8a5356775ce249736489f4348b307da239671a650b149da5282f3e0d",
-    (6, 3): "62b935207fa21ca0f0b640a85f1647fc0ac82896f5675dd77efda338b98dba0b",
-    (6, 4): "d892127739069667af38925782ffc8bbb484ab2ec3e7a1ed9c720a9940639f18",
-    (6, 6): "cce3e5e90a8d1096af977406075add85af8db14b27aa9cb319ea32bfe6a73334",
-    (6, 12): "928d267abf33662a5e047e87665e3c42c2b51de8f51cf47be06b64d6cf1adb95",
-    (50, 2): "d23ca302fc701564544543b99a1ab6745772c9165e7794a0b7245b829208333c",
-    (50, 3): "200b972f0bb5daa9f741d2ebff513e5e15fd3da9eb0dc96c17e4cfa67c63d2fa",
-    (50, 4): "b493410be13a5c0e09690ba9490073f55c9aeb4fdff81fae99612f3f3f0463ac",
-    (50, 6): "75439efaaa4c2792a6b42a512990fab5b6f872c07ee3ff42c6a376fe72f0afd6",
-    (50, 12): "b786ea82c9ffd78eb46b0cb13d48fe39504fb46fdc757fe7819bcbaf4a8f803c",
-    (400, 2): "bcffa4592f389cdf5d41b694884e77d01a9221e95c5dbccbc0c39fbcdaffc06d",
-    (400, 3): "652a9a52d7aa54f6745f7129fc8ebf79fe2c8f9dbf8a0739d2c6e89ab2d902bc",
-    (400, 4): "281068083db95d216635bf28ae1a39e9fb54028f864555fa00ede85589927e22",
-    (400, 6): "1f451eb1dc933c0f73844c09f19baa87fe990aa055398fc55b7e69a86f0f7620",
-    (400, 12): "b036cb64721bb524b6b3d0e3a2e9a3448608a12bf187f4cf524abb8122d85dc4",
+    (6, 2): "08b25c1c6dc7eae3a22726569c1e0f1c87f96be0de2e38a993824794990c6f84",
+    (6, 3): "713707c8e3e9038ab6e10d2228c2731db0f4e2be5caa3906ba125633d5684317",
+    (6, 4): "e6c4eb813d3d722bf792b6a1cf2074c9f3f47e2a2d177597a2e9cda34e797ca4",
+    (6, 6): "ccb5f45188f1743304bdc4ece76e501134aa97ef9453ab2de8b636b72bb98afa",
+    (6, 12): "5bab10b2e922fd8878b6f7fe63e0b2cd42f327df881a46cffb25f7949db3a641",
+    (50, 2): "e452047f8a7b4796f120d841a64e08760f2cac67158a40a26bbefe5e54851058",
+    (50, 3): "dcf957aa42c498109819da3563093bd992d8eb34ddab80ea6ddb4878596722d9",
+    (50, 4): "dc9f75dfb4a766f431322f16b80919ce14f05c3eede192d5370a73362a3e8c60",
+    (50, 6): "ddc112573227b8479b4d282973cf3f7efd74a85d35e4503ec9badc7378f20fec",
+    (50, 12): "cc67af5ba422335718c88c19f00eb9f90437552505a05933366d10055de9eca4",
+    (400, 2): "304a54356eceb9275139b1a16d65e05408564d76ef3dbf115a1c7d42e717ae70",
+    (400, 3): "fc663cd250b061d020926f3789a2da2fb42471d8ff8d405ac5a1506cdcc9b184",
+    (400, 4): "f08b8412ecee323dae851a17f0e3e23a731ea27c3e0f583c296b132f1d43ed8d",
+    (400, 6): "acf0b7b6c2b3137ec7c4d04c0555c8bcb080b6ce4e0f869ae67a038f2b37cb10",
+    (400, 12): "63bedc5aa2d65deed48dbd322152fd6a61eacd5193f056bd5dcb47092de256ab",
 }
 
 
@@ -406,11 +425,12 @@ def test_random_perm_deterministic():
     assert random_perm(10, random.Random(3)) == random_perm(10, random.Random(3))
 
 
-# sha256 over the little-endian int64 images of seeds 1, 2 and 3, recorded
-# from the sampler that drew from the exact count table
+# sha256 over the little-endian int64 images of seeds 1, 2 and 3; n = 5000
+# recorded from tests/oracles.py, n = 20000 (whose exact table would hold
+# about 244 MB) from the sampler on bounds
 LARGE_SAMPLE_DIGESTS = {
-    (5000, 4): "43d55d8a37c0dcb5d30d88fe44275113f7d21a1a637055ccc0a9904cede626f5",
-    (20000, 4): "5a1506a4e68fe7f927842fbac03df80712e592940404d275c16c02faf70acdcd",
+    (5000, 4): "51d8e6e757fbe1359c82d8ba363dd96698833a97069bb91c51f4ba686b12413c",
+    (20000, 4): "0051609625a162dc28fe2ff639cdd9071d903f2dbbab25d4a6d91c1bc118299c",
 }
 
 
@@ -436,13 +456,72 @@ def test_sampling_builds_no_exact_table():
     assert pm._order_dividing_table(4) == [1]
 
 
+class _BitCounter(random.Random):
+    """Sums the k of every getrandbits(k) call.  A subclass that defines
+    getrandbits gets randrange's getrandbits loop, so randrange counts too."""
+
+    bits = 0
+
+    def getrandbits(self, k):
+        self.bits += k
+        return super().getrandbits(k)
+
+
+def test_sampler_reads_only_the_bits_it_needs():
+    # one 64-bit word per cycle-length draw and a partner index per point;
+    # a draw of all of a(r) at every step read about 6.6e8 bits here
+    counted, plain = _BitCounter(1), random.Random(1)
+    f = pm._sample_order_k_rng(20000, 4, counted)
+    assert f == pm._sample_order_k_rng(20000, 4, plain)
+    assert counted.getstate() == plain.getstate()
+    assert counted.bits < 10**6
+
+
+class _Scripted(random.Random):
+    """Hands out ``words`` for the first getrandbits calls, then draws as
+    usual; ``calls`` logs the k of every call."""
+
+    def __init__(self, seed, words):
+        super().__init__(seed)
+        self.words, self.calls = list(words), []
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return self.words.pop(0) if self.words else super().getrandbits(k)
+
+
+@pytest.mark.parametrize("bits", [pm._MANTISSA_BITS, 3])
+@pytest.mark.parametrize("n,k,more",
+                         [(3, 3, 0), (3, 3, 2), (60, 4, 0), (60, 4, 3)])
+def test_a_word_across_the_threshold_reads_32_bits_more(bits, n, k, more,
+                                                        monkeypatch):
+    # the words are the leading 64 + 32 * more bits of the first threshold
+    # a(n-1)/a(n), so the word lies across it 1 + more times; a(60) for
+    # k = 4 is past 2**128, so there the bounds cannot settle every test
+    a = orc._counts(n, k)
+    lead = (a[n - 1] << 64 + 32 * more) // a[n]
+    words = [lead >> 32 * more] + [lead >> 32 * i & 0xFFFFFFFF
+                                   for i in range(more - 1, -1, -1)]
+    monkeypatch.setattr(pm, "_MANTISSA_BITS", bits)
+    pm._order_dividing_bounds.cache_clear()
+    ours, theirs = _Scripted(1, words), _Scripted(1, words)
+    try:
+        got = tuple(pm._sample_order_k_rng(n, k, ours).tolist())
+    finally:
+        pm._order_dividing_bounds.cache_clear()
+    assert got == orc.sample_order_k_rng(n, k, theirs)
+    assert ours.calls == theirs.calls
+    assert ours.calls[:more + 2] == [64] + [32] * (more + 1)
+
+
 @pytest.mark.parametrize("bound", [
     1, 2, 3, 2**64, 2**64 + 1, 3**500, 10**3000 + 7,
     # the climb's sizes: conjsearch._climb draws i and j by the same loop
     48, 64, 65, 100, 600, 1000, 1024, 1025, 2000, 2400])
 def test_randrange_is_the_getrandbits_loop(bound):
-    # the sampler writes rng.randrange(a(r)) out as this loop, and the climb
-    # rng.randrange(n); a Python whose randrange draws otherwise must fail here
+    # the climb writes rng.randrange(n) out as this loop (conjsearch._climb
+    # and its numpy scan); a Python whose randrange draws otherwise must fail
+    # here.  The bounds past 2**64 check the loop where a draw spans words.
     redraws = 0
     for seed in range(6):
         ours, theirs = random.Random(seed), random.Random(seed)

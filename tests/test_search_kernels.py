@@ -595,10 +595,10 @@ PINNED = {
     "align:metab:n21": "e7776369cc4d0639657d27e2fe4217b82637e71fd9544abf5d78e43ee748480b",
     "align:swap:n24": "d31a42d326b78f34e017d924d99d33b1778f4548c33bd53fe3c13c6faa240b3d",
     "local:bs:n50": "643f3784163f6eb11bf9eab93e2442b344a97e5d9a4dfbe0cc28768e47fca7c4",
-    "local:metab:n49:k3": "975db94eb2d6dca172d58826028b56a08250561b5fa8c59e9383f25f83b428fc",
-    "local:mult:n80:u3:k6": "467a9ffe77b13cdd688ea9221219127fa0cdbb33fbc93bc27706fe1145e5071e",
+    "local:metab:n49:k3": "e2bba47e1dfb43b2fab01bfe9634cc999be222789f1c5337b2bdb8543acf8313",
+    "local:mult:n80:u3:k6": "228133a44930968bd21c2a87b4df0fb03a038552e279d829f6c5625d22fb015d",
     "local:trans:n100:q7": "e482cdbb8e19eaee24fd302e84ed4f456f5dd398e8d095f0220980c5008a4de5",
-    "local:zwrz:n50:k2": "3543f16cdc3256e511820a0383277395082f0b0534274d0faf2c1166e330f18e",
+    "local:zwrz:n50:k2": "ba4ddbeccc342e295b1e1c33ebeab2650dcb15edd0270e694c6952f8416864a9",
 }
 
 
