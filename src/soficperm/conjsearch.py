@@ -289,13 +289,14 @@ def _climb(prob: ConjProblem, f_list: list[int], iters: int,
     ``getrandbits(n.bit_length())``, drawn again while the value is not
     below n (``tests/test_perm.py::test_randrange_is_the_getrandbits_loop``
     pins the equivalence).  It proposes f' = t f t for the transposition
-    t = (i j).  f' differs from f only on {i, j, f^-1(i), f^-1(j)}; those
-    new images go into a dict of at most four entries, and an empty dict is
-    a no-op move.  The agreement at x reads f(x) and f(alpha(x)), so the
-    score changes only on the changed points and their alpha-preimages, at
-    most eight points, and the delta is summed over them.  A move is taken
-    when it gains, and a sideways move (delta 0) when
-    ``rng.random() < 0.25``, the only other draw.
+    t = (i j).  f' = f exactly when f maps {i, j} onto itself, so such a
+    proposal (an empty one) is skipped on f(i) and f(j) alone.  Otherwise
+    f' differs from f on some of {i, j, f^-1(i), f^-1(j)}; those new
+    images go into a dict of at most four entries.  The agreement at x
+    reads f(x) and f(alpha(x)), so the score changes only on the changed
+    points and their alpha-preimages, at most eight points, and the delta
+    is summed over them.  A move is taken when it gains, and a sideways
+    move (delta 0) when ``rng.random() < 0.25``, the only other draw.
 
     An event is a non-empty proposal that does not lose score, the only
     kind that can move f or draw ``rng.random()``.  Once ``_SCAN_AFTER``
@@ -344,6 +345,8 @@ def _climb(prob: ConjProblem, f_list: list[int], iters: int,
                 continue
             fi = f[i]
             fj = f[j]
+            if (fi == i or fi == j) and (fj == i or fj == j):
+                continue  # f maps {i, j} onto itself: t f t = f
             changed = {}
             v = j if fj == i else i if fj == j else fj  # f'(i) = t(f(j))
             if v != fi:
@@ -357,8 +360,6 @@ def _climb(prob: ConjProblem, f_list: list[int], iters: int,
             y = finv[j]
             if y != i and y != j:
                 changed[y] = i
-            if not changed:
-                continue
             get = changed.get
             affected = list(changed)
             for d in changed:

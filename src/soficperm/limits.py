@@ -29,8 +29,10 @@ LIMITS: dict[str, Limit] = {
         "higman p <= 43, z2/bs/zwrz/metab and amplify up to 4194304 points"),
     "count_table": Limit(
         20000, "points",
-        "the exact count table a(0..n) for f^k = id holds big integers of "
-        "about n log n bits each, about 250 MB at the limit for k = 4"),
+        "the count a(n) for f^k = id sums big integers of about n log n "
+        "bits and keeps the last max(d | k) of them, a fraction of a second "
+        "at the limit for k = 4 but about a minute for k = 2520; only the "
+        "sampler's fallback builds the whole table a(0..n)"),
     "brute_force_n": Limit(
         9, "points",
         "brute force enumerates every f in Sym(n) with f^k = id as a row"),

@@ -14,8 +14,9 @@ recursion: the smallest free point opens a cycle of length d | k, its d - 1
 partners are an ordered choice among the other r - 1 free points, and the
 remaining r - d points are filled the same way.  There are
 (r-1)!/(r-d)! * a(r-d) ways down the branch for d.  Counting sums the
-branches (:func:`count_order_dividing`, one exact table per k grown on
-demand by :func:`_grow`); sampling walks one path, choosing each branch with
+branches (:func:`count_order_dividing`, which runs the recurrence of
+:func:`_grow` over a window of the last max(d | k, d <= n) values, not a
+table of every a(j)); sampling walks one path, choosing each branch with
 probability proportional to its size (:func:`sample_order_k`); enumeration
 writes every leaf as a row (:func:`_order_dividing_rows`, the brute-force
 search space).
@@ -27,16 +28,18 @@ products are bounds too, :func:`_gap_bound`).  Each cycle length compares
 a uniform U in [0, 1), read lazily 64 and then 32 bits at a time, with the
 branch sizes over a(r) (:func:`_cycle_length`).  The words it reads depend
 on the exact values alone; a test the bounds leave open is settled by the
-exact table, which at 128 bits does not happen in practice.
+exact table (:func:`_counts`, which nothing else reads), and at 128 bits
+that does not happen in practice.
 
-The tables of :func:`amplify`, :func:`_counts` and :func:`_bounds` are
-checked against :mod:`soficperm.limits` before they grow (see "Limits" in
-the README).
+The count and the tables of :func:`amplify`, :func:`_counts` and
+:func:`_bounds` are checked against :mod:`soficperm.limits` before they grow
+(see "Limits" in the README).
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 import operator
@@ -308,6 +311,14 @@ def _order_dividing_table(k: int) -> list[int]:
     return [1]
 
 
+@lru_cache(maxsize=None)
+def _order_dividing_reach(k: int) -> list:
+    """[j, window]: the window of :func:`count_order_dividing` for k at its
+    furthest reach, a deque of at most w values that ends at a(j - 1); it
+    starts as [a(0)] with w = 1."""
+    return [1, collections.deque([1], maxlen=1)]
+
+
 # (lo, hi, e) stands for the interval [lo * 2**e, hi * 2**e]
 _Bound = tuple[int, int, int]
 
@@ -319,30 +330,35 @@ def _order_dividing_bounds(k: int) -> list[_Bound]:
     return [(1, 1, 0)]
 
 
-def _grow(table: list, n: int, k: int, add, mul, gap) -> list:
-    """Extend ``table`` to j = 0..n by the recurrence
+def _grow(table, start: int, n: int, k: int, add, mul, gap):
+    """Append a(start), ..., a(n) to ``table``, whose last entry is
+    a(start - 1), by the recurrence
     a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d).
 
-    The sum is taken in nested form, from the largest d down to d = 1:
-    acc = a(j-d) + (j-d)!/(j-d')! * acc, with d' the next larger divisor,
-    so each divisor after the first costs one product.  ``add``, ``mul``
-    and ``gap`` (the gap product x!/(x-g)!) give the arithmetic of the
-    entries."""
+    Entries are read from the end, ``table[-d]`` being a(j - d), so the
+    table may be a list of every a(j) or a deque of the last max(d | k,
+    d <= n) of them.  The sum is taken in nested form, from the largest d
+    down to d = 1: acc = a(j-d) + (j-d)!/(j-d')! * acc, with d' the next
+    larger divisor, so each divisor after the first costs one product.
+    ``add``, ``mul`` and ``gap`` (the gap product x!/(x-g)!) give the
+    arithmetic of the entries."""
     divisors = _divisors(k, n)
-    for j in range(len(table), n + 1):
+    for j in range(start, n + 1):
         top = bisect.bisect_right(divisors, j) - 1
-        acc = table[j - divisors[top]]
+        acc = table[-divisors[top]]
         for i in range(top - 1, -1, -1):
             d = divisors[i]
-            acc = add(table[j - d], mul(gap(j - d, divisors[i + 1] - d), acc))
+            acc = add(table[-d], mul(gap(j - d, divisors[i + 1] - d), acc))
         table.append(acc)
     return table
 
 
 def _counts(n: int, k: int) -> list[int]:
-    """The exact table for k, grown to cover j = 0..n."""
+    """The exact table for k, grown to cover j = 0..n; only the sampler's
+    fallback (:func:`_cycle_length`) reads it."""
     limits.check("count_table", n)
-    return _grow(_order_dividing_table(k), n, k, operator.add, operator.mul,
+    table = _order_dividing_table(k)
+    return _grow(table, len(table), n, k, operator.add, operator.mul,
                  math.perm)
 
 
@@ -402,7 +418,8 @@ def _bounds(n: int, k: int) -> list[_Bound]:
     """Bounds on the table for k, grown to cover j = 0..n by the same
     recurrence as :func:`_counts`, rounding outward after every step."""
     limits.check("count_table", n)
-    return _grow(_order_dividing_bounds(k), n, k, _add_bounds, _mul_bounds,
+    table = _order_dividing_bounds(k)
+    return _grow(table, len(table), n, k, _add_bounds, _mul_bounds,
                  _gap_bound)
 
 
@@ -429,12 +446,28 @@ def _side(x: int, m: int, c: _Bound, a: _Bound) -> int | None:
 
 
 def count_order_dividing(n: int, k: int) -> int:
-    """Exact number of f in Sym(n) with f^k = id (identity included)."""
+    """Exact number of f in Sym(n) with f^k = id (identity included).
+
+    The recurrence reads a(j - d) for d | k alone, so the count keeps a
+    window of the last w values, w the largest such d <= n, and no table.
+    A request inside the window at the furthest reach for k is read from
+    it; one past it goes on from there when the window is as wide as w, so
+    ascending requests cost one pass in all; any other starts from a(0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _counts(n, k)[n]
+    limits.check("count_table", n)
+    reach = _order_dividing_reach(k)
+    j, window = reach
+    if j - len(window) <= n < j:
+        return window[n - j]
+    w = max(_divisors(k, n), default=1)
+    if n < j or window.maxlen < w:
+        j, window = 1, collections.deque([1], maxlen=w)
+    reach[:] = n + 1, _grow(window, j, n, k, operator.add, operator.mul,
+                            math.perm)
+    return window[-1]
 
 
 def _order_dividing_rows(n: int, k: int) -> np.ndarray:

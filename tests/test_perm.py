@@ -244,13 +244,17 @@ class TestCounting:
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
     def test_request_order_does_not_matter(self, order):
-        # the table per k grows in place; every request order must read the
-        # same values as a table built fresh for that single request
-        keys = [(n, k) for k in (2, 3, 4, 6) for n in range(41)]
+        # the count goes on from its furthest reach per k, and restarts from
+        # a(0) below it (n = 0 has no divisor) or when it needs a wider
+        # window (each new divisor of 12 or 2520); every request order must
+        # read the values of the exact table built fresh
+        ks = (1, 2, 3, 4, 6, 12, 2520, 10**18)
+        keys = [(n, k) for k in ks for n in range(41)]
         fresh = {}
-        for n, k in keys:
+        for k in ks:
             pm._order_dividing_table.cache_clear()
-            fresh[n, k] = count_order_dividing(n, k)
+            a = pm._counts(40, k)
+            fresh.update(((n, k), a[n]) for n in range(41))
         if order == "ascending":
             keys.sort()
         elif order == "descending":
@@ -258,12 +262,30 @@ class TestCounting:
         else:
             keys.sort(key=lambda nk: (nk[0] * 7919) % 41)
         pm._order_dividing_table.cache_clear()
+        pm._order_dividing_reach.cache_clear()
         assert {nk: count_order_dividing(*nk) for nk in keys} == fresh
         # telephone numbers: t(n) = t(n-1) + (n-1) t(n-2)
         t = [1, 1]
         for n in range(2, 41):
             t.append(t[-1] + (n - 1) * t[-2])
         assert [fresh[n, 2] for n in range(41)] == t
+
+    def test_count_builds_no_table(self):
+        # the exact table a(0..5000) for k = 4 peaks at about 12 MB; the
+        # count keeps four values of a few kB each
+        from soficperm.heuristic import heuristic_report
+        pm._order_dividing_table.cache_clear()
+        pm._order_dividing_reach.cache_clear()
+        tracemalloc.start()
+        try:
+            count_order_dividing(5000, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert pm._order_dividing_table(4) == [1]
+        heuristic_report(5000, 4, "1/100", "1/100")
+        assert pm._order_dividing_table(4) == [1]
 
 
 def _count_digest(ks, n_max):
@@ -347,6 +369,8 @@ def test_cache_sweep_empties_perm_memos():
     # does its work as in a fresh process
     from soficperm import conjsearch as cj
     count_order_dividing(300, 4)
+    # the exact table, which only the sampler's fallback reads
+    pm._counts(300, 4)
     # k = 2520 fills the factorial bounds too: below 300 its divisors leave
     # gaps of up to 42, too long for an exact gap product
     sample_order_k(300, 2520, 1)
