@@ -20,36 +20,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # permutations
-    "Perm", "CycleDecomposition", "compose", "conjugate", "inverse", "power",
-    "hamming", "hamming_count", "cycle_decomposition", "order_of",
-    "order_divides", "project_to_order", "amplify",
-    "count_order_dividing", "sample_order_k",
-    # groups
-    "FAMILIES", "GenWord", "Z2Elem", "HeisElem", "BSElem", "WreathElem",
-    "FreeWord", "Ball", "genword", "identity", "generator", "mul",
-    "eval_word", "is_trivial", "ball",
-    # approximations
-    "ApproxSpec", "VerifyReport", "PolyConditionResult", "HeisFixedReport",
-    "make_approx", "eval_spec", "amplify_spec", "verify",
-    "check_poly_condition", "heis_fixed_bound", "to_fraction",
-    # conjugation search
-    "ConjProblem", "SearchReport", "AlignmentReport",
-    "translation_problem", "multiplication_problem", "problem_from_spec",
-    "agreement", "exact_multiplicative", "exact_search", "brute_force",
-    "local_search", "psi_f_eval", "higman_defect", "align",
-    # finite actions
-    "HigPresentation", "ActionTable", "RelationReport",
-    "hig_presentation", "mubar", "make_action", "verify_action",
-    "injectivity_probe", "random_tables",
-    # counting estimates
-    "HeuristicReport", "heuristic_report",
-]
-
-# the submodule that defines each name of __all__ after __version__, in
-# the order of __all__; eval_spec is approx.eval
+# the submodule that defines each exported name; eval_spec is approx.eval
 _EXPORTS = {
     "perm": (
         "Perm", "CycleDecomposition", "compose", "conjugate", "inverse",
@@ -58,8 +29,8 @@ _EXPORTS = {
         "count_order_dividing", "sample_order_k"),
     "groups": (
         "FAMILIES", "GenWord", "Z2Elem", "HeisElem", "BSElem", "WreathElem",
-        "FreeWord", "Ball", "genword", "identity", "generator", "mul",
-        "eval_word", "is_trivial", "ball"),
+        "FreeWord", "genword", "identity", "generator", "mul", "eval_word",
+        "is_trivial", "ball"),
     "approx": (
         "ApproxSpec", "VerifyReport", "PolyConditionResult",
         "HeisFixedReport", "make_approx", "eval_spec", "amplify_spec",
@@ -75,6 +46,8 @@ _EXPORTS = {
         "injectivity_probe", "random_tables"),
     "heuristic": ("HeuristicReport", "heuristic_report"),
 }
+__all__ = ["__version__",
+           *(name for names in _EXPORTS.values() for name in names)]
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 

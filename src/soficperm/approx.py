@@ -44,7 +44,6 @@ from . import groups
 from . import limits
 from . import perm as permmod
 from .groups import (
-    Ball,
     BSElem,
     FreeWord,
     GenWord,
@@ -401,7 +400,7 @@ def _is_identity_elem(x: GroupElem) -> bool:
     return groups.is_trivial(x)
 
 
-def verify(spec: ApproxSpec, S: Ball | Iterable[GroupElem], delta) -> VerifyReport:
+def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
     """Check both approximation conditions of psi over S at tolerance delta.
 
     delta must lie in (0, 1].  For metab, S holds words; every nonempty word

@@ -443,6 +443,7 @@ def _cmd_align(ns):
     kwargs = _search_kwargs(ns)
     spec1 = _load_spec(ns.spec1)
     spec2 = _load_spec(ns.spec2)
+    conjmod._check_specs(spec1, spec2)
     S = groupsmod.ball(spec1.family, ns.ball, m=spec1.m)
     report = conjmod.align(spec1, spec2, S, **kwargs)
     result = ser.alignment_report_to_obj(report)

@@ -212,6 +212,15 @@ def _check_budget(iters: Optional[int], restarts: Optional[int]) -> None:
         raise ValueError("restarts must be >= 1")
 
 
+def _check_specs(spec1: ApproxSpec, spec2: ApproxSpec) -> None:
+    """Refuse two specs that :func:`align` cannot compare, before a caller
+    builds the set S it would compare them on."""
+    if spec1.npoints != spec2.npoints:
+        raise ValueError("degree mismatch between the two specs")
+    if spec1.family != spec2.family:
+        raise ValueError("family mismatch between the two specs")
+
+
 def _best_restart(restarts: int, seed: int, attempt):
     """The restart rule of :func:`local_search` and :func:`align`.
 
@@ -663,10 +672,7 @@ def align(
     The reported distances are the winner's exact mismatch counts over n,
     read from :func:`_align_state`.
     """
-    if spec1.npoints != spec2.npoints:
-        raise ValueError("degree mismatch between the two specs")
-    if spec1.family != spec2.family:
-        raise ValueError("family mismatch between the two specs")
+    _check_specs(spec1, spec2)
     n = spec1.npoints
     if iters is None:
         iters = 50 * n
@@ -678,10 +684,8 @@ def align(
     def attempt(r, rng):
         if r == 0:
             tau = np.arange(n, dtype=np.int64)
-        else:
-            lst = list(range(n))
-            rng.shuffle(lst)
-            tau = np.asarray(lst, dtype=np.int64)
+        else:  # a copy, since tau is swapped in place
+            tau = permmod.random_perm(n, rng).images.copy()
         state, obj = _align_state(tau, rho1, rho2)
         steps = 0
         for steps in range(1, iters + 1):

@@ -62,7 +62,6 @@ __all__ = [
     "WreathElem",
     "FreeWord",
     "GroupElem",
-    "Ball",
     "genword",
     "word_mul",
     "word_inverse",
@@ -419,32 +418,14 @@ def sort_key(x: GroupElem):
     raise TypeError(f"not a group element: {x!r}")
 
 
-@dataclass(frozen=True)
-class Ball:
-    """All elements within word length ``radius`` of the identity.
+def ball(family: str, radius: int, *,
+         m: int | None = None) -> tuple[GroupElem, ...]:
+    """All elements within word length ``radius`` of the identity, found
+    breadth-first over {a, b}^+- and sorted by :func:`sort_key`.
 
-    For the four families with normal forms, ``elements`` are distinct group
-    elements and ``exact`` is True.  For metab, ``elements`` are freely
-    reduced words with no group-level deduplication and ``exact`` is False.
-    """
-
-    family: str
-    radius: int
-    elements: tuple[GroupElem, ...]
-
-    @property
-    def exact(self) -> bool:
-        return self.family != "metab"
-
-    def __iter__(self) -> Iterator[GroupElem]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def ball(family: str, radius: int, *, m: int | None = None) -> Ball:
-    """Breadth-first ball of the given word-length radius over {a, b}^+-."""
+    For the four families with normal forms these are distinct group
+    elements.  For metab they are freely reduced words with no group-level
+    deduplication."""
     _check_family(family)
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -463,8 +444,7 @@ def ball(family: str, radius: int, *, m: int | None = None) -> Ball:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    elements = tuple(sorted(seen, key=sort_key))
-    return Ball(family, radius, elements)
+    return tuple(sorted(seen, key=sort_key))
 
 
 # ---------------------------------------------------------------------------

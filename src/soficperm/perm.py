@@ -311,14 +311,6 @@ def _order_dividing_table(k: int) -> list[int]:
     return [1]
 
 
-@lru_cache(maxsize=None)
-def _order_dividing_reach(k: int) -> list:
-    """[j, window]: the window of :func:`count_order_dividing` for k at its
-    furthest reach, a deque of at most w values that ends at a(j - 1); it
-    starts as [a(0)] with w = 1."""
-    return [1, collections.deque([1], maxlen=1)]
-
-
 # (lo, hi, e) stands for the interval [lo * 2**e, hi * 2**e]
 _Bound = tuple[int, int, int]
 
@@ -450,24 +442,15 @@ def count_order_dividing(n: int, k: int) -> int:
 
     The recurrence reads a(j - d) for d | k alone, so the count keeps a
     window of the last w values, w the largest such d <= n, and no table.
-    A request inside the window at the furthest reach for k is read from
-    it; one past it goes on from there when the window is as wide as w, so
-    ascending requests cost one pass in all; any other starts from a(0)."""
+    Each call starts from a(0) and keeps nothing, so a sweep over n costs
+    quadratic time; :func:`_counts` is the table for that."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
     limits.check("count_table", n)
-    reach = _order_dividing_reach(k)
-    j, window = reach
-    if j - len(window) <= n < j:
-        return window[n - j]
-    w = max(_divisors(k, n), default=1)
-    if n < j or window.maxlen < w:
-        j, window = 1, collections.deque([1], maxlen=w)
-    reach[:] = n + 1, _grow(window, j, n, k, operator.add, operator.mul,
-                            math.perm)
-    return window[-1]
+    window = collections.deque([1], maxlen=max(_divisors(k, n), default=1))
+    return _grow(window, 1, n, k, operator.add, operator.mul, math.perm)[-1]
 
 
 def _order_dividing_rows(n: int, k: int) -> np.ndarray:

@@ -26,17 +26,9 @@ import functools
 import numbers
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, get_args
 
-from .groups import (
-    BSElem,
-    FreeWord,
-    GenWord,
-    HeisElem,
-    WreathElem,
-    Z2Elem,
-    family_of,
-)
+from .groups import GenWord, GroupElem, family_of
 from .perm import Perm
 
 if TYPE_CHECKING:
@@ -67,7 +59,7 @@ MPF_DIGITS = 30
 # spec is recorded by its parameters alone, which spec_from_obj rebuilds
 SPEC_TABLE_POINTS = 1 << 18
 
-_ELEMENT_TYPES = (Z2Elem, HeisElem, BSElem, WreathElem, FreeWord)
+_ELEMENT_TYPES = get_args(GroupElem)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert built == []
 
+    @pytest.mark.parametrize("group,n,message", [
+        ("z2", "11", "family mismatch between the two specs"),
+        ("metab", "13", "degree mismatch between the two specs"),
+    ])
+    def test_align_refuses_mismatched_specs_before_the_ball(
+            self, tmp_path, capsys, monkeypatch, group, n, message):
+        # a metab ball of radius 10 takes seconds to build; specs align
+        # cannot compare are refused before it is built
+        paths = []
+        for args in (["--group", "metab", "--n", "11"],
+                     ["--group", group, "--n", n]):
+            paths.append(str(tmp_path / f"spec{len(paths)}.json"))
+            code, _, _ = invoke(capsys, ["make-approx", *args, "--p", "2",
+                                         "--q", "3", "--out", paths[-1]])
+            assert code == 0
+        built = []
+        monkeypatch.setattr(groups, "ball", lambda *a, **k: built.append(a))
+        code, out, err = invoke(capsys, ["align", "--spec1", paths[0],
+                                         "--spec2", paths[1], "--ball", "10"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert built == []
+
     @pytest.mark.parametrize("algo", ["exact", "brute"])
     def test_unused_search_budget_is_not_checked(self, capsys, algo):
         code, _, _ = invoke(capsys, [

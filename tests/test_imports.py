@@ -1,7 +1,8 @@
 """Every name a package module imports is referenced there or re-exported.
 
 A stdlib check with ``ast``: an import binds a name, and the module must
-load that name somewhere (code or annotation) or list it in ``__all__``.
+load that name somewhere (code or annotation) or list it in a literal
+``__all__``.
 Imports anywhere in the module count, including those under
 ``TYPE_CHECKING`` and inside functions; ``from __future__`` imports do not
 bind names and are skipped.
@@ -39,7 +40,10 @@ def unused_imports(source: str) -> list[str]:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+            try:
+                used.update(ast.literal_eval(node.value))
+            except ValueError:  # computed: the names it loads are in used
+                pass
     return [f"{name} (line {line})" for name, line in imported.items()
             if name not in used]
 

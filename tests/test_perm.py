@@ -244,10 +244,9 @@ class TestCounting:
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
     def test_request_order_does_not_matter(self, order):
-        # the count goes on from its furthest reach per k, and restarts from
-        # a(0) below it (n = 0 has no divisor) or when it needs a wider
-        # window (each new divisor of 12 or 2520); every request order must
-        # read the values of the exact table built fresh
+        # each count starts from a(0) with a window as wide as its largest
+        # divisor (n = 0 has none), so every request order must read the
+        # values of the exact table built fresh
         ks = (1, 2, 3, 4, 6, 12, 2520, 10**18)
         keys = [(n, k) for k in ks for n in range(41)]
         fresh = {}
@@ -262,7 +261,6 @@ class TestCounting:
         else:
             keys.sort(key=lambda nk: (nk[0] * 7919) % 41)
         pm._order_dividing_table.cache_clear()
-        pm._order_dividing_reach.cache_clear()
         assert {nk: count_order_dividing(*nk) for nk in keys} == fresh
         # telephone numbers: t(n) = t(n-1) + (n-1) t(n-2)
         t = [1, 1]
@@ -275,7 +273,6 @@ class TestCounting:
         # count keeps four values of a few kB each
         from soficperm.heuristic import heuristic_report
         pm._order_dividing_table.cache_clear()
-        pm._order_dividing_reach.cache_clear()
         tracemalloc.start()
         try:
             count_order_dividing(5000, 4)
@@ -289,11 +286,16 @@ class TestCounting:
 
 
 def _count_digest(ks, n_max):
+    # the table is hashed, since a sweep of the count over n is quadratic;
+    # the count must read the table's value for every window width w (all
+    # n < 3k) and at the top
     h = hashlib.sha256()
     for k in ks:
-        for n in range(n_max + 1):
-            c = count_order_dividing(n, k)
+        table = pm._counts(n_max, k)[:n_max + 1]
+        for c in table:
             h.update(c.to_bytes((c.bit_length() + 8) // 8, "little") + b"|")
+        for n in [*range(min(3 * k, n_max + 1)), n_max - 1, n_max]:
+            assert count_order_dividing(n, k) == table[n]
     return h.hexdigest()
 
 
@@ -364,6 +366,15 @@ def _perm_memos():
     return [obj for obj in vars(pm).values() if hasattr(obj, "cache_info")]
 
 
+def _empty_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "soficperm" or name.startswith("soficperm."):
+            for obj in list(vars(module).values()):
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear):
+                    clear()
+
+
 def test_cache_sweep_empties_perm_memos():
     # the sweep perfbench/run.py runs before every timed call, so each call
     # does its work as in a fresh process
@@ -377,13 +388,18 @@ def test_cache_sweep_empties_perm_memos():
     cj.brute_force(cj.translation_problem(6, 1, 5, 2))
     assert len(_perm_memos()) >= 2
     assert all(memo.cache_info().currsize > 0 for memo in _perm_memos())
-    for name, module in list(sys.modules.items()):
-        if name == "soficperm" or name.startswith("soficperm."):
-            for obj in list(vars(module).values()):
-                clear = getattr(obj, "cache_clear", None)
-                if callable(clear):
-                    clear()
+    _empty_package_caches()
     assert all(memo.cache_info().currsize == 0 for memo in _perm_memos())
+
+
+def test_count_keeps_no_state():
+    # a count fills no memo but the divisors, so its cost does not depend
+    # on the calls before it
+    _empty_package_caches()
+    count_order_dividing(300, 12)
+    count_order_dividing(40, 2520)
+    assert [memo.__name__ for memo in _perm_memos()
+            if memo.cache_info().currsize] == ["_divisors"]
 
 
 class TestSampling:

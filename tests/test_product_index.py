@@ -160,7 +160,7 @@ def test_verify_reads_the_mul_index(monkeypatch, family, radius, m, chunk):
 @settings(max_examples=60, deadline=None)
 def test_array_index_matches_mul_on_subsets(fm, radius, rows, rnd):
     family, m = fm
-    S = gr.ball(family, radius, m=m).elements
+    S = gr.ball(family, radius, m=m)
     _check_index(rnd.sample(S, rnd.randint(1, len(S))), rows)
 
 
@@ -272,7 +272,7 @@ def test_product_index_calls_no_mul(monkeypatch, name):
     empty)."""
     S = NO_MUL_CASES[name]
     if isinstance(S, tuple):
-        S = gr.ball(*S[:2], m=S[2]).elements
+        S = gr.ball(*S[:2], m=S[2])
     elements = sorted(set(S), key=gr.sort_key)
 
     def broken(x, y):
@@ -489,7 +489,7 @@ def _skew_images(monkeypatch, S, m, step):
     psi(1) stays the identity."""
     skew = {g: (i % 3) * step
             for i, g in enumerate(sorted(S, key=gr.sort_key))}
-    skew[gr.identity(S.family, m=m)] = 0
+    skew[gr.identity(gr.family_of(S[0]), m=m)] = 0
     true_image = ap.image
 
     def skewed(spec, x):
@@ -576,10 +576,9 @@ def test_verify_on_metab_words_past_int64_keys(monkeypatch):
     """Words past 13 letters put the metab index on object keys; with
     images skewed so that defects and witnesses show, the report is the
     scalar one byte for byte."""
-    S = gr.Ball("metab", 28, tuple(sorted(set(gr.ball("metab", 3))
-                                          | set(LONG_METAB),
-                                          key=gr.sort_key)))
-    assert gr._array_form(S.elements).dtype is object
+    S = tuple(sorted(set(gr.ball("metab", 3)) | set(LONG_METAB),
+                     key=gr.sort_key))
+    assert gr._array_form(S).dtype is object
     _skew_images(monkeypatch, S, None, 7)
     spec = ap.make_approx("metab", 1009, p=2, q=3)
     want = scalar_verify(spec, S, "1/10")
