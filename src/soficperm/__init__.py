@@ -13,7 +13,10 @@ integers; floats appear only in the 200-bit log estimates.
 
 The names of ``__all__`` are loaded on first use (PEP 562), each from the
 submodule in :data:`_EXPORTS`, so importing one submodule, as the command
-line does, loads only what that submodule imports.
+line does, loads only what that submodule imports.  ``perm``, ``groups``
+and ``approx`` hold a :class:`_NumpyOnFirstUse` as their ``np`` until the
+first array operation, so the counting commands, ``--help`` and usage
+errors run without importing numpy.
 """
 
 import importlib
@@ -49,6 +52,31 @@ _EXPORTS = {
 __all__ = ["__version__",
            *(name for names in _EXPORTS.values() for name in names)]
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+class _NumpyOnFirstUse:
+    """The ``np`` of each module that binds it, until numpy's first use: the
+    first attribute read imports numpy and rebinds ``np`` to numpy itself in
+    every such module, so each later ``np.`` lookup is a plain global one."""
+
+    __slots__ = ("_namespaces",)
+
+    def __init__(self):
+        self._namespaces: list[dict] = []
+
+    def bind(self, namespace: dict) -> "_NumpyOnFirstUse":
+        """Stand in for the ``np`` of the module whose globals are namespace."""
+        self._namespaces.append(namespace)
+        return self
+
+    def __getattr__(self, name: str):
+        import numpy
+        for namespace in self._namespaces:
+            namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+_numpy = _NumpyOnFirstUse()
 
 
 def __getattr__(name: str):

@@ -38,8 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-import numpy as np
-
+from . import _numpy
 from . import groups
 from . import limits
 from . import perm as permmod
@@ -53,6 +52,8 @@ from .groups import (
     Z2Elem,
 )
 from .perm import Perm
+
+np = _numpy.bind(globals())  # numpy itself from its first use
 
 __all__ = [
     "AffineImage",

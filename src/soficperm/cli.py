@@ -28,9 +28,12 @@ Start-up cost
   :func:`_build_parser` only for any other argv or for arguments left
   over; usage, ``--help`` and error text are the same either way.
 * ``import soficperm.cli`` loads ``perm``, ``groups``, ``limits`` and
-  ``serialize``.  Each subcommand imports the rest of what it runs
-  (``approx``, ``conjsearch``, ``higman``, ``heuristic``) in its handler,
-  so ``count-orders`` loads none of them.
+  ``serialize``, and not numpy.  Each subcommand imports the rest of what
+  it runs (``approx``, ``conjsearch``, ``higman``, ``heuristic``) in its
+  handler, so ``count-orders`` loads none of them.  numpy is imported by
+  the first array operation, so ``count-orders``, ``heuristic``, ``--help``,
+  usage errors and inputs refused before a table is built never load it;
+  ``elapsed_s=`` counts the imports a command makes, numpy included.
 """
 
 from __future__ import annotations
@@ -351,8 +354,9 @@ def _cmd_make_approx(ns):
 
 def _cmd_verify(ns):
     from . import approx as approxmod
+    # refused before the spec's tables or the ball are built
+    delta = approxmod._unit_delta(ns.delta)
     spec = _load_spec(ns.spec)
-    delta = approxmod._unit_delta(ns.delta)  # refused before the ball is built
     S = groupsmod.ball(spec.family, ns.ball, m=spec.m)
     report = approxmod.verify(spec, S, delta)
     result = ser.verify_report_to_obj(report)

@@ -51,7 +51,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-import numpy as np
+from . import _numpy
+
+np = _numpy.bind(globals())  # numpy itself from its first use
 
 __all__ = [
     "FAMILIES",
@@ -475,7 +477,7 @@ def abelianization(x: GroupElem) -> tuple[int, int]:
 # the product index of a finite set, in arrays
 # ---------------------------------------------------------------------------
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 
 
 class _ArrayForm(NamedTuple):

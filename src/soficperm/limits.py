@@ -31,8 +31,14 @@ LIMITS: dict[str, Limit] = {
         20000, "points",
         "the count a(n) for f^k = id sums big integers of about n log n "
         "bits and keeps the last max(d | k) of them, a fraction of a second "
-        "at the limit for k = 4 but about a minute for k = 2520; only the "
-        "sampler's fallback builds the whole table a(0..n)"),
+        "at the limit for k = 4 (count_work bounds a k with many divisors); "
+        "only the sampler's fallback builds the whole table a(0..n)"),
+    "count_work": Limit(
+        250000, "terms",
+        "the count a(n) for f^k = id sums one big-integer product per "
+        "divisor of k up to n at each of n steps, n times that many terms: "
+        "about 4 s for n = 5000, k = 2520 and 6 s for n = 20000, k = 60 "
+        "near the limit, about a minute for n = 20000, k = 2520"),
     "brute_force_n": Limit(
         9, "points",
         "brute force enumerates every f in Sym(n) with f^k = id as a row"),

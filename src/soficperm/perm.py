@@ -49,9 +49,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from . import _numpy
 from . import limits
+
+np = _numpy.bind(globals())  # numpy itself from its first use
 
 __all__ = [
     "Perm",
@@ -72,9 +73,6 @@ __all__ = [
     "random_perm",
 ]
 
-_BOOL_TYPES = frozenset({bool, np.bool_})
-
-
 class Perm:
     """A permutation of {0, ..., n-1} held as a read-only int64 image array."""
 
@@ -92,7 +90,7 @@ class Perm:
             # mixed into ints as 0 and 1
             if arr.dtype.kind not in "iu" or (
                     not isinstance(images, np.ndarray)
-                    and not _BOOL_TYPES.isdisjoint(map(type, images))):
+                    and not {bool, np.bool_}.isdisjoint(map(type, images))):
                 raise ValueError("images must be integers")
             arr = arr.astype(np.int64)
             seen = np.zeros(n, dtype=bool)
@@ -443,13 +441,16 @@ def count_order_dividing(n: int, k: int) -> int:
     The recurrence reads a(j - d) for d | k alone, so the count keeps a
     window of the last w values, w the largest such d <= n, and no table.
     Each call starts from a(0) and keeps nothing, so a sweep over n costs
-    quadratic time; :func:`_counts` is the table for that."""
+    quadratic time; :func:`_counts` is the table for that.  Its work, one
+    product per such d at each of the n steps, is the ``count_work`` limit."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
     limits.check("count_table", n)
-    window = collections.deque([1], maxlen=max(_divisors(k, n), default=1))
+    divisors = _divisors(k, n)
+    limits.check("count_work", n * len(divisors))
+    window = collections.deque([1], maxlen=max(divisors, default=1))
     return _grow(window, 1, n, k, operator.add, operator.mul, math.perm)[-1]
 
 

@@ -40,7 +40,9 @@ def unlimited_digits(fn, *args):
 
 
 def spec_file(tmp_path, capsys, *args):
-    path = tmp_path / "spec.json"
+    # one file per argument list, so a second spec does not overwrite the
+    # first
+    path = tmp_path / ("spec" + "_".join(args) + ".json")
     code, _, _ = invoke(capsys, ["make-approx", *args, "--out", str(path)])
     assert code == 0
     return str(path)
@@ -474,10 +476,16 @@ class TestSubcommands:
                        "--p", "1", "--q", "2")
         s2 = spec_file(tmp_path, capsys, "--group", "z2", "--n", "9",
                        "--p", "2", "--q", "1")
+        assert s1 != s2
+        assert [json.loads(Path(s).read_text())["result"]["p"]
+                for s in (s1, s2)] == [1, 2]
         code, out, _ = invoke(capsys, ["align", "--spec1", s1, "--spec2", s2,
                                        "--ball", "1"])
         assert code == 0
-        res = json.loads(out)["result"]
+        record = json.loads(out)
+        options = record["config"]["options"]
+        assert (options["spec1"], options["spec2"]) == (s1, s2)
+        res = record["result"]
         assert len(res["tau"]) == 9
         assert len(res["per_element"]) == 5
 
@@ -692,11 +700,28 @@ def test_cli_module_runs_as_a_script():
     assert via_cli.stdout == via_package.stdout != ""
 
 
+def _python(code, *args):
+    """``python -c code args`` in a fresh interpreter on this checkout, with
+    an 80-column terminal for argparse."""
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# any import of numpy raises in a process that starts with this line
+_NO_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+
+
 def test_count_orders_loads_only_its_own_modules(tmp_path):
     # the package, the cli and a count-orders run load none of the modules
-    # of the other commands
+    # of the other commands, and not numpy
     code = (
-        "import json, sys\n"
+        _NO_NUMPY + "import json\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.startswith('soficperm'))\n"
         "import soficperm\n"
@@ -707,19 +732,68 @@ def test_count_orders_loads_only_its_own_modules(tmp_path):
         f"'--out', {str(tmp_path / 'c.json')!r}])\n"
         "seen.append(loaded())\n"
         "print(json.dumps([code, seen]))\n")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    exit_code, (package, imported, ran) = json.loads(proc.stdout)
+    exit_code, (package, imported, ran) = _python(code)
     assert exit_code == 0
     assert package == ["soficperm"]
     assert imported == ran == [
         "soficperm", "soficperm.cli", "soficperm.groups", "soficperm.limits",
         "soficperm.perm", "soficperm.serialize"]
+
+
+def _without_elapsed(err):
+    return "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith("elapsed_s="))
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-orders", "--n", "8", "--k", "4"],
+    ["count-orders", "--n", "9", "--k", "6", "--format", "csv"],
+    ["heuristic", "--n", "10", "--k", "4"],
+    ["--help"],
+    ["count-orders", "--help"],
+    ["no-such-command"],
+    ["count-orders", "--n", "8"],
+    ["verify", "--spec", "{spec}", "--ball", "2", "--delta", "1/0"],
+], ids=" ".join)
+def test_commands_without_array_work_never_import_numpy(
+        argv, tmp_path, capsys, monkeypatch):
+    # each exits as it does with numpy importable and writes the same bytes
+    spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "10", "--p",
+                     "2", "--q", "3")
+    argv = [a.format(spec=spec) for a in argv]
+    code = (
+        _NO_NUMPY + "import contextlib, io, json\n"
+        "import soficperm.cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    code = soficperm.cli.run(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue()]))\n")
+    blocked, out, err = _python(code, json.dumps(argv))
+    monkeypatch.setenv("COLUMNS", "80")
+    want_code, want_out, want_err = invoke(capsys, argv)
+    assert blocked == want_code
+    assert out == want_out
+    assert _without_elapsed(err) == _without_elapsed(want_err)
+
+
+def test_the_first_array_operation_binds_numpy():
+    # make-approx builds tables: its first array operation imports numpy
+    # and rebinds each module's np to numpy itself
+    code = (
+        "import json, sys\n"
+        "import soficperm.cli\n"
+        "from soficperm import approx, groups, perm\n"
+        "mods = (perm, groups, approx)\n"
+        "before = ['numpy' in sys.modules, [type(m.np).__name__ for m in mods]]\n"
+        "code = soficperm.cli.run(['make-approx', '--group', 'z2', '--n', "
+        "'11', '--p', '2', '--q', '3', '--out', sys.argv[1]])\n"
+        "import numpy\n"
+        "after = [m.np is numpy for m in mods]\n"
+        "print(json.dumps([code, before, after]))\n")
+    code, before, after = _python(code, os.devnull)
+    assert code == 0
+    assert before == [False, ["_NumpyOnFirstUse"] * 3]
+    assert after == [True] * 3
 
 
 # flags that parse, per subcommand; none of the files is read, since the

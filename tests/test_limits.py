@@ -7,12 +7,14 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from soficperm import approx as ap
+from soficperm import cli
 from soficperm import conjsearch as cj
 from soficperm import heuristic as hr
 from soficperm import higman as hg
@@ -37,6 +39,21 @@ def test_count_table_covers_the_largest_benchmark_sample():
     from test_product_index import _workloads
     largest = max(n for n, _ in _workloads().SAMPLES)
     limits.check("count_table", largest)
+
+
+def test_count_work_refuses_within_a_second(capsys):
+    # the count at the count_table limit for k = 4, which CI runs, is inside
+    # count_work; for k = 2520 it would run for about a minute
+    limits.check("count_work", 20000 * len(pm._divisors(4, 20000)))
+    start = time.perf_counter()
+    code = cli.run(["count-orders", "--n", "20000", "--k", "2520"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: count_work limit: 960000 requested, over "
+                          "the limit of 250000 terms;")
+    assert elapsed < 1
 
 
 def test_readme_table_matches_the_limits():
@@ -82,6 +99,8 @@ TABLE = limits.LIMITS["table_entries"].value
     ("table_entries", lambda: hg.make_action(47, [1] * 47, [1] * 47)),
     ("count_table", lambda: pm.count_order_dividing(20001, 4)),
     ("count_table", lambda: pm.sample_order_k(20001, 4, seed=0)),
+    ("count_work", lambda: pm.count_order_dividing(20000, 2520)),
+    ("count_work", lambda: hr.heuristic_report(5000, 5040, 0, 0)),
     ("brute_force_n", lambda: cj.brute_force(cj.translation_problem(10, 1, 2, 4))),
     ("probe_depth", lambda: hg.injectivity_probe(
         hg.make_action(3, [1, 1, 1], [1, 1, 1]), 7)),
@@ -136,6 +155,8 @@ SWEEP = [
     ("table_entries", ["search", "--group", "z2", "--n", "1000000000000",
                        "--p", "1", "--q", "5", "--k", "4", "--algo", "exact"]),
     ("count_table", ["count-orders", "--n", "200000", "--k", "4"]),
+    ("count_work", ["count-orders", "--n", "20000", "--k", "2520"]),
+    ("count_work", ["heuristic", "--n", "5000", "--k", "5040"]),
     ("table_entries", ["higman-action", "--p", "1000000007", "--random"]),
     ("table_entries", ["higman-action", "--p", "1000000000000000003",
                        "--f-table", "{f}", "--lambda-table", "{lam}"]),
