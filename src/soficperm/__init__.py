@@ -42,7 +42,7 @@ _EXPORTS = {
         "ConjProblem", "SearchReport", "AlignmentReport",
         "translation_problem", "multiplication_problem", "problem_from_spec",
         "agreement", "exact_multiplicative", "exact_search", "brute_force",
-        "local_search", "psi_f_eval", "higman_defect", "align"),
+        "local_search", "higman_defect", "align"),
     "higman": (
         "HigPresentation", "ActionTable", "RelationReport",
         "hig_presentation", "mubar", "make_action", "verify_action",

@@ -121,7 +121,7 @@ def _compose_coeffs(n: int, first: tuple, second: tuple) -> tuple:
     return ((a1 + a2) % n, (a1 * c2 + b1 + b2) % n, (c1 + c2) % n)
 
 
-def _agree_counts(n: int, npoints: int, first: tuple, second: tuple):
+def _count_agreements(n: int, npoints: int, first: tuple, second: tuple):
     """Number of points where the two maps agree, for scalar or array
     coefficients as in :func:`_compose_coeffs`.
 
@@ -176,9 +176,10 @@ class AffineImage:
 
     def agree_count(self, other: "AffineImage") -> int:
         """Number of points where the two maps agree, by the closed form of
-        :func:`_agree_counts`."""
+        :func:`_count_agreements`."""
         self._require_same_space(other)
-        return _agree_counts(self.n, self.npoints, self.coeffs, other.coeffs)
+        return _count_agreements(self.n, self.npoints, self.coeffs,
+                                 other.coeffs)
 
     def perm(self) -> Perm:
         """The full image table, within the ``table_entries`` limit."""
@@ -445,8 +446,8 @@ def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
         pairs += len(at_gh)
         composed = _compose_coeffs(n, [c[at_g] for c in columns],
                                    [c[at_h] for c in columns])
-        agree = _agree_counts(n, npoints, composed,
-                              [c[at_gh] for c in columns])
+        agree = _count_agreements(n, npoints, composed,
+                                  [c[at_gh] for c in columns])
         at = int(np.argmin(agree))  # the block's first largest defect
         if npoints - int(agree[at]) > worst_defect:
             worst_defect = npoints - int(agree[at])
@@ -458,8 +459,8 @@ def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
     at = [i for i, g in enumerate(elements) if not _is_identity_elem(g)]
     if at:
         ident = image(spec, groups.identity(spec.family, m=spec.m))
-        agree = _agree_counts(n, npoints, [c[at] for c in columns],
-                              ident.coeffs)
+        agree = _count_agreements(n, npoints, [c[at] for c in columns],
+                                  ident.coeffs)
         best = int(np.argmax(agree))  # the first largest agreement
         worst_closeness = npoints - int(agree[best])
         id_witness = elements[at[best]]

@@ -118,7 +118,10 @@ def _read_json(path: str):
     """Load a JSON payload; a full output record unwraps to its result, so
     the --out file of one run feeds directly into the next."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if isinstance(obj, dict) and "schema" in obj and "result" in obj:
         obj = obj["result"]
     return obj

@@ -46,7 +46,6 @@ __all__ = [
     "exact_search",
     "brute_force",
     "local_search",
-    "psi_f_eval",
     "higman_defect",
     "align",
 ]
@@ -515,26 +514,8 @@ def local_search(
 
 
 # ---------------------------------------------------------------------------
-# evaluating words that mix group letters with the order-k letter t
+# the Higman defect of a candidate f
 # ---------------------------------------------------------------------------
-
-def psi_f_eval(spec: ApproxSpec, f: Perm, w: GenWord) -> Perm:
-    """Evaluate a word over {a, b, t}: group letters go through the spec's
-    psi, each t power becomes the same power of f, all composed
-    right-to-left so the evaluation is multiplicative on words."""
-    if f.n != spec.npoints:
-        raise ValueError(f"degree mismatch: f has {f.n}, spec has {spec.npoints}")
-    acc = Perm.identity(spec.npoints)
-    for gen, exp in w.letters:
-        if gen == "t":
-            img = permmod.power(f, exp)
-        else:
-            img = approxmod.eval(
-                spec, groups.generator(spec.family, gen, exp, m=spec.m)
-            )
-        acc = permmod.compose(acc, img)
-    return acc
-
 
 def higman_defect(
     spec: ApproxSpec, f: Perm,

@@ -32,7 +32,7 @@ LIMITS: dict[str, Limit] = {
         "the count a(n) for f^k = id sums big integers of about n log n "
         "bits and keeps the last max(d | k) of them, a fraction of a second "
         "at the limit for k = 4 (count_work bounds a k with many divisors); "
-        "only the sampler's fallback builds the whole table a(0..n)"),
+        "the sampler grows bounds on a(0..n), not their exact values"),
     "count_work": Limit(
         250000, "terms",
         "the count a(n) for f^k = id sums one big-integer product per "

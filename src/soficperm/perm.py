@@ -22,18 +22,18 @@ writes every leaf as a row (:func:`_order_dividing_rows`, the brute-force
 search space).
 
 Sampling reads no exact table.  It walks on certified bounds
-lo * 2**e <= a(j) <= hi * 2**e with mantissas of about 128 bits, grown by
-the same recurrence with outward rounding (:func:`_bounds`; the gap
-products are bounds too, :func:`_gap_bound`).  Each cycle length compares
-a uniform U in [0, 1), read lazily 64 and then 32 bits at a time, with the
-branch sizes over a(r) (:func:`_cycle_length`).  The words it reads depend
-on the exact values alone; a test the bounds leave open is settled by the
-exact table (:func:`_counts`, which nothing else reads), and at 128 bits
-that does not happen in practice.
+lo * 2**e <= a(j) <= hi * 2**e with mantissas of 128 bits, grown by the
+same recurrence with outward rounding (:func:`_bounds`, on the arithmetic
+of :func:`_arithmetic`).  Each cycle length compares a uniform U in
+[0, 1), read lazily 64 and then 32 bits at a time, with the branch sizes
+over a(r) (:func:`_cycle_length`).  The words it reads depend on the exact
+values alone; a test the bounds leave open is retried on bounds twice as
+wide, and again, until they settle it (:func:`_widened_side`), and at 128
+bits that does not happen in practice.
 
-The count and the tables of :func:`amplify`, :func:`_counts` and
-:func:`_bounds` are checked against :mod:`soficperm.limits` before they grow
-(see "Limits" in the README).
+The count and the tables of :func:`amplify` and :func:`_bounds` are
+checked against :mod:`soficperm.limits` before they grow (see "Limits" in
+the README).
 """
 
 from __future__ import annotations
@@ -302,21 +302,15 @@ def _divisors(k: int, n: int) -> tuple[int, ...]:
     return tuple(sorted({*small, *(k // d for d in small if k // d <= n)}))
 
 
-@lru_cache(maxsize=None)
-def _order_dividing_table(k: int) -> list[int]:
-    """a[j] = #{f in Sym(j) : f^k = id}; one list per k that
-    :func:`_counts` grows in place."""
-    return [1]
-
-
 # (lo, hi, e) stands for the interval [lo * 2**e, hi * 2**e]
 _Bound = tuple[int, int, int]
 
 
 @lru_cache(maxsize=None)
-def _order_dividing_bounds(k: int) -> list[_Bound]:
-    """(lo, hi, e) with lo * 2**e <= a[j] <= hi * 2**e; one list per k that
-    :func:`_bounds` grows in place."""
+def _order_dividing_bounds(k: int, bits: int) -> list[_Bound]:
+    """(lo, hi, e) with lo * 2**e <= a[j] <= hi * 2**e at a mantissa width
+    of ``bits``; one list per k and width that :func:`_bounds` grows in
+    place."""
     return [(1, 1, 0)]
 
 
@@ -343,74 +337,63 @@ def _grow(table, start: int, n: int, k: int, add, mul, gap):
     return table
 
 
-def _counts(n: int, k: int) -> list[int]:
-    """The exact table for k, grown to cover j = 0..n; only the sampler's
-    fallback (:func:`_cycle_length`) reads it."""
-    limits.check("count_table", n)
-    table = _order_dividing_table(k)
-    return _grow(table, len(table), n, k, operator.add, operator.mul,
-                 math.perm)
-
-
-# Mantissa width of the bounds: a value below 2**_MANTISSA_BITS is held exactly.
+# Mantissa width of the sampler's bounds: a value below 2**_MANTISSA_BITS is
+# held exactly.
 _MANTISSA_BITS = 128
 
 
-def _round_out(lo: int, hi: int, e: int) -> _Bound:
-    """The bound (lo, hi, e) cut to _MANTISSA_BITS bits: lo down, hi up."""
-    s = hi.bit_length() - _MANTISSA_BITS
-    if s <= 0:
-        return lo, hi, e
-    return lo >> s, -(-hi >> s), e + s
-
-
-def _add_bounds(x: _Bound, y: _Bound) -> _Bound:
-    """A bound on the sum of two bounded values, at the larger exponent."""
-    if x[2] < y[2]:
-        x, y = y, x
-    s = x[2] - y[2]
-    return _round_out(x[0] + (y[0] >> s), x[1] - (-y[1] >> s), x[2])
-
-
-def _mul_bounds(x: _Bound, y: _Bound) -> _Bound:
-    """A bound on the product of two bounded values."""
-    return _round_out(x[0] * y[0], x[1] * y[1], x[2] + y[2])
-
-
 @lru_cache(maxsize=None)
-def _factorial_bounds(bits: int) -> list[_Bound]:
-    """Bounds on x! for x = 0, 1, ... at a mantissa width of ``bits``; one
-    list per width that :func:`_gap_bound` grows in place."""
-    return [(1, 1, 0)]
+def _arithmetic(bits: int):
+    """(add, mul, gap) on bounds cut to a mantissa width of ``bits``, each
+    rounding outward.  The width is a closure variable, not an argument, so
+    it costs nothing per operation; the triple keeps the bounds on x! that
+    ``gap`` grows."""
+    fact = [(1, 1, 0)]
 
+    def round_out(lo: int, hi: int, e: int) -> _Bound:
+        s = hi.bit_length() - bits
+        if s <= 0:
+            return lo, hi, e
+        return lo >> s, -(-hi >> s), e + s
 
-def _gap_bound(x: int, g: int) -> _Bound:
-    """A bound on the gap product x!/(x-g)!, exact while it is below
-    2**_MANTISSA_BITS.  Past that it is the quotient of the bounds on x!
-    and (x-g)!, so its cost does not grow with the gap g."""
-    if g * x.bit_length() <= _MANTISSA_BITS:  # x**g fits, so the product does
+    def add(x: _Bound, y: _Bound) -> _Bound:
+        """A bound on the sum of two bounded values, at the larger exponent."""
+        if x[2] < y[2]:
+            x, y = y, x
+        s = x[2] - y[2]
+        return round_out(x[0] + (y[0] >> s), x[1] - (-y[1] >> s), x[2])
+
+    def mul(x: _Bound, y: _Bound) -> _Bound:
+        """A bound on the product of two bounded values."""
+        return round_out(x[0] * y[0], x[1] * y[1], x[2] + y[2])
+
+    def gap(x: int, g: int) -> _Bound:
+        """A bound on the gap product x!/(x-g)!, exact while it is below
+        2**bits.  Past that it is the quotient of the bounds on x! and
+        (x-g)!, so its cost does not grow with the gap g."""
+        if g * x.bit_length() <= bits:  # x**g fits, so the product does
+            p = math.perm(x, g)
+            return p, p, 0
+        for y in range(len(fact), x + 1):
+            fact.append(mul((y, y, 0), fact[-1]))
+        (nlo, nhi, ne), (dlo, dhi, de) = fact[x], fact[x - g]
+        if dlo:  # at a narrow width the lower bound on (x-g)! can round to 0
+            s = bits + 1 + dhi.bit_length() - nlo.bit_length()
+            lo, hi, e = (nlo << s) // dhi, -(-(nhi << s) // dlo), ne - de - s
+            if lo.bit_length() + e > bits:  # the product is 2**bits or more
+                return round_out(lo, hi, e)
         p = math.perm(x, g)
-        return p, p, 0
-    fact = _factorial_bounds(_MANTISSA_BITS)
-    for y in range(len(fact), x + 1):
-        fact.append(_mul_bounds((y, y, 0), fact[-1]))
-    (nlo, nhi, ne), (dlo, dhi, de) = fact[x], fact[x - g]
-    if dlo:  # at a narrow width the lower bound on (x-g)! can round to 0
-        s = _MANTISSA_BITS + 1 + dhi.bit_length() - nlo.bit_length()
-        lo, hi, e = (nlo << s) // dhi, -(-(nhi << s) // dlo), ne - de - s
-        if lo.bit_length() + e > _MANTISSA_BITS:  # the product is 2**bits or more
-            return _round_out(lo, hi, e)
-    p = math.perm(x, g)
-    return _round_out(p, p, 0)
+        return round_out(p, p, 0)
+
+    return add, mul, gap
 
 
-def _bounds(n: int, k: int) -> list[_Bound]:
-    """Bounds on the table for k, grown to cover j = 0..n by the same
-    recurrence as :func:`_counts`, rounding outward after every step."""
+def _bounds(n: int, k: int, bits: int) -> list[_Bound]:
+    """Bounds on a(0..n) for k at a mantissa width of ``bits``, grown by
+    :func:`_grow` with the arithmetic of :func:`_arithmetic`."""
     limits.check("count_table", n)
-    table = _order_dividing_bounds(k)
-    return _grow(table, len(table), n, k, _add_bounds, _mul_bounds,
-                 _gap_bound)
+    table = _order_dividing_bounds(k, bits)
+    return _grow(table, len(table), n, k, *_arithmetic(bits))
 
 
 def _side(x: int, m: int, c: _Bound, a: _Bound) -> int | None:
@@ -441,8 +424,8 @@ def count_order_dividing(n: int, k: int) -> int:
     The recurrence reads a(j - d) for d | k alone, so the count keeps a
     window of the last w values, w the largest such d <= n, and no table.
     Each call starts from a(0) and keeps nothing, so a sweep over n costs
-    quadratic time; :func:`_counts` is the table for that.  Its work, one
-    product per such d at each of the n steps, is the ``count_work`` limit."""
+    quadratic time.  Its work, one product per such d at each of the n
+    steps, is the ``count_work`` limit."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 1:
@@ -502,12 +485,15 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
         raise ValueError("degree must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    bounds = _bounds(n, k)
+    bits = _MANTISSA_BITS
+    bounds = _bounds(n, k, bits)
+    arithmetic = _arithmetic(bits)
     divisors = _divisors(k, n)
     images = np.empty(n, dtype=np.int64)
     free = list(range(n - 1, -1, -1))  # unplaced points, descending
     while free:
-        chosen = _cycle_length(len(free), k, divisors, bounds, rng)
+        chosen = _cycle_length(len(free), k, divisors, bits, bounds,
+                               arithmetic, rng)
         cycle = [free.pop()]
         # ordered (d-1)-tuple of partners, uniform among remaining points;
         # index i in ascending order is -1 - i in the descending list
@@ -517,8 +503,8 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
     return Perm(images, _trusted=True)
 
 
-def _cycle_length(r: int, k: int, divisors: tuple[int, ...],
-                  bounds: list[_Bound], rng: random.Random) -> int:
+def _cycle_length(r: int, k: int, divisors: tuple[int, ...], bits: int,
+                  bounds: list[_Bound], arithmetic, rng: random.Random) -> int:
     """The length of the cycle through the smallest of r free points: the
     first d | k with U < C_d / a(r), where C_d sums (r-1)!/(r-d')! * a(r-d')
     over the divisors d' <= d and U is uniform in [0, 1).
@@ -526,30 +512,47 @@ def _cycle_length(r: int, k: int, divisors: tuple[int, ...],
     U is read lazily as a word x of m bits, U in [x, x + 1) / 2**m: 64 bits
     for the first test, then 32 more each time the word lies across the
     threshold C_d / a(r) under test.  So the words read depend on exact
-    values alone; the bounds only settle the tests, and the exact table is
-    read when they cannot.  When d = 1 is the only length that fits, no
-    word is read."""
+    values alone; the ``bits``-wide bounds only settle the tests, and a
+    test they leave open is retried on wider ones (:func:`_widened_side`).
+    When d = 1 is the only length that fits, no word is read."""
     last = bisect.bisect_right(divisors, r) - 1
     if last == 0:
         return 1
+    add, mul, gap = arithmetic
     x, m = rng.getrandbits(64), 64
     c = (0, 0, 0)
     for i in range(last):
         d = divisors[i]
-        c = _add_bounds(c, _mul_bounds(_gap_bound(r - 1, d - 1), bounds[r - d]))
+        c = add(c, mul(gap(r - 1, d - 1), bounds[r - d]))
         while True:
             side = _side(x, m, c, bounds[r])
             if side is None:
-                a = _counts(r, k)
-                exact = sum(math.perm(r - 1, e - 1) * a[r - e]
-                            for e in divisors[:i + 1])
-                side = _side(x, m, (exact, exact, 0), (a[r], a[r], 0))
+                side = _widened_side(x, m, r, k, divisors[:i + 1], bits)
             if side:
                 break
             x, m = x << 32 | rng.getrandbits(32), m + 32
         if side < 0:
             return d
     return divisors[last]  # C_d for the largest d <= r is a(r) > U * a(r)
+
+
+def _widened_side(x: int, m: int, r: int, k: int, lengths: tuple[int, ...],
+                  bits: int) -> int:
+    """:func:`_side` of the word against C_d / a(r), d the last of
+    ``lengths``, on bounds of 2, 4, 8, ... times ``bits`` until one settles
+    it.  Every value the test reads is at most a(r), so once the width
+    reaches a(r)'s bit length the bounds are exact, and exact values
+    always settle it."""
+    while True:
+        bits *= 2
+        bounds = _bounds(r, k, bits)
+        add, mul, gap = _arithmetic(bits)
+        c = (0, 0, 0)
+        for d in lengths:
+            c = add(c, mul(gap(r - 1, d - 1), bounds[r - d]))
+        side = _side(x, m, c, bounds[r])
+        if side is not None:
+            return side
 
 
 def random_perm(n: int, rng: random.Random) -> Perm:

@@ -161,6 +161,19 @@ class TestExitCodes:
         assert err == (f"error: {path}: a permutation object needs a 'perm' "
                        "or an 'f' key\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["amplify", "--perm", "{path}", "--target-n", "10"],
+        ["verify", "--spec", "{path}", "--ball", "1", "--delta", "1/10"]])
+    def test_deeply_nested_json_is_2(self, tmp_path, capsys, argv):
+        # json.load raises RecursionError on this, which is no computation
+        # failure
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = invoke(capsys, [a.format(path=path) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: JSON nested too deeply\n"
+
     def test_workers_flag_is_gone(self, capsys):
         code, _, _ = invoke(capsys, ["count-orders", "--n", "4", "--k", "4",
                                      "--workers", "1"])

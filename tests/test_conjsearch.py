@@ -245,25 +245,6 @@ class TestLocalSearch:
         assert rep.agreement_fraction == Fraction(rep.agreement_count, 20)
 
 
-class TestPsiFEval:
-    def test_t_powers_use_f(self):
-        spec = ap.make_approx("z2", 13, p=1, q=5)
-        f = cj.exact_multiplicative(13, 1, 5, 4)
-        w = gr.genword([("t", 2)])
-        assert cj.psi_f_eval(spec, f, w) == pm.power(f, 2)
-
-    def test_conjugation_relation_exact_here(self):
-        spec = ap.make_approx("z2", 13, p=1, q=5)
-        f = cj.exact_multiplicative(13, 1, 5, 4)
-        w = gr.genword([("t", -1), ("b", 1), ("t", 1)])
-        assert cj.psi_f_eval(spec, f, w) == spec.psi_a
-
-    def test_degree_mismatch(self):
-        spec = ap.make_approx("z2", 13, p=1, q=5)
-        with pytest.raises(ValueError):
-            cj.psi_f_eval(spec, Perm.identity(5), gr.genword([("a", 1)]))
-
-
 class TestHigmanDefect:
     def test_exact_conjugator_has_zero_defect(self):
         spec = ap.make_approx("z2", 13, p=1, q=5)

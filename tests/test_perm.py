@@ -6,7 +6,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -251,8 +251,7 @@ class TestCounting:
         keys = [(n, k) for k in ks for n in range(41)]
         fresh = {}
         for k in ks:
-            pm._order_dividing_table.cache_clear()
-            a = pm._counts(40, k)
+            a = orc._counts(40, k)
             fresh.update(((n, k), a[n]) for n in range(41))
         if order == "ascending":
             keys.sort()
@@ -260,7 +259,6 @@ class TestCounting:
             keys.sort(reverse=True)
         else:
             keys.sort(key=lambda nk: (nk[0] * 7919) % 41)
-        pm._order_dividing_table.cache_clear()
         assert {nk: count_order_dividing(*nk) for nk in keys} == fresh
         # telephone numbers: t(n) = t(n-1) + (n-1) t(n-2)
         t = [1, 1]
@@ -271,8 +269,6 @@ class TestCounting:
     def test_count_builds_no_table(self):
         # the exact table a(0..5000) for k = 4 peaks at about 12 MB; the
         # count keeps four values of a few kB each
-        from soficperm.heuristic import heuristic_report
-        pm._order_dividing_table.cache_clear()
         tracemalloc.start()
         try:
             count_order_dividing(5000, 4)
@@ -280,9 +276,6 @@ class TestCounting:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert pm._order_dividing_table(4) == [1]
-        heuristic_report(5000, 4, "1/100", "1/100")
-        assert pm._order_dividing_table(4) == [1]
 
 
 def _count_digest(ks, n_max):
@@ -291,7 +284,7 @@ def _count_digest(ks, n_max):
     # n < 3k) and at the top
     h = hashlib.sha256()
     for k in ks:
-        table = pm._counts(n_max, k)[:n_max + 1]
+        table = orc._counts(n_max, k)[:n_max + 1]
         for c in table:
             h.update(c.to_bytes((c.bit_length() + 8) // 8, "little") + b"|")
         for n in [*range(min(3 * k, n_max + 1)), n_max - 1, n_max]:
@@ -310,7 +303,8 @@ def test_bounds_hold_the_table(k):
     # exact below 2**_MANTISSA_BITS; above it a true bracket of a(j), with
     # the rounding of a few hundred steps still far below 2**-100 of it
     pm._order_dividing_bounds.cache_clear()
-    for (lo, hi, e), a in zip(pm._bounds(400, k), pm._counts(400, k)):
+    for (lo, hi, e), a in zip(pm._bounds(400, k, pm._MANTISSA_BITS),
+                              orc._counts(400, k)):
         assert lo << e <= a <= hi << e
         if a < 2**pm._MANTISSA_BITS:
             assert lo == hi == a and e == 0
@@ -324,14 +318,61 @@ def test_gap_bounds_hold_the_gap_products():
     cases = [(x, g) for x in range(80) for g in range(x + 1)]
     cases += [(x, g) for x in (200, 1000, 5000)
               for g in (0, 1, 5, 20, 21, 50, 100, x // 2, x)]
+    gap = pm._arithmetic(pm._MANTISSA_BITS)[2]
     for x, g in cases:
-        lo, hi, e = pm._gap_bound(x, g)
+        lo, hi, e = gap(x, g)
         p = math.perm(x, g)
         if p < 2**pm._MANTISSA_BITS:
             assert lo == hi == p and e == 0
         else:
             assert e > 0 and lo << e <= p <= hi << e
             assert (hi - lo) << 100 <= hi
+
+
+def _threshold_bounds(r, k, bits):
+    """Bounds on C_d for each d | k up to r, summed as the sampler sums
+    them, and the bound on a(r), at a mantissa width of ``bits``."""
+    bounds = pm._bounds(r, k, bits)
+    add, mul, gap = pm._arithmetic(bits)
+    c, cs = (0, 0, 0), []
+    for d in pm._divisors(k, r):
+        c = add(c, mul(gap(r - 1, d - 1), bounds[r - d]))
+        cs.append(c)
+    return cs, bounds[r]
+
+
+@pytest.mark.parametrize("k", [4, 12, 2520])
+@pytest.mark.parametrize("r", [40, 300])
+def test_bounds_past_the_bit_length_of_a_r_are_exact(r, k):
+    # the widened retry stops: every value a test at r reads is at most
+    # a(r), so from a(r)'s bit length on the bounds are exact, and exact
+    # values always settle the test; one bit narrower a(r) is cut
+    a = orc._counts(r, k)
+    exact = list(accumulate(
+        math.perm(r - 1, d - 1) * a[r - d] for d in pm._divisors(k, r)))
+    width = a[r].bit_length()
+    for bits in (width, width + 1, 2 * width):
+        cs, ar = _threshold_bounds(r, k, bits)
+        assert cs == [(c, c, 0) for c in exact]
+        assert ar == (a[r], a[r], 0)
+    assert _threshold_bounds(r, k, width - 1)[1] != (a[r], a[r], 0)
+
+
+@pytest.mark.parametrize("k", [4, 12, 2520])
+def test_widened_side_is_the_exact_side(k):
+    # words at, just below and just above each threshold C_d / a(r), retried
+    # from 3 bits: the answer is that of the exact values
+    r, m = 60, 64
+    a = orc._counts(r, k)
+    lengths = pm._divisors(k, r)
+    c = 0
+    for i, d in enumerate(lengths[:-1]):
+        c += math.perm(r - 1, d - 1) * a[r - d]
+        lead = (c << m) // a[r]
+        for x in (lead - 1, lead, lead + 1):
+            want = pm._side(x, m, (c, c, 0), (a[r], a[r], 0))
+            assert want is not None
+            assert pm._widened_side(x, m, r, k, lengths[:i + 1], 3) == want
 
 
 def test_divisors():
@@ -380,8 +421,6 @@ def test_cache_sweep_empties_perm_memos():
     # does its work as in a fresh process
     from soficperm import conjsearch as cj
     count_order_dividing(300, 4)
-    # the exact table, which only the sampler's fallback reads
-    pm._counts(300, 4)
     # k = 2520 fills the factorial bounds too: below 300 its divisors leave
     # gaps of up to 42, too long for an exact gap product
     sample_order_k(300, 2520, 1)
@@ -484,7 +523,6 @@ def test_large_sample_digests_pinned(n, k):
 
 def test_sampling_builds_no_exact_table():
     # the exact table a(0..20000) for k = 4 alone holds about 244 MB
-    pm._order_dividing_table.cache_clear()
     pm._order_dividing_bounds.cache_clear()
     tracemalloc.start()
     try:
@@ -493,7 +531,6 @@ def test_sampling_builds_no_exact_table():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
-    assert pm._order_dividing_table(4) == [1]
 
 
 class _BitCounter(random.Random):
@@ -596,16 +633,16 @@ def oracle_samples():
 def test_sampler_matches_the_exact_table_sampler(bits, oracle_samples, monkeypatch):
     # same permutation and same rng state after the call, since local_search
     # goes on drawing from that rng; at 3 bits the bounds leave many
-    # comparisons open and the exact table settles them
-    exact_reads = []
-    counts = pm._counts
+    # comparisons open and wider bounds settle them
+    retries = []
+    widened_side = pm._widened_side
 
-    def counting(n, k):
-        exact_reads.append((n, k))
-        return counts(n, k)
+    def counting(*args):
+        retries.append(args)
+        return widened_side(*args)
 
     monkeypatch.setattr(pm, "_MANTISSA_BITS", bits)
-    monkeypatch.setattr(pm, "_counts", counting)
+    monkeypatch.setattr(pm, "_widened_side", counting)
     pm._order_dividing_bounds.cache_clear()
     try:
         for (n, k, seed), (images, state) in oracle_samples.items():
@@ -615,6 +652,6 @@ def test_sampler_matches_the_exact_table_sampler(bits, oracle_samples, monkeypat
     finally:
         pm._order_dividing_bounds.cache_clear()
     if bits == 3:
-        assert exact_reads
+        assert retries
     else:
-        assert not exact_reads
+        assert not retries

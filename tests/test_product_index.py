@@ -616,7 +616,7 @@ def test_defect_dtype_follows_the_bound(monkeypatch, family, n, params,
     S = gr.ball(family, radius, m=params.get("m"))
     _skew_images(monkeypatch, S, params.get("m"), n // 3 + 1)
     seen = set()
-    compose, agree = ap._compose_coeffs, ap._agree_counts
+    compose, agree = ap._compose_coeffs, ap._count_agreements
 
     def compose_spy(n, first, second):
         seen.add(first[0].dtype)
@@ -629,7 +629,7 @@ def test_defect_dtype_follows_the_bound(monkeypatch, family, n, params,
     want = scalar_verify(spec, S, "1/10")
     # the scalar reference calls the same helpers, so spy only after it
     monkeypatch.setattr(ap, "_compose_coeffs", compose_spy)
-    monkeypatch.setattr(ap, "_agree_counts", agree_spy)
+    monkeypatch.setattr(ap, "_count_agreements", agree_spy)
     got = ap.verify(spec, S, "1/10")
     assert got == want
     assert _report_digest(got) == _report_digest(want)
