@@ -13,10 +13,11 @@ integers; floats appear only in the 200-bit log estimates.
 
 The names of ``__all__`` are loaded on first use (PEP 562), each from the
 submodule in :data:`_EXPORTS`, so importing one submodule, as the command
-line does, loads only what that submodule imports.  ``perm``, ``groups``
-and ``approx`` hold a :class:`_NumpyOnFirstUse` as their ``np`` until the
-first array operation, so the counting commands, ``--help`` and usage
-errors run without importing numpy.
+line does, loads only what that submodule imports.  ``groups``,
+``serialize``, ``limits`` and ``heuristic`` use no arrays and never import
+numpy; ``perm`` imports it at its first array operation (see
+``perm._NumpyOnFirstUse``), so the counting commands, ``--help`` and usage
+errors run without it.  The other modules import numpy at their top.
 """
 
 import importlib
@@ -28,7 +29,7 @@ _EXPORTS = {
     "perm": (
         "Perm", "CycleDecomposition", "compose", "conjugate", "inverse",
         "power", "hamming", "hamming_count", "cycle_decomposition",
-        "order_of", "order_divides", "project_to_order", "amplify",
+        "order_of", "project_to_order", "amplify",
         "count_order_dividing", "sample_order_k"),
     "groups": (
         "FAMILIES", "GenWord", "Z2Elem", "HeisElem", "BSElem", "WreathElem",
@@ -37,7 +38,7 @@ _EXPORTS = {
     "approx": (
         "ApproxSpec", "VerifyReport", "PolyConditionResult",
         "HeisFixedReport", "make_approx", "eval_spec", "amplify_spec",
-        "verify", "check_poly_condition", "heis_fixed_bound", "to_fraction"),
+        "verify", "check_poly_condition", "heis_fixed_bound"),
     "conjsearch": (
         "ConjProblem", "SearchReport", "AlignmentReport",
         "translation_problem", "multiplication_problem", "problem_from_spec",
@@ -48,35 +49,11 @@ _EXPORTS = {
         "hig_presentation", "mubar", "make_action", "verify_action",
         "injectivity_probe", "random_tables"),
     "heuristic": ("HeuristicReport", "heuristic_report"),
+    "serialize": ("to_fraction",),
 }
 __all__ = ["__version__",
            *(name for names in _EXPORTS.values() for name in names)]
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-
-class _NumpyOnFirstUse:
-    """The ``np`` of each module that binds it, until numpy's first use: the
-    first attribute read imports numpy and rebinds ``np`` to numpy itself in
-    every such module, so each later ``np.`` lookup is a plain global one."""
-
-    __slots__ = ("_namespaces",)
-
-    def __init__(self):
-        self._namespaces: list[dict] = []
-
-    def bind(self, namespace: dict) -> "_NumpyOnFirstUse":
-        """Stand in for the ``np`` of the module whose globals are namespace."""
-        self._namespaces.append(namespace)
-        return self
-
-    def __getattr__(self, name: str):
-        import numpy
-        for namespace in self._namespaces:
-            namespace["np"] = numpy
-        return getattr(numpy, name)
-
-
-_numpy = _NumpyOnFirstUse()
 
 
 def __getattr__(name: str):

@@ -15,15 +15,29 @@ is an exact homomorphism of its family; :func:`verify` confirms the zero
 homomorphism defect and checks the distance-from-identity condition over a
 finite set S at a tolerance delta, with exact arithmetic throughout and
 closed-form agreement counts, so its cost does not depend on n.  It reads
-the product index of S (which pairs multiply back into S, and where; see
-``groups._product_index``) and evaluates composition and agreement for
-all indexed pairs at once: the closed forms are written once, in helpers
-that take Python ints or numpy arrays alike.  The arrays are int64 while
-n^2 + 2n and the degree fit, and object arrays of Python ints past that,
-so n = 10^12 needs no second path.  Amplified specs (block-diagonal copies
-of a smaller spec, see :func:`amplify_spec`) keep the homomorphism defect
-at zero while the identity-distance condition degrades by at most 1/(q+1)
-for q full blocks.
+the product index of S (which pairs multiply back into S, and where) and
+evaluates composition and agreement for all indexed pairs at once: the
+closed forms are written once, in helpers that take Python ints or numpy
+arrays alike.  The arrays are int64 while n^2 + 2n and the degree fit, and
+object arrays of Python ints past that, so n = 10^12 needs no second path.
+Amplified specs (block-diagonal copies of a smaller spec, see
+:func:`amplify_spec`) keep the homomorphism defect at zero while the
+identity-distance condition degrades by at most 1/(q+1) for q full blocks.
+
+``_product_index`` gives, for a finite set S, the position in S of every
+product of two of its elements, in blocks of whole rows.  It holds S as
+integer coordinate columns -- (lam, mu) for z2, (lam, mu, nu) for heis,
+(pow, value * m^E) for bs with E the largest den_exp plus the largest
+|pow|, for zwrz pow plus the coefficient at each exponent S uses, and for
+metab one key: the word's unit letters as base-5 digits 1..4 -- and builds
+a block's product columns by the formulas of ``groups.mul`` (for metab
+words, by the count of letters that cancel where g meets h).  A product
+leaving S's per-column [min, max] is outside S; otherwise it is packed
+column by column into one mixed-radix key and found by ``searchsorted``
+among S's sorted keys.  A bound on every value is computed in Python ints
+first: the columns are int64 when it fits and object (exact Python ints)
+otherwise, so nothing wraps.  ``groups.mul`` stays the product the rest of
+the package uses.
 
 Full tables and the exhaustive polynomial scan are checked first against
 :mod:`soficperm.limits` (see "Limits" in the README).
@@ -36,9 +50,10 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import _numpy
+import numpy as np
+
 from . import groups
 from . import limits
 from . import perm as permmod
@@ -52,8 +67,7 @@ from .groups import (
     Z2Elem,
 )
 from .perm import Perm
-
-np = _numpy.bind(globals())  # numpy itself from its first use
+from .serialize import _unit_delta
 
 __all__ = [
     "AffineImage",
@@ -69,36 +83,7 @@ __all__ = [
     "conjugate_spec",
     "check_poly_condition",
     "heis_fixed_bound",
-    "to_fraction",
 ]
-
-def to_fraction(x) -> Fraction:
-    """Exact tolerance parsing: Fraction, int, and decimal strings pass
-    through exactly; floats go through their shortest repr.  A string with
-    a zero denominator is a ``ValueError`` naming it, as any other string
-    Fraction refuses is."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    if isinstance(x, float):
-        return Fraction(str(x))
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def _unit_delta(delta) -> Fraction:
-    """``delta`` as an exact rational in (0, 1], or a ``ValueError`` that
-    names it as given: the text 1e400 is five characters, its value 401
-    digits."""
-    value = to_fraction(delta)
-    if not 0 < value <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return value
 
 
 def _gcd(x, n: int):
@@ -387,6 +372,214 @@ class VerifyReport:
     pairs_checked: int
 
 
+# ---------------------------------------------------------------------------
+# the product index of a finite set, in arrays
+# ---------------------------------------------------------------------------
+
+_INT64_MAX = 2**63 - 1
+
+
+class _ArrayForm(NamedTuple):
+    """A finite set S as integer coordinate columns, one entry per element,
+    each column with its [min, max] over S; ``block(g)`` yields the same
+    columns for the products of the rows ``g`` of S with all of S, as
+    (rows, |S|) arrays, by the formulas of :func:`groups.mul`.  Every
+    column and every intermediate is int64 when a bound on them fits, else
+    object."""
+
+    dtype: type
+    columns: list
+    lo: list
+    hi: list
+    block: Callable[[slice], Iterator[np.ndarray]]
+
+
+def _amax(*columns: list) -> int:
+    return max((abs(v) for c in columns for v in c), default=0)
+
+
+def _z2_form(elements):
+    columns = [[x.lam for x in elements], [x.mu for x in elements]]
+
+    def products(lam, mu):
+        def block(g):
+            yield lam[g, None] + lam
+            yield mu[g, None] + mu
+        return block
+    return columns, 2 * _amax(*columns), products
+
+
+def _heis_form(elements):
+    columns = [[x.lam for x in elements], [x.mu for x in elements],
+               [x.nu for x in elements]]
+    a_lam, a_mu, a_nu = map(_amax, columns)
+
+    def products(lam, mu, nu):
+        def block(g):
+            yield lam[g, None] + lam
+            yield mu[g, None] + mu
+            yield nu[g, None] + nu - mu[g, None] * lam
+        return block
+    return columns, 2 * max(a_lam, a_mu, a_nu) + a_mu * a_lam, products
+
+
+def _bs_form(elements):
+    # (pow, value * m^E): with E = the largest den_exp + the largest |pow|,
+    # m^pow_h * value_g * m^E is an integer for every g, h in S
+    m = elements[0].m
+    pows = [x.pow for x in elements]
+    top = _amax(pows)
+    e = max(x.den_exp for x in elements) + top
+    values = [x.num * m ** (e - x.den_exp) for x in elements]
+    scale = abs(m) ** top
+
+    def products(pow_, value):
+        up = np.array([m ** max(p, 0) for p in pows], value.dtype)
+        down = np.array([m ** max(-p, 0) for p in pows], value.dtype)
+
+        def block(g):
+            yield pow_[g, None] + pow_
+            yield value + value[g, None] * up // down  # the division is exact
+        return block
+    # the up and down tables reach scale even when every value is 0
+    bound = max(2 * top, (1 + scale) * max(_amax(values), 1))
+    return [pows, values], bound, products
+
+
+def _zwrz_form(elements):
+    # columns: pow; whether some lamp of g, shifted by pow_h, lands on an
+    # exponent no element of S uses (0 on S itself); the coefficient at each
+    # exponent S uses
+    exps = sorted({e for x in elements for e, _ in x.poly})
+    col = {e: j for j, e in enumerate(exps)}
+    pows = [x.pow for x in elements]
+    lit = np.zeros((len(elements), len(exps)), dtype=bool)
+    coeffs = [[0] * len(elements) for _ in exps]
+    for k, x in enumerate(elements):
+        for e, c in x.poly:
+            lit[k, col[e]] = True
+            coeffs[col[e]][k] = c
+    leaves = np.array([[e + p not in col for p in pows] for e in exps],
+                      dtype=bool).reshape(len(exps), len(elements))
+    # where g's coefficient at e - pow_h sits, the zero column when absent
+    source = np.array([[col.get(e - p, len(exps)) for p in pows]
+                       for e in exps], dtype=np.intp)
+    columns = [pows, [0] * len(elements), *coeffs]
+
+    def products(pow_, _, *coeff):
+        table = np.stack([*coeff, np.zeros_like(pow_)], axis=1)
+
+        def block(g):
+            yield pow_[g, None] + pow_
+            yield (lit[g] @ leaves).astype(pow_.dtype)
+            lamps_g = table[g]
+            for c, at in zip(coeff, source):
+                yield c + lamps_g[:, at]
+        return block
+    return columns, max(2 * _amax(*columns), 1), products
+
+
+def _metab_form(elements):
+    # one column: the word's unit letters a, a^-1, b, b^-1 as the base-5
+    # digits 1..4, first letter most significant; no digit is 0, so words
+    # of different lengths get different keys.  gh keeps g's first |g| - c
+    # letters and h's last |h| - c, for c the letters that cancel.
+    lengths = np.array([x.word.length() for x in elements], dtype=np.int64)
+    width = int(lengths.max())
+    # one column past the longest word, so every row ends in a pad
+    digits = np.zeros((len(elements), width + 1), dtype=np.int64)
+    for k, x in enumerate(elements):
+        digits[k, :lengths[k]] = [(1 if g == "a" else 3) + (e < 0)
+                                  for g, e in x.word.letters
+                                  for _ in range(abs(e))]
+    # a word's key is below 5^width: int64 when that fits, else exact ints
+    pow5 = np.array([5 ** i for i in range(width + 1)],
+                    dtype=np.int64 if 5 ** width <= _INT64_MAX else object)
+    # back[k, i]: the place of letter i from the end, negative past the word
+    back = lengths[:, None] - 1 - np.arange(width + 1)
+    keys = (digits * pow5[np.maximum(back, 0)]).sum(axis=1)
+    # g's letters from the last, padded with 0, against h's inverted
+    # letters from the first (1 <-> 2, 3 <-> 4), padded with -1: the
+    # letters that cancel end at the first mismatch, a pad at the latest
+    reversed_ = np.where(back >= 0, np.take_along_axis(
+        digits, np.maximum(back, 0), axis=1), 0)
+    inverted = digits - 1 + 2 * (digits % 2)
+
+    def products(key):
+        place = pow5.astype(key.dtype)
+
+        def block(g):
+            cancel = (reversed_[g, None] != inverted).argmax(axis=2)
+            kept = lengths - cancel
+            yield (key[g, None] // place[cancel] * place[kept]
+                   + key % place[kept])
+        return block
+    # a product's key has up to 2 * width digits
+    return [keys.tolist()], 5 ** (2 * width), products
+
+
+_FORMS = {Z2Elem: _z2_form, HeisElem: _heis_form, BSElem: _bs_form,
+          WreathElem: _zwrz_form, FreeWord: _metab_form}
+
+
+def _array_form(elements: Sequence[GroupElem]) -> _ArrayForm:
+    """The array form of a nonempty S.  A set that mixes families or bs
+    parameters raises the error :func:`groups.mul` raises on such a pair,
+    and a non-element the ``TypeError`` of :func:`groups.family_of`."""
+    first = elements[0]
+    family = groups.family_of(first)
+    for x in elements:
+        if type(x) is not type(first):
+            raise ValueError(
+                f"family mismatch: {family} vs {groups.family_of(x)}")
+        if type(x) is BSElem and x.m != first.m:
+            raise ValueError(f"parameter mismatch: m={first.m} vs m={x.m}")
+    columns, bound, products = _FORMS[type(first)](elements)
+    lo, hi = [min(c) for c in columns], [max(c) for c in columns]
+    # besides the products, _pack computes a column less its min and keys
+    # below the product of the spans
+    keys = math.prod(h - l + 1 for l, h in zip(lo, hi))
+    fits = max(bound + _amax(lo, hi), keys) <= _INT64_MAX
+    dtype = np.int64 if fits else object
+    arrays = [np.array(c, dtype=dtype) for c in columns]
+    return _ArrayForm(dtype, arrays, lo, hi, products(*arrays))
+
+
+def _pack(form: _ArrayForm, columns: Iterable[np.ndarray]):
+    """(inside, key): whether each row lies in the box of S's column
+    ranges, and its key in mixed radix over their spans, column by column
+    (0 where a row leaves the box)."""
+    inside, key, radix = True, 0, 1
+    for c, lo, hi in zip(columns, form.lo, form.hi):
+        ok = (c >= lo) & (c <= hi)
+        inside = inside & ok
+        key = key + np.where(ok, c - lo, 0) * radix
+        radix *= hi - lo + 1
+    return inside, key
+
+
+def _product_index(elements: Sequence[GroupElem],
+                   rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The product index of S = ``elements`` (sorted, no repeats) in
+    blocks of ``rows`` whole rows: yields (top, index) where index[i, j] is
+    the position of elements[top + i] * elements[j] in S, or -1.
+
+    Each product row is found by its packed key (:func:`_pack`) with one
+    ``searchsorted`` per block over the sorted keys of S.
+    """
+    size = len(elements)
+    if not size:
+        return
+    form = _array_form(elements)
+    _, keys = _pack(form, form.columns)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    for top in range(0, size, rows):
+        inside, key = _pack(form, form.block(slice(top, top + rows)))
+        at = np.minimum(np.searchsorted(keys, key), size - 1)
+        yield top, np.where(inside & (keys[at] == key), order[at], -1)
+
+
 # products per block of rows of the product index in :func:`verify`; a
 # block's index and temporaries grow by about 90 bytes per product on int64
 # coefficients and 180 on object ints (tracemalloc, z2 radius 9 at n = 1009
@@ -411,7 +604,7 @@ def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
 
     S is sorted by :func:`groups.sort_key`, and one pass over its pairs
     (g, h) in that order reads the product index: the position of gh in S,
-    or -1 when gh lies outside S.  ``groups._product_index`` builds it from
+    or -1 when gh lies outside S.  :func:`_product_index` builds it from
     S's coordinates in arrays, one ``searchsorted`` of packed keys per
     block, for metab words too.  The pairs with gh in S are checked in
     batches: psi(g) o psi(h) is composed and compared with psi(gh) by the
@@ -431,13 +624,13 @@ def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
     # coefficients lie in [0, n), so every value the closed forms build is
     # below n^2 + 2n or npoints: int64 when that fits, exact ints otherwise
     n = spec.n
-    fits = max(n * n + 2 * n, npoints) <= groups._INT64_MAX
+    fits = max(n * n + 2 * n, npoints) <= _INT64_MAX
     columns = [np.array(c, dtype=np.int64 if fits else object)
                for c in zip(*(image(spec, g).coeffs for g in elements))]
     pairs = worst_defect = 0
     hom_witness: Optional[tuple[GroupElem, GroupElem]] = None
     rows = max(1, _PAIR_CHUNK // max(len(elements), 1))
-    for top, index in groups._product_index(elements, rows):
+    for top, index in _product_index(elements, rows):
         at_g, at_h = np.nonzero(index >= 0)
         if not len(at_g):
             continue

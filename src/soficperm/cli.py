@@ -30,9 +30,10 @@ Start-up cost
 * ``import soficperm.cli`` loads ``perm``, ``groups``, ``limits`` and
   ``serialize``, and not numpy.  Each subcommand imports the rest of what
   it runs (``approx``, ``conjsearch``, ``higman``, ``heuristic``) in its
-  handler, so ``count-orders`` loads none of them.  numpy is imported by
-  the first array operation, so ``count-orders``, ``heuristic``, ``--help``,
-  usage errors and inputs refused before a table is built never load it;
+  handler, so ``count-orders`` loads none of them.  numpy is imported with
+  ``approx``, ``conjsearch`` or ``higman``, or by ``perm``'s first array
+  operation, so ``count-orders``, ``heuristic``, ``--help``, usage errors
+  and inputs refused before ``approx`` is loaded never load it;
   ``elapsed_s=`` counts the imports a command makes, numpy included.
 """
 
@@ -356,9 +357,9 @@ def _cmd_make_approx(ns):
 
 
 def _cmd_verify(ns):
+    # refused before numpy, the spec's tables or the ball are loaded or built
+    delta = ser._unit_delta(ns.delta)
     from . import approx as approxmod
-    # refused before the spec's tables or the ball are built
-    delta = approxmod._unit_delta(ns.delta)
     spec = _load_spec(ns.spec)
     S = groupsmod.ball(spec.family, ns.ball, m=spec.m)
     report = approxmod.verify(spec, S, delta)

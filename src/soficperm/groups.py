@@ -16,7 +16,8 @@ Families and tags:
 
 Products and inverses are computed in exact integers and land in the normal
 form directly; the elements they build skip the constructors' checks, which
-stay in place for input from outside.
+stay in place for input from outside.  Nothing here uses arrays or numpy;
+the array form of a finite set that ``verify`` reads is in ``approx``.
 
 Multiplication matches the permutation side: if psi sends an element to the
 map x -> m^-pow (x + t(m)), then mul(g1, g2) has pow = pow1 + pow2 and
@@ -27,33 +28,15 @@ The Heisenberg sign convention is anchored the same way: with
 (l1,m1,n1)*(l2,m2,n2) = (l1+l2, m1+m2, n1+n2 - m1*l2) the permutation
 (x, y) -> (x + mu*y - nu, y + lam) is a homomorphism, and a^-1 b^-1 a b
 evaluates to c = (0, 0, 1).  The opposite convention would flip nu's sign.
-
-``_product_index`` gives, for a finite set S, the position in S of every
-product of two of its elements, in blocks of whole rows.  It holds S as
-integer coordinate columns -- (lam, mu) for z2, (lam, mu, nu) for heis,
-(pow, value * m^E) for bs with E the largest den_exp plus the largest
-|pow|, for zwrz pow plus the coefficient at each exponent S uses, and for
-metab one key: the word's unit letters as base-5 digits 1..4 -- and builds
-a block's product columns by the formulas of ``mul`` (for metab words, by
-the count of letters that cancel where g meets h).  A product leaving S's
-per-column [min, max] is outside S; otherwise it is packed column by
-column into one mixed-radix key and found by ``searchsorted`` among S's
-sorted keys.  A bound on every value is computed in Python ints first:
-the columns are int64 when it fits and object (exact Python ints)
-otherwise, so nothing wraps.  ``mul`` stays the product the rest of the
-package uses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Union
 
-from . import _numpy
-
-np = _numpy.bind(globals())  # numpy itself from its first use
+from . import limits
 
 __all__ = [
     "FAMILIES",
@@ -427,7 +410,9 @@ def ball(family: str, radius: int, *,
 
     For the four families with normal forms these are distinct group
     elements.  For metab they are freely reduced words with no group-level
-    deduplication."""
+    deduplication.  The search stops with the ``ball_elements`` error of
+    :mod:`soficperm.limits` once it has found more elements than that
+    limit, so a refused ball costs at most the limit."""
     _check_family(family)
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -445,6 +430,7 @@ def ball(family: str, radius: int, *,
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+            limits.check("ball_elements", len(seen))
         frontier = nxt
     return tuple(sorted(seen, key=sort_key))
 
@@ -471,209 +457,3 @@ def abelianization(x: GroupElem) -> tuple[int, int]:
     if isinstance(x, BSElem):
         raise ValueError("bs admits no retraction onto <a> x <b>")
     raise TypeError(f"not a group element: {x!r}")
-
-
-# ---------------------------------------------------------------------------
-# the product index of a finite set, in arrays
-# ---------------------------------------------------------------------------
-
-_INT64_MAX = 2**63 - 1
-
-
-class _ArrayForm(NamedTuple):
-    """A finite set S as integer coordinate columns, one entry per element,
-    each column with its [min, max] over S; ``block(g)`` yields the same
-    columns for the products of the rows ``g`` of S with all of S, as
-    (rows, |S|) arrays, by the formulas of :func:`mul`.  Every column and
-    every intermediate is int64 when a bound on them fits, else object."""
-
-    dtype: type
-    columns: list
-    lo: list
-    hi: list
-    block: Callable[[slice], Iterator[np.ndarray]]
-
-
-def _amax(*columns: list) -> int:
-    return max((abs(v) for c in columns for v in c), default=0)
-
-
-def _z2_form(elements):
-    columns = [[x.lam for x in elements], [x.mu for x in elements]]
-
-    def products(lam, mu):
-        def block(g):
-            yield lam[g, None] + lam
-            yield mu[g, None] + mu
-        return block
-    return columns, 2 * _amax(*columns), products
-
-
-def _heis_form(elements):
-    columns = [[x.lam for x in elements], [x.mu for x in elements],
-               [x.nu for x in elements]]
-    a_lam, a_mu, a_nu = map(_amax, columns)
-
-    def products(lam, mu, nu):
-        def block(g):
-            yield lam[g, None] + lam
-            yield mu[g, None] + mu
-            yield nu[g, None] + nu - mu[g, None] * lam
-        return block
-    return columns, 2 * max(a_lam, a_mu, a_nu) + a_mu * a_lam, products
-
-
-def _bs_form(elements):
-    # (pow, value * m^E): with E = the largest den_exp + the largest |pow|,
-    # m^pow_h * value_g * m^E is an integer for every g, h in S
-    m = elements[0].m
-    pows = [x.pow for x in elements]
-    top = _amax(pows)
-    e = max(x.den_exp for x in elements) + top
-    values = [x.num * m ** (e - x.den_exp) for x in elements]
-    scale = abs(m) ** top
-
-    def products(pow_, value):
-        up = np.array([m ** max(p, 0) for p in pows], value.dtype)
-        down = np.array([m ** max(-p, 0) for p in pows], value.dtype)
-
-        def block(g):
-            yield pow_[g, None] + pow_
-            yield value + value[g, None] * up // down  # the division is exact
-        return block
-    # the up and down tables reach scale even when every value is 0
-    bound = max(2 * top, (1 + scale) * max(_amax(values), 1))
-    return [pows, values], bound, products
-
-
-def _zwrz_form(elements):
-    # columns: pow; whether some lamp of g, shifted by pow_h, lands on an
-    # exponent no element of S uses (0 on S itself); the coefficient at each
-    # exponent S uses
-    exps = sorted({e for x in elements for e, _ in x.poly})
-    col = {e: j for j, e in enumerate(exps)}
-    pows = [x.pow for x in elements]
-    lit = np.zeros((len(elements), len(exps)), dtype=bool)
-    coeffs = [[0] * len(elements) for _ in exps]
-    for k, x in enumerate(elements):
-        for e, c in x.poly:
-            lit[k, col[e]] = True
-            coeffs[col[e]][k] = c
-    leaves = np.array([[e + p not in col for p in pows] for e in exps],
-                      dtype=bool).reshape(len(exps), len(elements))
-    # where g's coefficient at e - pow_h sits, the zero column when absent
-    source = np.array([[col.get(e - p, len(exps)) for p in pows]
-                       for e in exps], dtype=np.intp)
-    columns = [pows, [0] * len(elements), *coeffs]
-
-    def products(pow_, _, *coeff):
-        table = np.stack([*coeff, np.zeros_like(pow_)], axis=1)
-
-        def block(g):
-            yield pow_[g, None] + pow_
-            yield (lit[g] @ leaves).astype(pow_.dtype)
-            lamps_g = table[g]
-            for c, at in zip(coeff, source):
-                yield c + lamps_g[:, at]
-        return block
-    return columns, max(2 * _amax(*columns), 1), products
-
-
-def _metab_form(elements):
-    # one column: the word's unit letters a, a^-1, b, b^-1 as the base-5
-    # digits 1..4, first letter most significant; no digit is 0, so words
-    # of different lengths get different keys.  gh keeps g's first |g| - c
-    # letters and h's last |h| - c, for c the letters that cancel.
-    lengths = np.array([x.word.length() for x in elements], dtype=np.int64)
-    width = int(lengths.max())
-    # one column past the longest word, so every row ends in a pad
-    digits = np.zeros((len(elements), width + 1), dtype=np.int64)
-    for k, x in enumerate(elements):
-        digits[k, :lengths[k]] = [(1 if g == "a" else 3) + (e < 0)
-                                  for g, e in x.word.letters
-                                  for _ in range(abs(e))]
-    # a word's key is below 5^width: int64 when that fits, else exact ints
-    pow5 = np.array([5 ** i for i in range(width + 1)],
-                    dtype=np.int64 if 5 ** width <= _INT64_MAX else object)
-    # back[k, i]: the place of letter i from the end, negative past the word
-    back = lengths[:, None] - 1 - np.arange(width + 1)
-    keys = (digits * pow5[np.maximum(back, 0)]).sum(axis=1)
-    # g's letters from the last, padded with 0, against h's inverted
-    # letters from the first (1 <-> 2, 3 <-> 4), padded with -1: the
-    # letters that cancel end at the first mismatch, a pad at the latest
-    reversed_ = np.where(back >= 0, np.take_along_axis(
-        digits, np.maximum(back, 0), axis=1), 0)
-    inverted = digits - 1 + 2 * (digits % 2)
-
-    def products(key):
-        place = pow5.astype(key.dtype)
-
-        def block(g):
-            cancel = (reversed_[g, None] != inverted).argmax(axis=2)
-            kept = lengths - cancel
-            yield (key[g, None] // place[cancel] * place[kept]
-                   + key % place[kept])
-        return block
-    # a product's key has up to 2 * width digits
-    return [keys.tolist()], 5 ** (2 * width), products
-
-
-_FORMS = {Z2Elem: _z2_form, HeisElem: _heis_form, BSElem: _bs_form,
-          WreathElem: _zwrz_form, FreeWord: _metab_form}
-
-
-def _array_form(elements: Sequence[GroupElem]) -> _ArrayForm:
-    """The array form of a nonempty S.  A set that mixes families or bs
-    parameters raises the error :func:`mul` raises on such a pair, and a
-    non-element the ``TypeError`` of :func:`family_of`."""
-    first = elements[0]
-    family = family_of(first)
-    for x in elements:
-        if type(x) is not type(first):
-            raise ValueError(f"family mismatch: {family} vs {family_of(x)}")
-        if type(x) is BSElem and x.m != first.m:
-            raise ValueError(f"parameter mismatch: m={first.m} vs m={x.m}")
-    columns, bound, products = _FORMS[type(first)](elements)
-    lo, hi = [min(c) for c in columns], [max(c) for c in columns]
-    # besides the products, _pack computes a column less its min and keys
-    # below the product of the spans
-    keys = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    fits = max(bound + _amax(lo, hi), keys) <= _INT64_MAX
-    dtype = np.int64 if fits else object
-    arrays = [np.array(c, dtype=dtype) for c in columns]
-    return _ArrayForm(dtype, arrays, lo, hi, products(*arrays))
-
-
-def _pack(form: _ArrayForm, columns: Iterable[np.ndarray]):
-    """(inside, key): whether each row lies in the box of S's column
-    ranges, and its key in mixed radix over their spans, column by column
-    (0 where a row leaves the box)."""
-    inside, key, radix = True, 0, 1
-    for c, lo, hi in zip(columns, form.lo, form.hi):
-        ok = (c >= lo) & (c <= hi)
-        inside = inside & ok
-        key = key + np.where(ok, c - lo, 0) * radix
-        radix *= hi - lo + 1
-    return inside, key
-
-
-def _product_index(elements: Sequence[GroupElem],
-                   rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The product index of S = ``elements`` (sorted, no repeats) in
-    blocks of ``rows`` whole rows: yields (top, index) where index[i, j] is
-    the position of elements[top + i] * elements[j] in S, or -1.
-
-    Each product row is found by its packed key (:func:`_pack`) with one
-    ``searchsorted`` per block over the sorted keys of S.
-    """
-    size = len(elements)
-    if not size:
-        return
-    form = _array_form(elements)
-    _, keys = _pack(form, form.columns)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    for top in range(0, size, rows):
-        inside, key = _pack(form, form.block(slice(top, top + rows)))
-        at = np.minimum(np.searchsorted(keys, key), size - 1)
-        yield top, np.where(inside & (keys[at] == key), order[at], -1)

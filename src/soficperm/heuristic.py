@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 
 from . import limits
 from . import perm as permmod
-from .approx import to_fraction
+from .serialize import to_fraction
 
 __all__ = ["HeuristicReport", "heuristic_report", "PRECISION_BITS"]
 

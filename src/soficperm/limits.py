@@ -39,6 +39,12 @@ LIMITS: dict[str, Limit] = {
         "divisor of k up to n at each of n steps, n times that many terms: "
         "about 4 s for n = 5000, k = 2520 and 6 s for n = 20000, k = 60 "
         "near the limit, about a minute for n = 20000, k = 2520"),
+    "ball_elements": Limit(
+        10000, "elements",
+        "a ball grows about threefold per unit of radius: heis radius 12 "
+        "has 8871 elements, metab radius 8 has 13121 and radius 40 about "
+        "4 * 3^39; the search stops at the first elements past the limit, "
+        "so a refused ball costs at most the limit"),
     "brute_force_n": Limit(
         9, "points",
         "brute force enumerates every f in Sym(n) with f^k = id as a row"),

@@ -33,7 +33,8 @@ bits that does not happen in practice.
 
 The count and the tables of :func:`amplify` and :func:`_bounds` are
 checked against :mod:`soficperm.limits` before they grow (see "Limits" in
-the README).
+the README).  numpy is imported at the first array operation
+(:class:`_NumpyOnFirstUse`), since the count and the bounds need none.
 """
 
 from __future__ import annotations
@@ -49,10 +50,23 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from . import _numpy
 from . import limits
 
-np = _numpy.bind(globals())  # numpy itself from its first use
+
+class _NumpyOnFirstUse:
+    """This module's ``np`` until its first attribute read, which imports
+    numpy and rebinds ``np`` to it.  It remains because the count and the
+    sampler's bounds, which ``count-orders`` and ``heuristic`` run, live
+    beside :class:`Perm` until the benchmark's span tracer stops wrapping
+    ``perm.count_order_dividing`` and they can move to a numpy-free module."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
 
 __all__ = [
     "Perm",
@@ -65,7 +79,6 @@ __all__ = [
     "hamming_count",
     "cycle_decomposition",
     "order_of",
-    "order_divides",
     "project_to_order",
     "amplify",
     "count_order_dividing",
@@ -254,13 +267,6 @@ def cycle_decomposition(f: Perm) -> CycleDecomposition:
 def order_of(f: Perm) -> int:
     """Multiplicative order: lcm of the cycle lengths."""
     return math.lcm(*cycle_decomposition(f).lengths())
-
-
-def order_divides(f: Perm, k: int) -> bool:
-    """True iff f^k = identity, i.e. every cycle length divides k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return all(k % length == 0 for length in cycle_decomposition(f).lengths())
 
 
 def project_to_order(f: Perm, k: int) -> Perm:

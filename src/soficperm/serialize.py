@@ -16,7 +16,9 @@ Only what a command reads back has a decoder: a spec (``--spec``), a
 permutation (``--perm``, ``--alpha``, ``--beta``) and the words of
 ``--pairs``.  The ``*_from_obj`` decoders are written out, since decoding
 is input validation: they re-validate the data rather than trust it.
-Every other record is output only.
+Every other record is output only.  The exact rationals a command is
+given as text (``--delta``, ``--eps``, ``--eps-prime``) are decoded by
+:func:`to_fraction`, and a tolerance in (0, 1] by :func:`_unit_delta`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ if TYPE_CHECKING:
     from .higman import ActionTable, RelationReport
 
 __all__ = [
-    "fraction_to_obj",
+    "to_fraction", "fraction_to_obj",
     "perm_to_obj", "perm_from_obj",
     "genword_to_obj", "genword_from_obj",
     "elem_to_obj",
@@ -112,6 +114,35 @@ def _int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def to_fraction(x) -> Fraction:
+    """Exact tolerance parsing: Fraction, int, and decimal strings pass
+    through exactly; floats go through their shortest repr.  A string with
+    a zero denominator is a ``ValueError`` naming it, as any other string
+    Fraction refuses is."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    if isinstance(x, float):
+        return Fraction(str(x))
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _unit_delta(delta) -> Fraction:
+    """``delta`` as an exact rational in (0, 1], or a ``ValueError`` that
+    names it as given: the text 1e400 is five characters, its value 401
+    digits."""
+    value = to_fraction(delta)
+    if not 0 < value <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    return value
 
 
 def fraction_to_obj(fr: Fraction) -> list:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from soficperm import approx as ap
 from soficperm import groups as gr
 from soficperm import perm as pm
+from soficperm import serialize as ser
 
 
 @st.composite
@@ -60,7 +61,7 @@ def test_images_on_different_point_sets_refused():
 
 
 def reference_verify(spec, S, delta):
-    delta = ap.to_fraction(delta)
+    delta = ser.to_fraction(delta)
     elements = sorted(set(S), key=gr.sort_key)
     images = {g: ap.eval(spec, g) for g in elements}
 

@@ -790,23 +790,49 @@ def test_commands_without_array_work_never_import_numpy(
 
 
 def test_the_first_array_operation_binds_numpy():
-    # make-approx builds tables: its first array operation imports numpy
-    # and rebinds each module's np to numpy itself
+    # perm is the one module that imports numpy lazily: make-approx builds
+    # tables, and its first array operation rebinds perm.np to numpy itself
     code = (
         "import json, sys\n"
         "import soficperm.cli\n"
-        "from soficperm import approx, groups, perm\n"
-        "mods = (perm, groups, approx)\n"
-        "before = ['numpy' in sys.modules, [type(m.np).__name__ for m in mods]]\n"
+        "from soficperm import perm\n"
+        "before = ['numpy' in sys.modules, type(perm.np).__name__]\n"
         "code = soficperm.cli.run(['make-approx', '--group', 'z2', '--n', "
         "'11', '--p', '2', '--q', '3', '--out', sys.argv[1]])\n"
         "import numpy\n"
-        "after = [m.np is numpy for m in mods]\n"
-        "print(json.dumps([code, before, after]))\n")
+        "print(json.dumps([code, before, perm.np is numpy]))\n")
     code, before, after = _python(code, os.devnull)
     assert code == 0
-    assert before == [False, ["_NumpyOnFirstUse"] * 3]
-    assert after == [True] * 3
+    assert before == [False, "_NumpyOnFirstUse"]
+    assert after is True
+
+
+def test_heuristic_loads_only_its_own_modules(tmp_path):
+    # the tolerance parser lives in serialize, so heuristic loads no approx
+    code = (
+        "import json, sys\n"
+        "import soficperm.cli\n"
+        "code = soficperm.cli.run(['heuristic', '--n', '10', '--k', '4', "
+        f"'--out', {str(tmp_path / 'h.json')!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules "
+        "if m.startswith('soficperm'))]))\n")
+    exit_code, loaded = _python(code)
+    assert exit_code == 0
+    assert loaded == [
+        "soficperm", "soficperm.cli", "soficperm.groups",
+        "soficperm.heuristic", "soficperm.limits", "soficperm.perm",
+        "soficperm.serialize"]
+
+
+def test_groups_is_arithmetic_without_numpy():
+    code = (
+        _NO_NUMPY + "import json\n"
+        "from soficperm import groups\n"
+        "S = groups.ball('metab', 3)\n"
+        "a, b = groups.generator('metab', 'a'), groups.generator('metab', 'b')\n"
+        "print(json.dumps([len(S), str(groups.mul(a, b).word), "
+        "hasattr(groups, 'np')]))\n")
+    assert _python(code) == [53, "a b", False]
 
 
 # flags that parse, per subcommand; none of the files is read, since the

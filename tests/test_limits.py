@@ -16,6 +16,7 @@ import pytest
 from soficperm import approx as ap
 from soficperm import cli
 from soficperm import conjsearch as cj
+from soficperm import groups as gr
 from soficperm import heuristic as hr
 from soficperm import higman as hg
 from soficperm import limits
@@ -105,6 +106,7 @@ TABLE = limits.LIMITS["table_entries"].value
     ("probe_depth", lambda: hg.injectivity_probe(
         hg.make_action(3, [1, 1, 1], [1, 1, 1]), 7)),
     ("poly_C", lambda: ap.check_poly_condition(9, 2, 5)),
+    ("ball_elements", lambda: gr.ball("metab", 40)),
     ("heuristic_n", lambda: hr.heuristic_report(5001, 4, 0, 0)),
 ])
 def test_call_sites_refuse_past_the_limit(name, call):
@@ -166,22 +168,45 @@ SWEEP = [
 ]
 
 
-@pytest.mark.parametrize("name,argv", SWEEP, ids=lambda v: (
-    "-".join(v[:3]) if isinstance(v, list) else v))
-def test_oversized_cli_requests_exit_2(name, argv, table_files, tmp_path):
-    # a 2 GB address space in the child only: a regression to allocating
-    # shows as a MemoryError traceback (exit 1), not as a machine out of
-    # memory; the timeout catches one that computes instead of refusing
+def _child(argv, cwd):
+    """``python -m soficperm argv`` on this checkout in a 2 GB address
+    space: a regression to allocating shows as a MemoryError traceback
+    (exit 1), not as a machine out of memory; the timeout catches one that
+    computes instead of refusing."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "soficperm", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=20, preexec_fn=_limit_address_space)
+
+
+@pytest.mark.parametrize("name,argv", SWEEP, ids=lambda v: (
+    "-".join(v[:3]) if isinstance(v, list) else v))
+def test_oversized_cli_requests_exit_2(name, argv, table_files, tmp_path):
     argv = [a.format(**{k: str(v) for k, v in table_files.items()})
             for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "soficperm", *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=20,
-                          preexec_fn=_limit_address_space)
+    proc = _child(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert name in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_ball_elements_refuses_within_a_second(tmp_path, capsys):
+    # metab radius 40 has about 4 * 3^39 words; the search stops at the
+    # first elements past the limit, a fraction of a second in
+    assert cli.run(["make-approx", "--group", "metab", "--n", "11", "--p",
+                    "2", "--q", "3", "--out", str(tmp_path / "metab.json")]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    proc = _child(["verify", "--spec", "metab.json", "--ball", "40",
+                   "--delta", "1/10"], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    limit = limits.LIMITS["ball_elements"].value
+    assert proc.stderr.startswith(
+        f"error: ball_elements limit: {limit + 1} requested, over the limit "
+        f"of {limit} elements;")
+    assert elapsed < 1

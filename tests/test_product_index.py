@@ -115,7 +115,7 @@ def _check_blocks(elements, rows, blocks):
 def _check_index(elements, rows):
     elements = sorted(set(elements), key=gr.sort_key)
     return _check_blocks(elements, rows,
-                         list(gr._product_index(elements, rows)))
+                         list(ap._product_index(elements, rows)))
 
 
 # every verify-grid family and radius, then one larger radius each
@@ -138,15 +138,15 @@ def test_verify_reads_the_mul_index(monkeypatch, family, radius, m, chunk):
     index ``groups.mul`` gives; the array form is int64 on every ball."""
     S = gr.ball(family, radius, m=m)
     elements = sorted(S, key=gr.sort_key)
-    assert gr._array_form(elements).dtype is np.int64
+    assert ap._array_form(elements).dtype is np.int64
 
-    blocks, index = [], gr._product_index
+    blocks, index = [], ap._product_index
 
     def spy(*args):
         for top, block in index(*args):
             blocks.append((top, block))
             yield top, block
-    monkeypatch.setattr(gr, "_product_index", spy)
+    monkeypatch.setattr(ap, "_product_index", spy)
     monkeypatch.setattr(ap, "_PAIR_CHUNK", chunk)
     spec = ap.make_approx(family, 31 if family == "heis" else 1009,
                           **(dict(m=m) if m else SPEC_PARAMS[family]))
@@ -178,16 +178,16 @@ LONG_METAB = sorted({_free(("a", e)) for e in range(-28, 29)}
 def test_metab_words_past_int64_keys_take_object_ints(rows):
     """Past 13 letters the metab key columns are exact ints on the same
     code, and the index is the one ``mul`` gives; 13 letters fit int64."""
-    assert gr._array_form(LONG_METAB).dtype is object
+    assert ap._array_form(LONG_METAB).dtype is object
     assert _check_index(LONG_METAB, rows) >= len(LONG_METAB)
     fits = [x for x in LONG_METAB if x.word.length() <= 13]
-    assert gr._array_form(fits).dtype is np.int64
+    assert ap._array_form(fits).dtype is np.int64
     assert _check_index(fits, rows) >= len(fits)
 
 
 def test_metab_index_of_the_empty_word():
     empty = [_free()]
-    assert gr._array_form(empty).dtype is np.int64
+    assert ap._array_form(empty).dtype is np.int64
     assert _check_index(empty, 1) == 1
 
 
@@ -236,7 +236,7 @@ def test_array_index_dtype_follows_the_bound(name, dtype, rows):
     """Past the int64 bound the same code runs on object ints; below it,
     int64 holds every value exactly."""
     S = {**OBJECT_CASES, **INT64_CASES}[name]
-    assert gr._array_form(sorted(S, key=gr.sort_key)).dtype is dtype
+    assert ap._array_form(sorted(S, key=gr.sort_key)).dtype is dtype
     assert _check_index(S, rows) >= len(S)  # the identity times each
 
 
@@ -251,9 +251,9 @@ def test_array_index_leaves_mixed_sets_to_mul():
             ([gr.Z2Elem(0, 0), (0, 0)], TypeError, "not a group element"),
             ([(0, 0)], TypeError, "not a group element")]:
         with pytest.raises(error, match=match):
-            gr._array_form(S)
+            ap._array_form(S)
         with pytest.raises(error, match=match):
-            list(gr._product_index(S, 1))
+            list(ap._product_index(S, 1))
 
 
 NO_MUL_CASES = {
@@ -278,7 +278,7 @@ def test_product_index_calls_no_mul(monkeypatch, name):
     def broken(x, y):
         raise AssertionError("the product index called mul")
     monkeypatch.setattr(gr, "mul", broken)
-    blocks = list(gr._product_index(elements, 1))
+    blocks = list(ap._product_index(elements, 1))
     assert [top for top, _ in blocks] == list(range(len(elements)))
 
 
@@ -539,7 +539,7 @@ def test_skewed_images_match_table_reference(monkeypatch, family, n, params,
 def scalar_verify(spec, S, delta):
     """The report ``verify`` gives, from one ``AffineImage.compose`` and
     ``agree_count`` per pair, in Python ints."""
-    delta = ap.to_fraction(delta)
+    delta = ser.to_fraction(delta)
     elements = sorted(set(S), key=gr.sort_key)
     images = {g: ap.image(spec, g) for g in elements}
     npoints = spec.npoints
@@ -578,7 +578,7 @@ def test_verify_on_metab_words_past_int64_keys(monkeypatch):
     scalar one byte for byte."""
     S = tuple(sorted(set(gr.ball("metab", 3)) | set(LONG_METAB),
                      key=gr.sort_key))
-    assert gr._array_form(S).dtype is object
+    assert ap._array_form(S).dtype is object
     _skew_images(monkeypatch, S, None, 7)
     spec = ap.make_approx("metab", 1009, p=2, q=3)
     want = scalar_verify(spec, S, "1/10")
