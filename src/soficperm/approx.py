@@ -236,6 +236,11 @@ def make_approx(
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    takes = {"z2": "pq", "heis": "", "bs": "m", "zwrz": "m",
+             "metab": "pq"}[family]
+    for name, value in (("p", p), ("q", q), ("m", m)):
+        if value is not None and name not in takes:
+            raise ValueError(f"{family} takes no parameter {name}")
     if family == "z2":
         if p is None or q is None:
             raise ValueError("z2 needs translation amounts p and q")
@@ -718,15 +723,12 @@ def check_poly_condition(n: int, m: int, C: int) -> PolyConditionResult:
     coeff_range = range(-(C - 1), C)
     powers = [m ** i for i in range(C + 1)]
     for degree in range(C + 1):
-        lead_choices = [c for c in coeff_range if c != 0] if degree > 0 else coeff_range
-        for lower in itertools.product(coeff_range, repeat=degree):
-            for lead in lead_choices:
-                coeffs = lower + (lead,)
-                if degree == 0 and lead == 0:
-                    continue
-                value = sum(c * powers[i] for i, c in enumerate(coeffs))
-                if value % n == 0:
-                    return PolyConditionResult(False, coeffs, value, "exhaustive")
+        for coeffs in itertools.product(coeff_range, repeat=degree + 1):
+            if coeffs[-1] == 0:
+                continue
+            value = sum(c * powers[i] for i, c in enumerate(coeffs))
+            if value % n == 0:
+                return PolyConditionResult(False, coeffs, value, "exhaustive")
     return PolyConditionResult(True, None, None, "exhaustive")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -68,12 +68,14 @@ def multiplication_perm(n: int, u: int) -> Perm:
 
 @dataclass(frozen=True, eq=False)
 class ConjProblem:
-    """Degree n, order bound k, and the two permutations being intertwined."""
+    """Degree n, order bound k, and the two permutations being intertwined,
+    scored in the one :data:`ORIENTATION`."""
 
     n: int
     k: int
     alpha: Perm
     beta: Perm
+    orientation: str = field(default=ORIENTATION, init=False)
 
     def __post_init__(self):
         if self.alpha.n != self.n or self.beta.n != self.n:

@@ -23,13 +23,13 @@ search space).
 
 Sampling reads no exact table.  It walks on certified bounds
 lo * 2**e <= a(j) <= hi * 2**e with mantissas of 128 bits, grown by the
-same recurrence with outward rounding (:func:`_bounds`, on the arithmetic
-of :func:`_arithmetic`).  Each cycle length compares a uniform U in
-[0, 1), read lazily 64 and then 32 bits at a time, with the branch sizes
-over a(r) (:func:`_cycle_length`).  The words it reads depend on the exact
-values alone; a test the bounds leave open is retried on bounds twice as
-wide, and again, until they settle it (:func:`_widened_side`), and at 128
-bits that does not happen in practice.
+same recurrence with one outward rounding per term (:func:`_bounds`, on
+the arithmetic of :func:`_arithmetic`).  Each cycle length compares a
+uniform U in [0, 1), read lazily 64 and then 32 bits at a time, with the
+branch sizes over a(r) (:func:`_cycle_length`).  The words it reads
+depend on the exact values alone; a test the bounds leave open is
+retried on bounds twice as wide, and again, until they settle it
+(:func:`_widened_side`), and at 128 bits that does not happen in practice.
 
 The count and the tables of :func:`amplify` and :func:`_bounds` are
 checked against :mod:`soficperm.limits` before they grow (see "Limits" in
@@ -43,7 +43,6 @@ import bisect
 import collections
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -320,7 +319,7 @@ def _order_dividing_bounds(k: int, bits: int) -> list[_Bound]:
     return [(1, 1, 0)]
 
 
-def _grow(table, start: int, n: int, k: int, add, mul, gap):
+def _grow(table, start: int, n: int, k: int, step, gap):
     """Append a(start), ..., a(n) to ``table``, whose last entry is
     a(start - 1), by the recurrence
     a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d).
@@ -329,8 +328,8 @@ def _grow(table, start: int, n: int, k: int, add, mul, gap):
     table may be a list of every a(j) or a deque of the last max(d | k,
     d <= n) of them.  The sum is taken in nested form, from the largest d
     down to d = 1: acc = a(j-d) + (j-d)!/(j-d')! * acc, with d' the next
-    larger divisor, so each divisor after the first costs one product.
-    ``add``, ``mul`` and ``gap`` (the gap product x!/(x-g)!) give the
+    larger divisor, so each divisor after the first costs one step.
+    ``step`` (z + x * y) and ``gap`` (the gap product x!/(x-g)!) give the
     arithmetic of the entries."""
     divisors = _divisors(k, n)
     for j in range(start, n + 1):
@@ -338,7 +337,7 @@ def _grow(table, start: int, n: int, k: int, add, mul, gap):
         acc = table[-divisors[top]]
         for i in range(top - 1, -1, -1):
             d = divisors[i]
-            acc = add(table[-d], mul(gap(j - d, divisors[i + 1] - d), acc))
+            acc = step(table[-d], gap(j - d, divisors[i + 1] - d), acc)
         table.append(acc)
     return table
 
@@ -350,10 +349,10 @@ _MANTISSA_BITS = 128
 
 @lru_cache(maxsize=None)
 def _arithmetic(bits: int):
-    """(add, mul, gap) on bounds cut to a mantissa width of ``bits``, each
-    rounding outward.  The width is a closure variable, not an argument, so
-    it costs nothing per operation; the triple keeps the bounds on x! that
-    ``gap`` grows."""
+    """(step, gap) on bounds cut to a mantissa width of ``bits``, each
+    rounding outward once.  The width is a closure variable, not an
+    argument, so it costs nothing per operation; the pair keeps the bounds
+    on x! that ``gap`` grows."""
     fact = [(1, 1, 0)]
 
     def round_out(lo: int, hi: int, e: int) -> _Bound:
@@ -362,16 +361,16 @@ def _arithmetic(bits: int):
             return lo, hi, e
         return lo >> s, -(-hi >> s), e + s
 
-    def add(x: _Bound, y: _Bound) -> _Bound:
-        """A bound on the sum of two bounded values, at the larger exponent."""
-        if x[2] < y[2]:
-            x, y = y, x
-        s = x[2] - y[2]
-        return round_out(x[0] + (y[0] >> s), x[1] - (-y[1] >> s), x[2])
-
-    def mul(x: _Bound, y: _Bound) -> _Bound:
-        """A bound on the product of two bounded values."""
-        return round_out(x[0] * y[0], x[1] * y[1], x[2] + y[2])
+    def step(z: _Bound, x: _Bound, y: _Bound) -> _Bound:
+        """A bound on z + x * y for bounded values: the exact product,
+        aligned with z at the larger exponent, then one rounding."""
+        plo, phi, pe = x[0] * y[0], x[1] * y[1], x[2] + y[2]
+        zlo, zhi, ze = z
+        if ze < pe:
+            s = pe - ze
+            return round_out(plo + (zlo >> s), phi - (-zhi >> s), pe)
+        s = ze - pe
+        return round_out(zlo + (plo >> s), zhi - (-phi >> s), ze)
 
     def gap(x: int, g: int) -> _Bound:
         """A bound on the gap product x!/(x-g)!, exact while it is below
@@ -381,7 +380,7 @@ def _arithmetic(bits: int):
             p = math.perm(x, g)
             return p, p, 0
         for y in range(len(fact), x + 1):
-            fact.append(mul((y, y, 0), fact[-1]))
+            fact.append(step((0, 0, 0), (y, y, 0), fact[-1]))
         (nlo, nhi, ne), (dlo, dhi, de) = fact[x], fact[x - g]
         if dlo:  # at a narrow width the lower bound on (x-g)! can round to 0
             s = bits + 1 + dhi.bit_length() - nlo.bit_length()
@@ -391,7 +390,7 @@ def _arithmetic(bits: int):
         p = math.perm(x, g)
         return round_out(p, p, 0)
 
-    return add, mul, gap
+    return step, gap
 
 
 def _bounds(n: int, k: int, bits: int) -> list[_Bound]:
@@ -440,7 +439,7 @@ def count_order_dividing(n: int, k: int) -> int:
     divisors = _divisors(k, n)
     limits.check("count_work", n * len(divisors))
     window = collections.deque([1], maxlen=max(divisors, default=1))
-    return _grow(window, 1, n, k, operator.add, operator.mul, math.perm)[-1]
+    return _grow(window, 1, n, k, lambda z, x, y: z + x * y, math.perm)[-1]
 
 
 def _order_dividing_rows(n: int, k: int) -> np.ndarray:
@@ -524,12 +523,12 @@ def _cycle_length(r: int, k: int, divisors: tuple[int, ...], bits: int,
     last = bisect.bisect_right(divisors, r) - 1
     if last == 0:
         return 1
-    add, mul, gap = arithmetic
+    step, gap = arithmetic
     x, m = rng.getrandbits(64), 64
     c = (0, 0, 0)
     for i in range(last):
         d = divisors[i]
-        c = add(c, mul(gap(r - 1, d - 1), bounds[r - d]))
+        c = step(c, gap(r - 1, d - 1), bounds[r - d])
         while True:
             side = _side(x, m, c, bounds[r])
             if side is None:
@@ -552,10 +551,10 @@ def _widened_side(x: int, m: int, r: int, k: int, lengths: tuple[int, ...],
     while True:
         bits *= 2
         bounds = _bounds(r, k, bits)
-        add, mul, gap = _arithmetic(bits)
+        step, gap = _arithmetic(bits)
         c = (0, 0, 0)
         for d in lengths:
-            c = add(c, mul(gap(r - 1, d - 1), bounds[r - d]))
+            c = step(c, gap(r - 1, d - 1), bounds[r - d])
         side = _side(x, m, c, bounds[r])
         if side is not None:
             return side

@@ -7,7 +7,7 @@ One walk, :func:`_obj`, encodes each value by its type:
 * group elements are dicts tagged with their ``family``;
 * high-precision floats are decimal strings (30 significant digits);
 * a record (dataclass or named tuple) is a dict of its fields in
-  declaration order, and a problem adds its ``orientation``;
+  declaration order;
 * a spec holds its family, its ``params()`` and its relabelling when set,
   which fix it; its two images are listed too when it has at most
   :data:`SPEC_TABLE_POINTS` points.
@@ -35,7 +35,7 @@ from .perm import Perm
 
 if TYPE_CHECKING:
     from .approx import ApproxSpec, VerifyReport
-    from .conjsearch import AlignmentReport, ConjProblem, SearchReport
+    from .conjsearch import AlignmentReport, SearchReport
     from .heuristic import HeuristicReport
     from .higman import ActionTable, RelationReport
 
@@ -45,7 +45,6 @@ __all__ = [
     "genword_to_obj", "genword_from_obj",
     "elem_to_obj",
     "spec_to_obj", "spec_from_obj",
-    "problem_to_obj",
     "verify_report_to_obj",
     "search_report_to_obj",
     "alignment_report_to_obj",
@@ -90,7 +89,7 @@ def _obj(value) -> Any:
     if isinstance(value, dict):
         return {k: _obj(v) for k, v in value.items()}
     if dataclasses.is_dataclass(value):
-        return problem_to_obj(value) if _is_problem(value) else _fields(value)
+        return _fields(value)
     raise TypeError(f"cannot encode {type(value).__name__}: {value!r}")
 
 
@@ -251,18 +250,6 @@ def spec_from_obj(obj: dict) -> ApproxSpec:
 # ---------------------------------------------------------------------------
 # conjugation search
 # ---------------------------------------------------------------------------
-
-def _is_problem(value) -> bool:
-    """Whether value is a ConjProblem, without importing conjsearch: no
-    problem exists until something has imported it."""
-    conjmod = sys.modules.get(f"{__package__}.conjsearch")
-    return conjmod is not None and isinstance(value, conjmod.ConjProblem)
-
-
-def problem_to_obj(prob: ConjProblem) -> dict:
-    from .conjsearch import ORIENTATION
-    return {**_fields(prob), "orientation": ORIENTATION}
-
 
 def search_report_to_obj(rep: SearchReport) -> dict:
     return _fields(rep)

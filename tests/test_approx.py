@@ -88,6 +88,16 @@ class TestMakeApprox:
         with pytest.raises(ValueError):
             ap.make_approx("nope", 5)
 
+    @pytest.mark.parametrize("family,n,kw,name", [
+        pytest.param(family, n, kw, name, id=f"{family}-{name}")
+        for family, n, kw in SPEC_CASES
+        for name in ("p", "q", "m") if name not in kw])
+    def test_a_parameter_the_family_does_not_take_is_refused(
+            self, family, n, kw, name):
+        with pytest.raises(ValueError,
+                           match=f"^{family} takes no parameter {name}$"):
+            ap.make_approx(family, n, **kw, **{name: 3})
+
 
 class TestEvalIsExactHomomorphism:
     @pytest.mark.parametrize("family,n,kw", SPEC_CASES)

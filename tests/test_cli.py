@@ -254,6 +254,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert built == []
 
+    @pytest.mark.parametrize("argv,message", [
+        (["make-approx", "--group", "heis", "--n", "3", "--p", "7", "--m",
+          "5"], "heis takes no parameter p"),
+        (["make-approx", "--group", "bs", "--n", "7", "--m", "2", "--q",
+          "3"], "bs takes no parameter q"),
+        (["search", "--group", "z2", "--n", "9", "--p", "1", "--q", "2",
+          "--m", "3", "--k", "4"], "z2 takes no parameter m"),
+    ])
+    def test_a_parameter_the_family_does_not_take_is_2(self, capsys, argv,
+                                                       message):
+        code, out, err = invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("group,n,message", [
         ("z2", "11", "family mismatch between the two specs"),
         ("metab", "13", "degree mismatch between the two specs"),

@@ -312,7 +312,7 @@ def test_gap_bounds_hold_the_gap_products():
     cases = [(x, g) for x in range(80) for g in range(x + 1)]
     cases += [(x, g) for x in (200, 1000, 5000)
               for g in (0, 1, 5, 20, 21, 50, 100, x // 2, x)]
-    gap = pm._arithmetic(pm._MANTISSA_BITS)[2]
+    gap = pm._arithmetic(pm._MANTISSA_BITS)[1]
     for x, g in cases:
         lo, hi, e = gap(x, g)
         p = math.perm(x, g)
@@ -327,10 +327,10 @@ def _threshold_bounds(r, k, bits):
     """Bounds on C_d for each d | k up to r, summed as the sampler sums
     them, and the bound on a(r), at a mantissa width of ``bits``."""
     bounds = pm._bounds(r, k, bits)
-    add, mul, gap = pm._arithmetic(bits)
+    step, gap = pm._arithmetic(bits)
     c, cs = (0, 0, 0), []
     for d in pm._divisors(k, r):
-        c = add(c, mul(gap(r - 1, d - 1), bounds[r - d]))
+        c = step(c, gap(r - 1, d - 1), bounds[r - d])
         cs.append(c)
     return cs, bounds[r]
 
