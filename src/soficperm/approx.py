@@ -25,19 +25,21 @@ Amplified specs (block-diagonal copies of a smaller spec, see
 identity-distance condition degrades by at most 1/(q+1) for q full blocks.
 
 ``_product_index`` gives, for a finite set S, the position in S of every
-product of two of its elements, in blocks of whole rows.  It holds S as
-integer coordinate columns -- (lam, mu) for z2, (lam, mu, nu) for heis,
-(pow, value * m^E) for bs with E the largest den_exp plus the largest
-|pow|, for zwrz pow plus the coefficient at each exponent S uses, and for
-metab one key: the word's unit letters as base-5 digits 1..4 -- and builds
-a block's product columns by the formulas of ``groups.mul`` (for metab
-words, by the count of letters that cancel where g meets h).  A product
-leaving S's per-column [min, max] is outside S; otherwise it is packed
-column by column into one mixed-radix key and found by ``searchsorted``
-among S's sorted keys.  A bound on every value is computed in Python ints
-first: the columns are int64 when it fits and object (exact Python ints)
-otherwise, so nothing wraps.  ``groups.mul`` stays the product the rest of
-the package uses.
+product of two of its elements, in blocks of whole rows.  It reads S's
+array form, which holds S as integer coordinate columns -- (lam, mu) for
+z2, (lam, mu, nu) for heis, (pow, value * m^E) for bs with E the largest
+den_exp plus the largest |pow|, for zwrz pow plus the coefficient at each
+exponent S uses, and for metab one key: the word's unit letters as base-5
+digits 1..4 -- and builds a block's product columns by the formulas of
+``groups.mul`` (for metab words, by the count of letters that cancel where
+g meets h).  A product leaving S's per-column [min, max] is outside S;
+otherwise it is packed column by column into one mixed-radix key and found
+by ``searchsorted`` among S's sorted keys.  A bound on every value is
+computed in Python ints first: the columns are int64 when it fits and
+object (exact Python ints) otherwise, so nothing wraps.  ``groups.mul``
+stays the product the rest of the package uses.  The same form gives
+:func:`verify` the coefficient columns of the images of S, computed from
+the coordinates in arrays rather than by one :func:`image` per element.
 
 Full tables and the exhaustive polynomial scan are checked first against
 :mod:`soficperm.limits` (see "Limits" in the README).
@@ -45,6 +47,7 @@ Full tables and the exhaustive polynomial scan are checked first against
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -289,6 +292,16 @@ def _metab_image(spec: ApproxSpec, w: GenWord) -> AffineImage:
     return acc
 
 
+def _refuse_mismatch(spec: ApproxSpec, x: GroupElem) -> None:
+    """Refuse an element of another family than the spec, or a bs element
+    of another m."""
+    fam = groups.family_of(x)
+    if fam != spec.family:
+        raise ValueError(f"family mismatch: element is {fam}, spec is {spec.family}")
+    if isinstance(x, BSElem) and x.m != spec.m:
+        raise ValueError(f"parameter mismatch: m={x.m} vs spec m={spec.m}")
+
+
 def image(spec: ApproxSpec, x: GroupElem | GenWord) -> AffineImage:
     """The image of ``x`` under the spec's homomorphism, as coefficients,
     before the relabelling ``sigma``: relabelling changes no Hamming
@@ -299,17 +312,13 @@ def image(spec: ApproxSpec, x: GroupElem | GenWord) -> AffineImage:
             x = groups.eval_word(x, spec.family, m=spec.m)
         else:
             x = FreeWord(x)
-    fam = groups.family_of(x)
-    if fam != spec.family:
-        raise ValueError(f"family mismatch: element is {fam}, spec is {spec.family}")
+    _refuse_mismatch(spec, x)
     if isinstance(x, Z2Elem):
         coeffs: tuple[int, ...] = (1 % n, (x.lam * spec.p + x.mu * spec.q) % n)
     elif isinstance(x, HeisElem):
         # a^lam b^mu c^nu: (x, y) -> (x + mu*y - nu, y + lam)
         coeffs = (x.mu % n, -x.nu % n, x.lam % n)
     elif isinstance(x, BSElem):
-        if x.m != spec.m:
-            raise ValueError(f"parameter mismatch: m={x.m} vs spec m={spec.m}")
         u = pow(spec.m, -x.pow, n)
         coeffs = (u, (u * x.num * pow(spec.m, -x.den_exp, n)) % n)
     elif isinstance(x, WreathElem):
@@ -390,28 +399,52 @@ class _ArrayForm(NamedTuple):
     columns for the products of the rows ``g`` of S with all of S, as
     (rows, |S|) arrays, by the formulas of :func:`groups.mul`.  Every
     column and every intermediate is int64 when a bound on them fits, else
-    object."""
+    object.  ``images(spec, dtype)`` gives the coefficient columns of the
+    images of S under ``spec``, entry k equal to ``image(spec, S[k]).coeffs``,
+    as ``dtype`` arrays (int64 only where n^2 + 2n fits)."""
 
     dtype: type
+    size: int
     columns: list
     lo: list
     hi: list
     block: Callable[[slice], Iterator[np.ndarray]]
+    images: Callable[[ApproxSpec, type], list]
 
 
 def _amax(*columns: list) -> int:
     return max((abs(v) for c in columns for v in c), default=0)
 
 
+def _residues(column: np.ndarray, n: int, dtype: type) -> np.ndarray:
+    """column mod n as a ``dtype`` array, from int64 or object ints."""
+    if column.dtype == object or dtype is object:
+        return (column.astype(object) % n).astype(dtype)
+    return column % n
+
+
+def _powers(base: int, exps: np.ndarray, n: int, dtype: type) -> np.ndarray:
+    """base^e mod n for each entry e of ``exps``, one ``pow`` per distinct
+    exponent (a negative one through the inverse of base mod n)."""
+    distinct, at = np.unique(exps, return_inverse=True)
+    return np.array([pow(base, int(e), n) for e in distinct], dtype)[at]
+
+
 def _z2_form(elements):
     columns = [[x.lam for x in elements], [x.mu for x in elements]]
 
-    def products(lam, mu):
+    def build(lam, mu):
         def block(g):
             yield lam[g, None] + lam
             yield mu[g, None] + mu
-        return block
-    return columns, 2 * _amax(*columns), products
+
+        def images(spec, dtype):
+            n = spec.n
+            v = (_residues(lam, n, dtype) * (spec.p % n) % n
+                 + _residues(mu, n, dtype) * (spec.q % n) % n) % n
+            return [np.full(len(v), 1 % n, dtype), v]
+        return block, images
+    return columns, 2 * _amax(*columns), build
 
 
 def _heis_form(elements):
@@ -419,13 +452,16 @@ def _heis_form(elements):
                [x.nu for x in elements]]
     a_lam, a_mu, a_nu = map(_amax, columns)
 
-    def products(lam, mu, nu):
+    def build(lam, mu, nu):
         def block(g):
             yield lam[g, None] + lam
             yield mu[g, None] + mu
             yield nu[g, None] + nu - mu[g, None] * lam
-        return block
-    return columns, 2 * max(a_lam, a_mu, a_nu) + a_mu * a_lam, products
+
+        def images(spec, dtype):
+            return [_residues(c, spec.n, dtype) for c in (mu, -nu, lam)]
+        return block, images
+    return columns, 2 * max(a_lam, a_mu, a_nu) + a_mu * a_lam, build
 
 
 def _bs_form(elements):
@@ -438,17 +474,23 @@ def _bs_form(elements):
     values = [x.num * m ** (e - x.den_exp) for x in elements]
     scale = abs(m) ** top
 
-    def products(pow_, value):
+    def build(pow_, value):
         up = np.array([m ** max(p, 0) for p in pows], value.dtype)
         down = np.array([m ** max(-p, 0) for p in pows], value.dtype)
 
         def block(g):
             yield pow_[g, None] + pow_
             yield value + value[g, None] * up // down  # the division is exact
-        return block
+
+        def images(spec, dtype):
+            # u = m^-pow and v = u * value * m^-E
+            n = spec.n
+            u = _powers(m, -pow_, n, dtype)
+            return [u, u * _residues(value, n, dtype) % n * pow(m, -e, n) % n]
+        return block, images
     # the up and down tables reach scale even when every value is 0
     bound = max(2 * top, (1 + scale) * max(_amax(values), 1))
-    return [pows, values], bound, products
+    return [pows, values], bound, build
 
 
 def _zwrz_form(elements):
@@ -471,7 +513,7 @@ def _zwrz_form(elements):
                        for e in exps], dtype=np.intp)
     columns = [pows, [0] * len(elements), *coeffs]
 
-    def products(pow_, _, *coeff):
+    def build(pow_, _, *coeff):
         table = np.stack([*coeff, np.zeros_like(pow_)], axis=1)
 
         def block(g):
@@ -479,9 +521,18 @@ def _zwrz_form(elements):
             yield (lit[g] @ leaves).astype(pow_.dtype)
             lamps_g = table[g]
             for c, at in zip(coeff, source):
-                yield c + lamps_g[:, at]
-        return block
-    return columns, max(2 * _amax(*columns), 1), products
+                yield c + np.take(lamps_g, at, axis=1)
+
+        def images(spec, dtype):
+            # u = m^-pow and v = u * t(m), t the lamps as a Laurent polynomial
+            n, m = spec.n, spec.m
+            t = np.zeros(len(pow_), dtype)
+            for e, c in zip(exps, coeff):
+                t = (t + _residues(c, n, dtype) * pow(m, e, n)) % n
+            u = _powers(m, -pow_, n, dtype)
+            return [u, u * t % n]
+        return block, images
+    return columns, max(2 * _amax(*columns), 1), build
 
 
 def _metab_form(elements):
@@ -510,7 +561,7 @@ def _metab_form(elements):
         digits, np.maximum(back, 0), axis=1), 0)
     inverted = digits - 1 + 2 * (digits % 2)
 
-    def products(key):
+    def build(key):
         place = pow5.astype(key.dtype)
 
         def block(g):
@@ -518,9 +569,26 @@ def _metab_form(elements):
             kept = lengths - cancel
             yield (key[g, None] // place[cancel] * place[kept]
                    + key % place[kept])
-        return block
+
+        def images(spec, dtype):
+            # each letter's map, as in _metab_image, with 0 (a pad, here up
+            # to a power of two columns) the identity; neighbouring maps are
+            # composed, the earlier letter acting last, halving the columns
+            # of every word at once until one is left
+            n = spec.n
+            qinv, pinv = pow(spec.q, -1, n), pow(spec.p, -1, n)
+            letters = np.pad(digits, ((0, 0), (0, (1 << width.bit_length())
+                                               - width - 1)))
+            u = np.array([1 % n, qinv, spec.q % n, pinv, spec.p % n],
+                         dtype)[letters]
+            v = np.array([0, qinv, -1 % n, 0, 0], dtype)[letters]
+            while u.shape[1] > 1:
+                u, v = _compose_coeffs(n, (u[:, 0::2], v[:, 0::2]),
+                                       (u[:, 1::2], v[:, 1::2]))
+            return [u[:, 0], v[:, 0]]
+        return block, images
     # a product's key has up to 2 * width digits
-    return [keys.tolist()], 5 ** (2 * width), products
+    return [keys.tolist()], 5 ** (2 * width), build
 
 
 _FORMS = {Z2Elem: _z2_form, HeisElem: _heis_form, BSElem: _bs_form,
@@ -528,9 +596,14 @@ _FORMS = {Z2Elem: _z2_form, HeisElem: _heis_form, BSElem: _bs_form,
 
 
 def _array_form(elements: Sequence[GroupElem]) -> _ArrayForm:
-    """The array form of a nonempty S.  A set that mixes families or bs
-    parameters raises the error :func:`groups.mul` raises on such a pair,
-    and a non-element the ``TypeError`` of :func:`groups.family_of`."""
+    """The array form of S, with no columns and no blocks when S is empty.
+    A set that mixes families or bs parameters raises the error
+    :func:`groups.mul` raises on such a pair, and a non-element the
+    ``TypeError`` of :func:`groups.family_of`.  ``images`` refuses a spec
+    of another family or bs parameter with the error :func:`image`
+    raises."""
+    if not elements:
+        return _ArrayForm(np.int64, 0, [], [], [], None, lambda *_: [])
     first = elements[0]
     family = groups.family_of(first)
     for x in elements:
@@ -539,7 +612,7 @@ def _array_form(elements: Sequence[GroupElem]) -> _ArrayForm:
                 f"family mismatch: {family} vs {groups.family_of(x)}")
         if type(x) is BSElem and x.m != first.m:
             raise ValueError(f"parameter mismatch: m={first.m} vs m={x.m}")
-    columns, bound, products = _FORMS[type(first)](elements)
+    columns, bound, build = _FORMS[type(first)](elements)
     lo, hi = [min(c) for c in columns], [max(c) for c in columns]
     # besides the products, _pack computes a column less its min and keys
     # below the product of the spans
@@ -547,7 +620,12 @@ def _array_form(elements: Sequence[GroupElem]) -> _ArrayForm:
     fits = max(bound + _amax(lo, hi), keys) <= _INT64_MAX
     dtype = np.int64 if fits else object
     arrays = [np.array(c, dtype=dtype) for c in columns]
-    return _ArrayForm(dtype, arrays, lo, hi, products(*arrays))
+    block, build_images = build(*arrays)
+
+    def images(spec, dtype):
+        _refuse_mismatch(spec, first)
+        return build_images(spec, dtype)
+    return _ArrayForm(dtype, len(elements), arrays, lo, hi, block, images)
 
 
 def _pack(form: _ArrayForm, columns: Iterable[np.ndarray]):
@@ -563,19 +641,18 @@ def _pack(form: _ArrayForm, columns: Iterable[np.ndarray]):
     return inside, key
 
 
-def _product_index(elements: Sequence[GroupElem],
+def _product_index(form: _ArrayForm,
                    rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The product index of S = ``elements`` (sorted, no repeats) in
-    blocks of ``rows`` whole rows: yields (top, index) where index[i, j] is
-    the position of elements[top + i] * elements[j] in S, or -1.
+    """The product index of S (sorted, no repeats) from its array ``form``,
+    in blocks of ``rows`` whole rows: yields (top, index) where index[i, j]
+    is the position of S[top + i] * S[j] in S, or -1.
 
     Each product row is found by its packed key (:func:`_pack`) with one
     ``searchsorted`` per block over the sorted keys of S.
     """
-    size = len(elements)
+    size = form.size
     if not size:
         return
-    form = _array_form(elements)
     _, keys = _pack(form, form.columns)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -585,19 +662,12 @@ def _product_index(elements: Sequence[GroupElem],
         yield top, np.where(inside & (keys[at] == key), order[at], -1)
 
 
-# products per block of rows of the product index in :func:`verify`; a
-# block's index and temporaries grow by about 90 bytes per product on int64
-# coefficients and 180 on object ints (tracemalloc, z2 radius 9 at n = 1009
-# and at n = 10^12 + 39)
-_PAIR_CHUNK = 1 << 11
-
-
-def _is_identity_elem(x: GroupElem) -> bool:
-    if isinstance(x, FreeWord):
-        # metab: only the empty word is *known* trivial; the caller asserts
-        # the nontriviality of everything else (word problem out of scope)
-        return x.word.is_empty()
-    return groups.is_trivial(x)
+# products per block of rows of the product index in :func:`verify`, so a
+# block is one row once |S| > _PAIR_CHUNK / 2; a block's index and
+# temporaries grow by about 95 bytes per product on int64 coefficients and
+# 190 on object ints, and the whole call peaks at 0.8 and 1.6 MB
+# (tracemalloc, z2 radius 9 at n = 1009 and at n = 10^12 + 39)
+_PAIR_CHUNK = 1 << 13
 
 
 def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
@@ -607,22 +677,28 @@ def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
     is taken to be nontrivial on the caller's authority, since the word
     problem is out of scope here.
 
-    S is sorted by :func:`groups.sort_key`, and one pass over its pairs
-    (g, h) in that order reads the product index: the position of gh in S,
-    or -1 when gh lies outside S.  :func:`_product_index` builds it from
-    S's coordinates in arrays, one ``searchsorted`` of packed keys per
-    block, for metab words too.  The pairs with gh in S are checked in
-    batches: psi(g) o psi(h) is composed and compared with psi(gh) by the
-    closed forms behind :class:`AffineImage`, on int64 coefficient arrays
-    when n^2 + 2n and npoints fit in int64 and on object arrays of exact
-    ints otherwise.  The pass runs in blocks of whole rows of at most
-    ``_PAIR_CHUNK`` products, so memory does not grow with |S|^2.  The
+    S is sorted by :func:`groups.sort_key` and held once in its array form
+    (:func:`_array_form`), which gives both the coefficient columns of the
+    images, entry k equal to ``image(spec, S[k]).coeffs`` but built in
+    arrays (for metab, by composing the letters of all words at once), and
+    the product index: one pass over the pairs (g, h) in scan order reads
+    the position of gh in S, or -1 when gh lies outside S, found by one
+    ``searchsorted`` of packed keys per block (:func:`_product_index`).  A
+    set of another family than the spec, or of another bs parameter, is
+    refused with the error :func:`image` raises, before any block.  The
+    pairs with gh in S are checked in batches: psi(g) o psi(h) is composed
+    and compared with psi(gh) by the closed forms behind
+    :class:`AffineImage`, on int64 coefficient arrays when n^2 + 2n and
+    npoints fit in int64 and on object arrays of exact ints otherwise.  The
+    pass runs in blocks of whole rows of at most ``_PAIR_CHUNK`` products
+    (one row when |S| is larger), so memory does not grow with |S|^2.  The
     homomorphism witness is the first pair in (g, h) scan order with the
     largest defect (a later block wins only when strictly worse), and
     there is none when the defect is 0.
     """
     delta = _unit_delta(delta)
-    elements = sorted(set(S), key=groups.sort_key)
+    distinct = set(S)
+    elements = sorted(distinct, key=groups.sort_key)
     npoints = spec.npoints
 
     # distances are disagreement counts over npoints until the report; the
@@ -630,12 +706,12 @@ def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
     # below n^2 + 2n or npoints: int64 when that fits, exact ints otherwise
     n = spec.n
     fits = max(n * n + 2 * n, npoints) <= _INT64_MAX
-    columns = [np.array(c, dtype=np.int64 if fits else object)
-               for c in zip(*(image(spec, g).coeffs for g in elements))]
+    form = _array_form(elements)
+    columns = form.images(spec, np.int64 if fits else object)
     pairs = worst_defect = 0
     hom_witness: Optional[tuple[GroupElem, GroupElem]] = None
     rows = max(1, _PAIR_CHUNK // max(len(elements), 1))
-    for top, index in _product_index(elements, rows):
+    for top, index in _product_index(form, rows):
         at_g, at_h = np.nonzero(index >= 0)
         if not len(at_g):
             continue
@@ -651,17 +727,22 @@ def verify(spec: ApproxSpec, S: Iterable[GroupElem], delta) -> VerifyReport:
             worst_defect = npoints - int(agree[at])
             hom_witness = (elements[at_g[at]], elements[at_h[at]])
 
-    # the identity pass: the first nontrivial element closest to the identity
+    # the identity pass: the first nontrivial element closest to the
+    # identity.  Normal forms are unique, so every element but the identity
+    # is nontrivial; for metab only the empty word is *known* trivial, and
+    # the caller asserts the nontriviality of every other word
     worst_closeness: Optional[int] = None
     id_witness: Optional[GroupElem] = None
-    at = [i for i, g in enumerate(elements) if not _is_identity_elem(g)]
-    if at:
-        ident = image(spec, groups.identity(spec.family, m=spec.m))
-        agree = _count_agreements(n, npoints, [c[at] for c in columns],
-                                  ident.coeffs)
+    one = groups.identity(spec.family, m=spec.m)
+    if len(elements) > (one in distinct):
+        agree = _count_agreements(n, npoints, columns,
+                                  image(spec, one).coeffs)
+        if one in distinct:  # below every count, so never the witness
+            agree[bisect.bisect_left(elements, groups.sort_key(one),
+                                     key=groups.sort_key)] = -1
         best = int(np.argmax(agree))  # the first largest agreement
         worst_closeness = npoints - int(agree[best])
-        id_witness = elements[at[best]]
+        id_witness = elements[best]
 
     defect = Fraction(worst_defect, npoints)
     closeness = (None if worst_closeness is None

@@ -16,6 +16,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -114,8 +115,8 @@ def _check_blocks(elements, rows, blocks):
 
 def _check_index(elements, rows):
     elements = sorted(set(elements), key=gr.sort_key)
-    return _check_blocks(elements, rows,
-                         list(ap._product_index(elements, rows)))
+    return _check_blocks(elements, rows, list(
+        ap._product_index(ap._array_form(elements), rows)))
 
 
 # every verify-grid family and radius, then one larger radius each
@@ -132,10 +133,11 @@ SPEC_PARAMS = {"z2": dict(p=2, q=3), "heis": {}, "bs": {}, "zwrz": dict(m=3),
 
 
 @pytest.mark.parametrize("family,radius,m", INDEX_BALLS)
-@pytest.mark.parametrize("chunk", [7, 1 << 11])
+@pytest.mark.parametrize("chunk", [7, 1 << 11, ap._PAIR_CHUNK, 1 << 20])
 def test_verify_reads_the_mul_index(monkeypatch, family, radius, m, chunk):
-    """The blocks ``verify`` reads, with its chunk small and large, are the
-    index ``groups.mul`` gives; the array form is int64 on every ball."""
+    """The blocks ``verify`` reads, with its chunk small, as shipped and
+    above |S|^2, are the index ``groups.mul`` gives; the array form is int64
+    on every ball."""
     S = gr.ball(family, radius, m=m)
     elements = sorted(S, key=gr.sort_key)
     assert ap._array_form(elements).dtype is np.int64
@@ -242,7 +244,8 @@ def test_array_index_dtype_follows_the_bound(name, dtype, rows):
 
 def test_array_index_leaves_mixed_sets_to_mul():
     """A set that mixes families or bs parameters, or holds a non-element,
-    is refused up front with the error ``mul`` raises on such a pair."""
+    is refused up front, when its array form is built, with the error
+    ``mul`` raises on such a pair."""
     for S, error, match in [
             ([gr.BSElem(2, 0, 0, 0), gr.BSElem(3, 0, 0, 1)],
              ValueError, "parameter mismatch"),
@@ -252,8 +255,6 @@ def test_array_index_leaves_mixed_sets_to_mul():
             ([(0, 0)], TypeError, "not a group element")]:
         with pytest.raises(error, match=match):
             ap._array_form(S)
-        with pytest.raises(error, match=match):
-            list(ap._product_index(S, 1))
 
 
 NO_MUL_CASES = {
@@ -278,7 +279,7 @@ def test_product_index_calls_no_mul(monkeypatch, name):
     def broken(x, y):
         raise AssertionError("the product index called mul")
     monkeypatch.setattr(gr, "mul", broken)
-    blocks = list(ap._product_index(elements, 1))
+    blocks = list(ap._product_index(ap._array_form(elements), 1))
     assert [top for top, _ in blocks] == list(range(len(elements)))
 
 
@@ -484,13 +485,15 @@ def test_verify_grid_reports_pinned(seed):
 # ---------------------------------------------------------------------------
 
 def _skew_images(monkeypatch, S, m, step):
-    """Make ``ap.image`` shift coefficient 1 of psi(g) by (i % 3) * step,
-    mod n, for the i-th element g of S, so that psi is no homomorphism;
-    psi(1) stays the identity."""
+    """Shift coefficient 1 of psi(g) by (i % 3) * step, mod n, for the i-th
+    element g of S, so that psi is no homomorphism; psi(1) stays the
+    identity.  The shift is made both in ``ap.image`` (which ``eval`` and
+    the references read) and in the coefficient columns that the array
+    form of S gives ``verify``."""
     skew = {g: (i % 3) * step
             for i, g in enumerate(sorted(S, key=gr.sort_key))}
     skew[gr.identity(gr.family_of(S[0]), m=m)] = 0
-    true_image = ap.image
+    true_image, true_form = ap.image, ap._array_form
 
     def skewed(spec, x):
         f = true_image(spec, x)
@@ -498,7 +501,18 @@ def _skew_images(monkeypatch, S, m, step):
         coeffs[1] = (coeffs[1] + skew.get(x, 0)) % f.n
         return ap.AffineImage(f.n, tuple(coeffs), f.npoints)
 
+    def skewed_form(elements):
+        form = true_form(elements)
+        shift = np.array([skew.get(x, 0) for x in elements], dtype=object)
+
+        def images(spec, dtype):
+            columns = form.images(spec, dtype)
+            columns[1] = ((columns[1] + shift) % spec.n).astype(dtype)
+            return columns
+        return form._replace(images=images)
+
     monkeypatch.setattr(ap, "image", skewed)
+    monkeypatch.setattr(ap, "_array_form", skewed_form)
 
 
 SKEW_CASES = [
@@ -511,7 +525,7 @@ SKEW_CASES = [
 
 
 @pytest.mark.parametrize("family,n,params,radius,amplify_to", SKEW_CASES)
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 11])
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 11, ap._PAIR_CHUNK, 1 << 20])
 def test_skewed_images_match_table_reference(monkeypatch, family, n, params,
                                              radius, amplify_to, chunk):
     """Shift one coefficient of some images so that psi is no homomorphism;
@@ -635,6 +649,96 @@ def test_defect_dtype_follows_the_bound(monkeypatch, family, n, params,
     assert _report_digest(got) == _report_digest(want)
     assert got.worst_hom_defect > 0 and got.id_witness is not None
     assert seen == {np.dtype(dtype)}
+
+
+# ---------------------------------------------------------------------------
+# the coefficient columns: image() in arrays, and image()'s refusals
+# ---------------------------------------------------------------------------
+
+COLUMN_PARAMS = [("z2", dict(p=10**9 + 7, q=-(2**31 + 11))), ("heis", {}),
+                 ("bs", dict(m=2)), ("bs", dict(m=-3)), ("bs", dict(m=6)),
+                 ("zwrz", dict(m=3)), ("metab", dict(p=3, q=5))]
+# (family, n, params, S or a ball radius, spec kind, coefficient dtype)
+COLUMN_CASES = [
+    *((family, n, params, 3, "plain", object if n > N_INT64 else np.int64)
+      for family, params in COLUMN_PARAMS
+      for n in (31 if family == "heis" else 1009, N_INT64, N_INT64 + 1)
+      if math.gcd(params.get("m", 1), n) == 1),
+    ("metab", 1009, dict(p=2, q=3), LONG_METAB, "plain", np.int64),
+    ("metab", N_INT64 + 1, dict(p=2, q=3), LONG_METAB, "plain", object),
+    ("z2", 1009, dict(p=2, q=3), OBJECT_CASES["z2 near 2^62"], "plain",
+     np.int64),
+    ("bs", 1009, dict(m=2), OBJECT_CASES["bs large den_exp"], "plain",
+     np.int64),
+    ("zwrz", 1009, dict(m=3), OBJECT_CASES["zwrz far exponents"], "plain",
+     np.int64),
+    ("z2", 101, dict(p=2, q=3), 3, "amplified", object),
+    ("metab", 11, dict(p=2, q=3), 3, "conjugated", np.int64),
+]
+
+
+@pytest.mark.parametrize("family,n,params,S,kind,dtype", COLUMN_CASES)
+def test_columns_equal_the_scalar_image(family, n, params, S, kind, dtype):
+    """The coefficient columns ``verify`` reads, built in arrays from the
+    array form, equal ``image(spec, g).coeffs`` for every element g, int64
+    while n^2 + 2n and npoints fit and exact ints past that."""
+    spec = ap.make_approx(family, n, **params)
+    if kind == "amplified":
+        spec = ap.amplify_spec(spec, 2**63)
+    elif kind == "conjugated":
+        sigma = np.random.default_rng(0).permutation(spec.npoints)
+        spec = ap.conjugate_spec(spec, pm.Perm(sigma))
+    if isinstance(S, int):
+        S = gr.ball(family, S, m=params.get("m"))
+    elements = sorted(set(S), key=gr.sort_key)
+    columns = ap._array_form(elements).images(spec, dtype)
+    assert [c.dtype for c in columns] == [np.dtype(dtype)] * len(columns)
+    assert list(zip(*(c.tolist() for c in columns))) == \
+        [ap.image(spec, g).coeffs for g in elements]
+
+
+@pytest.mark.parametrize("spec,ball,message", [
+    (("z2", 11, dict(p=2, q=3)), ("heis", 2, None),
+     "family mismatch: element is heis, spec is z2"),
+    (("bs", 1009, dict(m=2)), ("bs", 2, 3),
+     "parameter mismatch: m=3 vs spec m=2"),
+])
+def test_verify_refuses_a_set_of_another_family_or_m(monkeypatch, spec, ball,
+                                                      message):
+    """A set of another family than the spec, or a bs set of another m, is
+    refused with the error ``image`` raises, before any block is built."""
+    def no_blocks(*args):
+        raise AssertionError("verify built the product index")
+    monkeypatch.setattr(ap, "_product_index", no_blocks)
+    family, n, params = spec
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ap.verify(ap.make_approx(family, n, **params),
+                  gr.ball(ball[0], ball[1], m=ball[2]), "1/10")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ap.image(ap.make_approx(family, n, **params),
+                 gr.ball(ball[0], ball[1], m=ball[2])[0])
+
+
+@pytest.mark.parametrize("family", gr.FAMILIES)
+def test_verify_calls_image_once_for_the_identity(monkeypatch, family):
+    """``verify`` reads its images from the array form: ``image`` is called
+    once, for the identity pass, and not at all on the empty set; the report
+    is the scalar one."""
+    params = {**SPEC_PARAMS, "bs": dict(m=2)}[family]
+    spec = ap.make_approx(family, 31 if family == "heis" else 1009, **params)
+    S = gr.ball(family, 3, m=params.get("m"))
+    want = scalar_verify(spec, S, "1/10")
+    calls, true_image = [], ap.image
+
+    def counted(spec, x):
+        calls.append(x)
+        return true_image(spec, x)
+    monkeypatch.setattr(ap, "image", counted)
+    assert ap.verify(spec, S, "1/10") == want
+    assert calls == [gr.identity(family, m=params.get("m"))]
+    calls.clear()
+    assert ap.verify(spec, [], "1/10").elements_checked == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
