@@ -404,8 +404,14 @@ def _search_kwargs(ns) -> dict[str, Any]:
 
 
 def _cmd_search(ns):
+    # a flag this search would ignore is refused before anything is loaded
+    for flag in ("n", "p", "q", "m"):
+        if ns.group is None and getattr(ns, flag) is not None:
+            raise ValueError(f"--{flag} applies only with --group")
+    for flag in ("iters", "restarts"):
+        if ns.algo != "local" and getattr(ns, flag) is not None:
+            raise ValueError(f"--{flag} applies only to --algo local")
     from . import conjsearch as conjmod
-    # exact and brute take no budget, so only a local search checks one
     kwargs = _search_kwargs(ns) if ns.algo == "local" else None
     prob = _search_problem(ns)
     if ns.algo == "exact":

@@ -17,9 +17,10 @@ prime p and two tables f, lambda: F_p -> F_p - {0}, and set
     d: (x, y, z, w) -> (x + f(w), y * lambda(w), z, w)
 
 so that conjugation by t cycles a -> d -> c -> b -> a and each adjacent
-pair (base g, lamp h = g^t) generates a wreath-like copy whose lamp
-conjugates h^{g^i} pairwise commute.  Points are encoded as
-x*p^3 + y*p^2 + z*p + w.
+pair (base g, lamp h = g^t) of that cycle, listed in ``_PAIRS``,
+generates a wreath-like copy whose lamp conjugates h^{g^i} pairwise
+commute.  :func:`verify_action` checks the action against this fixed
+cycle.  Points are encoded as x*p^3 + y*p^2 + z*p + w.
 
 The p^4 points and the probe depth are checked first against
 :mod:`soficperm.limits` (see "Limits" in the README).
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 MUBAR_FAMILIES = ("z2", "heis", "zwrz", "metab")
+
+# the adjacent (base, lamp = base^t) pairs of the t-cycle a -> d -> c -> b
+_PAIRS = (("a", "d"), ("d", "c"), ("c", "b"), ("b", "a"))
 
 _FAMILY_RELATOR_SCHEMA = {
     "z2": ("[a,b]",),
@@ -183,15 +187,6 @@ def _check_table(p: int, table: Sequence[int], name: str) -> tuple[int, ...]:
     return reduced
 
 
-def _decode(p: int, idx: int) -> tuple[int, int, int, int]:
-    w = idx % p
-    idx //= p
-    z = idx % p
-    idx //= p
-    y = idx % p
-    return (idx // p, y, z, w)
-
-
 def make_action(
     p: int, f_table: Sequence[int], lambda_table: Sequence[int]
 ) -> ActionTable:
@@ -230,16 +225,29 @@ def random_tables(p: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _relation(name: str, p: int, g: Perm, h: Perm) -> RelationCheck:
     """The check that g = h; its witness is the first point where they
-    differ."""
+    differ, as (x, y, z, w)."""
     diff = np.flatnonzero(g.images != h.images)
-    witness = _decode(p, int(diff[0])) if len(diff) else None
+    witness = (tuple(int(v) for v in np.unravel_index(diff[0], (p,) * 4))
+               if len(diff) else None)
     return RelationCheck(name, witness is None, witness)
 
 
+def _copy(base: Perm, lamp: Perm, reach: int) -> tuple[dict, dict]:
+    """The powers base^i and the lamp conjugates lamp^(base^i) =
+    base^-i lamp base^i of one copy, each keyed by i for |i| <= reach."""
+    span = range(-reach, reach + 1)
+    powers = {i: permmod.power(base, i) for i in span}
+    shifted = {i: permmod.compose(permmod.compose(powers[-i], lamp), powers[i])
+               for i in span}
+    return powers, shifted
+
+
 def verify_action(act: ActionTable, window: int) -> RelationReport:
-    """Exact relation checks: t^4 = id, a^t = d, the discovered t-cycle on
-    {a, b, c, d}, and for each adjacent pair (g, h = g^t) the commutators
-    [h^{g^i}, h^{g^j}] = id for all |i|, |j| <= window."""
+    """Exact relation checks: t^4 = id, a^t = d, that t-conjugation sends
+    each generator to its successor in the construction's cycle
+    a -> d -> c -> b -> a, and for each pair (g, h = g^t) of ``_PAIRS``
+    the commutators [h^{g^i}, h^{g^j}] = id for all |i|, |j| <= window.
+    When the cycle check fails, only the pair (a, d) is checked."""
     if window < 1:
         raise ValueError("window must be >= 1")
     p = act.p
@@ -247,29 +255,14 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     t_order = _relation("t^4", p, permmod.power(t, 4), Perm.identity(p ** 4))
     checks = [t_order]
 
-    names = ("a", "b", "c", "d")
-    conj = {name: permmod.conjugate(act.perms[name], t) for name in names}
+    conj = {g: permmod.conjugate(act.perms[g], t) for g, _ in _PAIRS}
     checks.append(_relation("a^t = d", p, conj["a"], act.perms["d"]))
-
-    # discover where conjugation by t sends each named generator
-    by_perm = {act.perms[name]: name for name in names}
-    succ = {name: by_perm.get(conj[name]) for name in names}
-    walk = ["a"]
-    while succ[walk[-1]] not in (None, *walk):
-        walk.append(succ[walk[-1]])
-    cycle = tuple(walk) if len(walk) == 4 and succ[walk[-1]] == "a" else None
+    cycled = all(conj[g] == act.perms[h] for g, h in _PAIRS)
     checks.append(RelationCheck("t-conjugation is a 4-cycle on {a,b,c,d}",
-                                cycle is not None, None))
+                                cycled, None))
 
-    pairs = (
-        [(g, succ[g]) for g in cycle] if cycle is not None else [("a", "d")]
-    )
-    for base_name, lamp_name in pairs:
-        base = act.perms[base_name]
-        lamp = act.perms[lamp_name]
-        powers = {i: permmod.power(base, i) for i in range(-window, window + 1)}
-        shifted = {i: permmod.conjugate(lamp, powers[i])
-                   for i in range(-window, window + 1)}
+    for base_name, lamp_name in _PAIRS if cycled else _PAIRS[:1]:
+        _, shifted = _copy(act.perms[base_name], act.perms[lamp_name], window)
         for i in range(-window, window + 1):
             for j in range(i + 1, window + 1):
                 checks.append(_relation(
@@ -280,6 +273,7 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
                 ))
 
     passed = all(c.ok for c in checks)
+    cycle = tuple(g for g, _ in _PAIRS) if cycled else None
     return RelationReport(tuple(checks), t_order.ok, cycle, passed)
 
 
@@ -292,18 +286,15 @@ def injectivity_probe(act: ActionTable, depth: int) -> list[WreathElem]:
     limits.check("probe_depth", depth)
     if depth == 0:
         return []
-    base = act.perms["a"]
-    lamp = act.perms["d"]
+    powers, shifted = _copy(act.perms["a"], act.perms["d"], depth)
     ident = Perm.identity(act.p ** 4)
     offenders: list[WreathElem] = []
     for elem in groups.ball("zwrz", depth):
         if groups.is_trivial(elem):
             continue
-        image = permmod.power(base, elem.pow)
+        image = powers[elem.pow]
         for e, c in elem.poly:
-            shifted = permmod.conjugate(permmod.power(lamp, c),
-                                        permmod.power(base, e))
-            image = permmod.compose(image, shifted)
+            image = permmod.compose(image, permmod.power(shifted[e], c))
         if image == ident:
             offenders.append(elem)
     return offenders

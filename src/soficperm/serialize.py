@@ -10,7 +10,9 @@ One walk, :func:`_obj`, encodes each value by its type:
   declaration order;
 * a spec holds its family, its ``params()`` and its relabelling when set,
   which fix it; its two images are listed too when it has at most
-  :data:`SPEC_TABLE_POINTS` points.
+  :data:`SPEC_TABLE_POINTS` points;
+* a Higman action holds p and its two value tables, which fix it; its
+  five permutations are listed too up to the same number of points.
 
 Only what a command reads back has a decoder: a spec (``--spec``), a
 permutation (``--perm``, ``--alpha``, ``--beta``) and the words of
@@ -56,8 +58,10 @@ __all__ = [
 
 MPF_DIGITS = 30
 
-# the most points for which a spec record lists psi_a and psi_b; a larger
-# spec is recorded by its parameters alone, which spec_from_obj rebuilds
+# the most points for which a spec record lists psi_a and psi_b, and an
+# action record its five permutations; a larger spec is recorded by its
+# parameters alone, which spec_from_obj rebuilds, and a larger action by
+# p and its two tables
 SPEC_TABLE_POINTS = 1 << 18
 
 _ELEMENT_TYPES = get_args(GroupElem)
@@ -272,7 +276,12 @@ def verify_report_to_obj(rep: VerifyReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def action_table_to_obj(act: ActionTable) -> dict:
-    return _fields(act)
+    """p, the two tables and, up to :data:`SPEC_TABLE_POINTS` points, the
+    five permutations, which ``make_action`` rebuilds from the rest."""
+    if act.p ** 4 <= SPEC_TABLE_POINTS:
+        return _fields(act)
+    return {"p": act.p, "f_table": _obj(act.f_table),
+            "lambda_table": _obj(act.lambda_table)}
 
 
 def relation_report_to_obj(rep: RelationReport) -> dict:

@@ -124,11 +124,22 @@ def _cycle_terms(a, r: int, divisors: tuple[int, ...]):
 
 def _counts(n: int, k: int) -> list[int]:
     """The table for k, grown to cover j = 0..n by the recurrence
-    a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d)."""
+    a(j) = sum over d | k, d <= j of (j-1)!/(j-d)! * a(j-d).
+
+    The sum is nested from the largest divisor d' down: each smaller d
+    gives acc = a(j-d) + (j-d)!/(j-d')! * acc, and d = 1 ends it, so each
+    product is a big acc times a few small factors rather than a big a(j-d)
+    times a long falling factorial.  The value is the sum of
+    :func:`_cycle_terms`.
+    """
     a = _ORDER_DIVIDING_TABLES.setdefault(k, [1])
     divisors = _divisors(k, n)
     for j in range(len(a), n + 1):
-        a.append(sum(_cycle_terms(a, j, divisors)))
+        below = [d for d in divisors if d <= j]
+        acc = a[j - below[-1]]
+        for d, d_next in zip(below[-2::-1], below[:0:-1]):
+            acc = a[j - d] + math.perm(j - d, d_next - d) * acc
+        a.append(acc)
     return a
 
 

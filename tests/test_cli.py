@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficperm import approx, cli, groups, serialize
+from soficperm import approx, cli, groups, higman, serialize
 from soficperm.cli import run
 from soficperm.perm import count_order_dividing
 
@@ -293,12 +293,35 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert built == []
 
-    @pytest.mark.parametrize("algo", ["exact", "brute"])
-    def test_unused_search_budget_is_not_checked(self, capsys, algo):
-        code, _, _ = invoke(capsys, [
-            "search", "--group", "z2", "--n", "7", "--p", "1", "--q", "5",
-            "--k", "6", "--algo", algo, "--restarts", "-5"])
-        assert code == 0
+    @pytest.mark.parametrize("source,extra,message", [
+        ("spec", ["--n", "999"], "--n applies only with --group"),
+        ("spec", ["--p", "5"], "--p applies only with --group"),
+        ("files", ["--q", "3"], "--q applies only with --group"),
+        ("files", ["--m", "7"], "--m applies only with --group"),
+        ("group", ["--algo", "exact", "--iters", "5"],
+         "--iters applies only to --algo local"),
+        ("group", ["--algo", "brute", "--restarts", "-5"],
+         "--restarts applies only to --algo local"),
+        ("spec", ["--algo", "exact", "--iters", "5", "--restarts", "3"],
+         "--iters applies only to --algo local"),
+    ])
+    def test_search_flags_the_run_ignores_are_2(
+            self, tmp_path, capsys, monkeypatch, source, extra, message):
+        # refused before any input is read, whatever its value
+        spec = spec_file(tmp_path, capsys, "--group", "z2", "--n", "7",
+                         "--p", "1", "--q", "5")
+        read = []
+        monkeypatch.setattr(cli, "_read_json", read.append)
+        monkeypatch.setattr(cli, "_search_problem", read.append)
+        argv = {"spec": ["--spec", spec],
+                "files": ["--alpha", spec, "--beta", spec],
+                "group": ["--group", "z2", "--n", "7", "--p", "1",
+                          "--q", "5"]}[source]
+        code, out, err = invoke(capsys, ["search", *argv, "--k", "6", *extra])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert read == []
 
     @pytest.mark.parametrize("command,rate", [
         ("verify", ["--delta", "1/0"]),
@@ -547,6 +570,23 @@ class TestSubcommands:
         assert code == 0
         res = json.loads(out)["result"]
         assert res["probe"]["nontrivial_identities"]  # degenerate tables
+
+    def test_higman_action_record_above_the_table_points(self, tmp_path,
+                                                        capsys):
+        # p^4 = 279841 points: the record holds p and the tables, which
+        # rebuild the same five permutations
+        path = tmp_path / "a23.json"
+        code, _, _ = invoke(capsys, ["higman-action", "--p", "23", "--random",
+                                     "--seed", "4", "--out", str(path)])
+        assert code == 0
+        result = json.loads(path.read_text())["result"]
+        assert list(result) == ["p", "f_table", "lambda_table", "relations",
+                                "probe"]
+        assert path.stat().st_size < 10_000
+        want = higman.make_action(23, *higman.random_tables(23, 4))
+        got = higman.make_action(result["p"], result["f_table"],
+                                 result["lambda_table"])
+        assert got.perms == want.perms
 
     def test_higman_action_flag_conflicts(self, tmp_path, capsys):
         assert invoke(capsys, ["higman-action", "--p", "3"])[0] == 2

@@ -131,9 +131,10 @@ class TestMakeAction:
 
 
 class TestVerifyAction:
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_random_tables_pass(self, p):
-        f, lam = hg.random_tables(p, seed=0)
+    @pytest.mark.parametrize("p, seed", [(3, 0), (3, 4), (5, 0), (5, 9),
+                                         (7, 2)])
+    def test_random_tables_pass(self, p, seed):
+        f, lam = hg.random_tables(p, seed=seed)
         act = hg.make_action(p, f, lam)
         rep = hg.verify_action(act, window=2)
         assert rep.passed
@@ -154,19 +155,22 @@ class TestVerifyAction:
             assert ours
 
     @pytest.mark.parametrize("shift, chain, cycle", [
-        (4, 4, ("a", "b", "c", "d")),  # t of order 4: a -> b -> c -> d -> a
-        (1, 4, None),                  # t of order 16: d^t is none of them
-        (8, 2, None),                  # t an involution: a -> b -> a
+        (4, "adcb", ("a", "d", "c", "b")),  # the construction's cycle
+        (4, "abcd", None),                   # another 4-cycle: a^t = b
+        (4, "adb", None),                    # a^t = d but d^t = b
+        (1, "adcb", None),                   # t of order 16: b^t is not a
+        (8, "ad", None),                     # t an involution: d^t = a
     ])
     def test_t_cycle_walk(self, shift, chain, cycle):
-        # on 2^4 points: t is x -> x + shift, and the first `chain` names are
-        # the t-conjugates of the transposition (0 1), the rest unrelated
+        # on 2^4 points: t is x -> x + shift, the names of `chain` are
+        # successive t-conjugates of the transposition (0 1), and the rest
+        # are unrelated
         t = pm.Perm([(x + shift) % 16 for x in range(16)])
         perms = {"t": t, "a": pm.Perm([1, 0] + list(range(2, 16)))}
-        names = ("a", "b", "c", "d")
-        for prev, name in zip(names, names[1:chain]):
+        for prev, name in zip(chain, chain[1:]):
             perms[name] = pm.conjugate(perms[prev], t)
-        for x, name in enumerate(names[chain:]):
+        rest = [name for name in "abcd" if name not in chain]
+        for x, name in enumerate(rest):
             perms[name] = pm.Perm([x + 7, x + 6] + [y for y in range(16)
                                                     if y not in (x + 6, x + 7)])
         act = hg.ActionTable(2, (), (), perms)
@@ -174,6 +178,28 @@ class TestVerifyAction:
         assert rep.t_cycle == cycle
         check = next(c for c in rep.checks if c.name.startswith("t-conj"))
         assert check.ok is (cycle is not None)
+        assert rep.passed is (cycle is not None)
+        # the commutators of every copy round the cycle, else of (a, d) only
+        copies = {c.name[:6] for c in rep.checks if c.name.startswith("[")}
+        assert copies == ({"[d^(a^", "[c^(d^", "[b^(c^", "[a^(b^"}
+                          if cycle else {"[d^(a^"})
+
+    def test_witness_is_the_first_differing_point(self):
+        # d agrees with a^t except at (1, 2, 0, 1) and at the last point
+        p = 3
+        act = hg.make_action(p, *hg.random_tables(p, seed=0))
+        first = ((1 * p + 2) * p + 0) * p + 1
+        swap = list(range(p ** 4))
+        swap[first], swap[-1] = swap[-1], swap[first]
+        d = pm.compose(act.perms["d"], pm.Perm(swap))
+        bad = hg.ActionTable(p, act.f_table, act.lambda_table,
+                             {**act.perms, "d": d})
+        rep = hg.verify_action(bad, window=1)
+        check = next(c for c in rep.checks if c.name == "a^t = d")
+        assert not check.ok
+        assert check.witness == (1, 2, 0, 1)
+        assert all(type(v) is int for v in check.witness)
+        assert rep.t_cycle is None and not rep.passed
 
     def test_window_validation(self):
         f, lam = hg.random_tables(3, seed=0)
@@ -182,7 +208,47 @@ class TestVerifyAction:
             hg.verify_action(act, window=0)
 
 
+def _probe_reference(act, depth):
+    """injectivity_probe element by element: each lamp term is the power of
+    the lamp conjugated by the power of the base."""
+    base, lamp = act.perms["a"], act.perms["d"]
+    ident = pm.Perm.identity(act.p ** 4)
+    offenders = []
+    for elem in gr.ball("zwrz", depth):
+        if gr.is_trivial(elem):
+            continue
+        image = pm.power(base, elem.pow)
+        for e, c in elem.poly:
+            image = pm.compose(image, pm.conjugate(pm.power(lamp, c),
+                                                   pm.power(base, e)))
+        if image == ident:
+            offenders.append(elem)
+    return offenders
+
+
 class TestInjectivityProbe:
+    def test_copy_is_powers_and_lamp_conjugates(self):
+        act = hg.make_action(5, *hg.random_tables(5, seed=1))
+        base, lamp = act.perms["a"], act.perms["d"]
+        powers, shifted = hg._copy(base, lamp, 3)
+        assert sorted(powers) == sorted(shifted) == list(range(-3, 4))
+        for i in range(-3, 4):
+            assert powers[i] == pm.power(base, i)
+            assert shifted[i] == pm.conjugate(lamp, pm.power(base, i))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("tables", ["random", "lambda one", "ones"])
+    def test_matches_the_element_reference(self, p, tables):
+        f, lam = hg.random_tables(p, seed=p)
+        if tables != "random":
+            lam = [1] * p   # the base and the lamp have order p
+        if tables == "ones":
+            f = [1] * p     # and, translations, they commute
+        act = hg.make_action(p, f, lam)
+        for depth in range(5):
+            assert hg.injectivity_probe(act, depth) == _probe_reference(
+                act, depth)
+
     def test_degenerate_tables_collapse(self):
         # lambda identically 1 makes both the base and the lamp have order p
         act = hg.make_action(3, [1, 1, 1], [1, 1, 1])

@@ -649,3 +649,14 @@ def test_sampler_matches_the_exact_table_sampler(bits, oracle_samples, monkeypat
         assert retries
     else:
         assert not retries
+
+
+@pytest.mark.parametrize("k", sorted({k for _, k, _ in ORACLE_GRID}))
+def test_oracle_table_equals_the_term_by_term_sum(k):
+    # the oracle nests each a(j) from its largest divisor down; summed term
+    # by term, as the sampler oracle splits it, the table is the same
+    divisors = orc._divisors(k, 300)
+    a = [1]
+    for j in range(1, 301):
+        a.append(sum(orc._cycle_terms(a, j, divisors)))
+    assert orc._counts(300, k)[:301] == a
