@@ -89,15 +89,15 @@ _COLUMNS = {
 
 def _cell(value):
     """A row value as a CSV cell: a rational as a repr'd float, an mpf as
-    its record string, a Perm or tuple as its entries space-joined; any
-    other value is left for csv.writer (None empty, the rest through str)."""
+    its record string, a Perm, tuple or list as its entries space-joined;
+    any other value is left for csv.writer (None empty, else str)."""
     if isinstance(value, Fraction):
         return repr(float(value))
     if ser._is_mpf(value):
         return ser.mpf_to_obj(value)
     if isinstance(value, permmod.Perm):
         value = value.tolist()
-    elif not isinstance(value, tuple):
+    elif not isinstance(value, (tuple, list)):
         return value
     return " ".join(map(str, value))
 
@@ -348,12 +348,12 @@ def _cmd_count_orders(ns):
 def _cmd_make_approx(ns):
     from . import approx as approxmod
     spec = approxmod.make_approx(ns.group, ns.n, p=ns.p, q=ns.q, m=ns.m)
-    # refused as before although a record above SPEC_TABLE_POINTS builds no
+    # refused as before although a record of its parameters alone builds no
     # table: its spec could not be tabled anywhere else either
     limits.check("table_entries", spec.npoints)
-    untabled = {} if spec.npoints <= ser.SPEC_TABLE_POINTS else {
-        "psi_a": None, "psi_b": None}
-    return ser.spec_to_obj(spec), [_row("make-approx", spec, **untabled)]
+    record = ser.spec_to_obj(spec)
+    return record, [_row("make-approx", spec, psi_a=record.get("psi_a"),
+                         psi_b=record.get("psi_b"))]
 
 
 def _cmd_verify(ns):

@@ -20,7 +20,8 @@ so that conjugation by t cycles a -> d -> c -> b -> a and each adjacent
 pair (base g, lamp h = g^t) of that cycle, listed in ``_PAIRS``,
 generates a wreath-like copy whose lamp conjugates h^{g^i} pairwise
 commute.  :func:`verify_action` checks the action against this fixed
-cycle.  Points are encoded as x*p^3 + y*p^2 + z*p + w.
+cycle.  Points are encoded as x*p^3 + y*p^2 + z*p + w.  An action is
+its tables: the five permutations are built on first read of ``perms``.
 
 The p^4 points and the probe depth are checked first against
 :mod:`soficperm.limits` (see "Limits" in the README).
@@ -31,6 +32,7 @@ from __future__ import annotations
 import numbers
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -135,12 +137,33 @@ def mubar(g: GroupElem, l: int, k: int) -> tuple[GroupElem, ...]:
 
 @dataclass(frozen=True, eq=False)
 class ActionTable:
-    """p, the two value tables, and the five permutations on p^4 points."""
+    """p and the two value tables; the five ``perms`` build on first read."""
 
     p: int
     f_table: tuple[int, ...]
     lambda_table: tuple[int, ...]
-    perms: dict[str, Perm]
+
+    @cached_property
+    def perms(self) -> dict[str, Perm]:
+        p = self.p
+        f = np.asarray(self.f_table, dtype=np.int64)
+        lam = np.asarray(self.lambda_table, dtype=np.int64)
+        idx = np.arange(p ** 4, dtype=np.int64)
+        w = idx % p
+        z = (idx // p) % p
+        y = (idx // p ** 2) % p
+        x = idx // p ** 3
+
+        def enc(xx, yy, zz, ww):
+            return ((xx % p) * p ** 3 + (yy % p) * p ** 2 + (zz % p) * p + (ww % p))
+
+        return {
+            "t": Perm(enc(y, z, w, x), _trusted=True),
+            "a": Perm(enc(x * lam[z], y, z, w + f[z]), _trusted=True),
+            "b": Perm(enc(x, y, z + f[y], w * lam[y]), _trusted=True),
+            "c": Perm(enc(x, y + f[x], z * lam[x], w), _trusted=True),
+            "d": Perm(enc(x + f[w], y * lam[w], z, w), _trusted=True),
+        }
 
 
 @dataclass(frozen=True)
@@ -176,12 +199,12 @@ def _check_p(p: int) -> None:
 
 
 def _check_table(p: int, table: Sequence[int], name: str) -> tuple[int, ...]:
-    if len(table) != p:
-        raise ValueError(f"{name} must have one value per residue (length {p})")
+    if not hasattr(table, "__len__") or len(table) != p:
+        raise ValueError(f"{name} must be a list of {p} integers")
     if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
            for v in table):
         raise ValueError(f"{name} must hold integers")
-    reduced = tuple(v % p for v in table)
+    reduced = tuple(int(v) % p for v in table)
     if any(v == 0 for v in reduced):
         raise ValueError(f"{name} must take nonzero values mod {p}")
     return reduced
@@ -190,28 +213,10 @@ def _check_table(p: int, table: Sequence[int], name: str) -> tuple[int, ...]:
 def make_action(
     p: int, f_table: Sequence[int], lambda_table: Sequence[int]
 ) -> ActionTable:
-    """Build the five permutations on p^4 points from the value tables."""
+    """The action of the checked tables; ``perms`` builds on first read."""
     _check_p(p)
-    f = np.asarray(_check_table(p, f_table, "f_table"), dtype=np.int64)
-    lam = np.asarray(_check_table(p, lambda_table, "lambda_table"), dtype=np.int64)
-
-    idx = np.arange(p ** 4, dtype=np.int64)
-    w = idx % p
-    z = (idx // p) % p
-    y = (idx // p ** 2) % p
-    x = idx // p ** 3
-
-    def enc(xx, yy, zz, ww):
-        return ((xx % p) * p ** 3 + (yy % p) * p ** 2 + (zz % p) * p + (ww % p))
-
-    perms = {
-        "t": Perm(enc(y, z, w, x), _trusted=True),
-        "a": Perm(enc(x * lam[z], y, z, w + f[z]), _trusted=True),
-        "b": Perm(enc(x, y, z + f[y], w * lam[y]), _trusted=True),
-        "c": Perm(enc(x, y + f[x], z * lam[x], w), _trusted=True),
-        "d": Perm(enc(x + f[w], y * lam[w], z, w), _trusted=True),
-    }
-    return ActionTable(p, tuple(int(v) for v in f), tuple(int(v) for v in lam), perms)
+    return ActionTable(p, _check_table(p, f_table, "f_table"),
+                       _check_table(p, lambda_table, "lambda_table"))
 
 
 def random_tables(p: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -277,11 +277,11 @@ def verify_report_to_obj(rep: VerifyReport) -> dict:
 
 def action_table_to_obj(act: ActionTable) -> dict:
     """p, the two tables and, up to :data:`SPEC_TABLE_POINTS` points, the
-    five permutations, which ``make_action`` rebuilds from the rest."""
+    five permutations, which ``ActionTable.perms`` builds from the rest."""
+    out = _fields(act)
     if act.p ** 4 <= SPEC_TABLE_POINTS:
-        return _fields(act)
-    return {"p": act.p, "f_table": _obj(act.f_table),
-            "lambda_table": _obj(act.lambda_table)}
+        out["perms"] = _obj(act.perms)
+    return out
 
 
 def relation_report_to_obj(rep: RelationReport) -> dict:

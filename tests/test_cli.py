@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -570,6 +571,40 @@ class TestSubcommands:
         assert code == 0
         res = json.loads(out)["result"]
         assert res["probe"]["nontrivial_identities"]  # degenerate tables
+
+    @pytest.mark.parametrize("flag", ["--f-table", "--lambda-table"])
+    @pytest.mark.parametrize("text", ["3", "null"])
+    def test_higman_action_table_file_without_length_is_2(self, tmp_path,
+                                                          capsys, flag, text):
+        good = tmp_path / "good.json"
+        bad = tmp_path / "bad.json"
+        good.write_text("[1, 1, 1]")
+        bad.write_text(text)
+        argv = ["higman-action", "--p", "3", "--f-table", str(good),
+                "--lambda-table", str(good)]
+        argv[argv.index(flag) + 1] = str(bad)
+        code, out, err = invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be a list of 3 integers" in err
+
+    def test_higman_action_record_builds_no_perms(self, tmp_path, capsys):
+        # p^4 = 3418801 points: one int64 table of them is 27.3 MB, and
+        # the five permutations were built for a record that lists none
+        path = tmp_path / "a43.json"
+        tracemalloc.start()
+        try:
+            code = run(["higman-action", "--p", "43", "--random",
+                        "--out", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 43 ** 4 * 8
+        result = json.loads(path.read_text())["result"]
+        assert list(result) == ["p", "f_table", "lambda_table", "relations",
+                                "probe"]
 
     def test_higman_action_record_above_the_table_points(self, tmp_path,
                                                         capsys):

@@ -1,5 +1,8 @@
 """Slot maps into G^k and the five-generator action on p^4 points."""
 
+import types
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +125,26 @@ class TestMakeAction:
         with pytest.raises(ValueError, match="integers"):
             hg.make_action(5, [1] * 5, table)
 
+    def test_perms_are_built_on_first_read(self):
+        act = hg.make_action(5, *hg.random_tables(5, seed=1))
+        assert "perms" not in vars(act)
+        assert act.perms is act.perms
+        assert "perms" in vars(act)
+
+    def test_tables_are_reduced_ints(self):
+        act = hg.make_action(5, np.array([6, 2, 3, 4, 9]), (1, -1, 2, 3, 4))
+        assert act.f_table == (1, 2, 3, 4, 4)
+        assert act.lambda_table == (1, 4, 2, 3, 4)
+        assert all(type(v) is int for v in act.f_table + act.lambda_table)
+
+    @pytest.mark.parametrize("table", [3, None, 2.5])
+    def test_rejects_tables_without_length(self, table):
+        with pytest.raises(ValueError, match="f_table must be a list of 5 integers"):
+            hg.make_action(5, table, [1] * 5)
+        with pytest.raises(ValueError,
+                           match="lambda_table must be a list of 5 integers"):
+            hg.make_action(5, [1] * 5, table)
+
     def test_perms_are_bijections(self):
         f, lam = hg.random_tables(5, seed=1)
         act = hg.make_action(5, f, lam)
@@ -173,7 +196,7 @@ class TestVerifyAction:
         for x, name in enumerate(rest):
             perms[name] = pm.Perm([x + 7, x + 6] + [y for y in range(16)
                                                     if y not in (x + 6, x + 7)])
-        act = hg.ActionTable(2, (), (), perms)
+        act = types.SimpleNamespace(p=2, perms=perms)
         rep = hg.verify_action(act, window=1)
         assert rep.t_cycle == cycle
         check = next(c for c in rep.checks if c.name.startswith("t-conj"))
@@ -192,8 +215,7 @@ class TestVerifyAction:
         swap = list(range(p ** 4))
         swap[first], swap[-1] = swap[-1], swap[first]
         d = pm.compose(act.perms["d"], pm.Perm(swap))
-        bad = hg.ActionTable(p, act.f_table, act.lambda_table,
-                             {**act.perms, "d": d})
+        bad = types.SimpleNamespace(p=p, perms={**act.perms, "d": d})
         rep = hg.verify_action(bad, window=1)
         check = next(c for c in rep.checks if c.name == "a^t = d")
         assert not check.ok
