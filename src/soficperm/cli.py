@@ -47,6 +47,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -88,13 +89,13 @@ _COLUMNS = {
 # ---------------------------------------------------------------------------
 
 def _cell(value):
-    """A row value as a CSV cell: a rational as a repr'd float, an mpf as
-    its record string, a Perm, tuple or list as its entries space-joined;
+    """A row value as a CSV cell: a rational as a repr'd float, a Decimal
+    as its record string, a Perm, tuple or list as its entries space-joined;
     any other value is left for csv.writer (None empty, else str)."""
     if isinstance(value, Fraction):
         return repr(float(value))
-    if ser._is_mpf(value):
-        return ser.mpf_to_obj(value)
+    if isinstance(value, Decimal):
+        return ser._decimal_to_obj(value)
     if isinstance(value, permmod.Perm):
         value = value.tolist()
     elif not isinstance(value, (tuple, list)):

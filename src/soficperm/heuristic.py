@@ -11,27 +11,33 @@ predicts none, > 0 predicts many.  For comparison the report carries the
 model coefficient 2*eps + eps_prime - 1/k: since log P ~ -(1/k) n log n,
 the model predicts log(P*K) ~ (2*eps + eps_prime - 1/k) n log n.
 
-All logs are natural and carried at 200-bit precision.  mpmath is
-imported by :func:`heuristic_report` alone, so importing the package does
-not load it.
+All logs are natural, computed with stdlib :mod:`decimal` to
+:data:`PRECISION_DIGITS` significant digits (more than 200 bits) and held
+as ``Decimal``; a record prints each to 30 digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import mpmath
 
 from . import limits
 from . import perm as permmod
 from .serialize import to_fraction
 
-__all__ = ["HeuristicReport", "heuristic_report", "PRECISION_BITS"]
+__all__ = ["HeuristicReport", "heuristic_report", "PRECISION_DIGITS"]
 
-PRECISION_BITS = 200
+PRECISION_DIGITS = 64
+
+# the leading bits of an integer whose log is taken: dropping the rest
+# moves the log by less than 2**(1 - _KEEP_BITS), below the last digit kept
+_KEEP_BITS = 4 * PRECISION_DIGITS
+
+# ln 2 costs as much as a report's other logs together, so it is taken once
+with localcontext(prec=PRECISION_DIGITS):
+    _LN2 = Decimal(2).ln()
 
 
 @dataclass(frozen=True)
@@ -41,13 +47,13 @@ class HeuristicReport:
     eps: Fraction
     eps_prime: Fraction
     count: int
-    log_P: mpmath.mpf
-    log_K: mpmath.mpf
-    log_PK: mpmath.mpf
-    log_factorial: mpmath.mpf
-    asymptotic_ratio: mpmath.mpf
+    log_P: Decimal
+    log_K: Decimal
+    log_PK: Decimal
+    log_factorial: Decimal
+    asymptotic_ratio: Decimal
     pk_model_coeff: Fraction
-    log_PK_model: mpmath.mpf
+    log_PK_model: Decimal
 
 
 def heuristic_report(n: int, k: int, eps, eps_prime) -> HeuristicReport:
@@ -66,20 +72,18 @@ def heuristic_report(n: int, k: int, eps, eps_prime) -> HeuristicReport:
     if not (0 <= eps <= 1 and 0 <= eps_prime <= 1):
         raise ValueError("defect rates eps and eps_prime must lie in [0, 1]")
 
-    import mpmath
-
     count = permmod.count_order_dividing(n, k)
     coeff = 2 * eps + eps_prime
     model_coeff = coeff - Fraction(1, k)
-    with mpmath.workprec(PRECISION_BITS):
-        log_fact = mpmath.loggamma(n + 1)
-        log_count = mpmath.ln(mpmath.mpf(count))
+    with localcontext(prec=PRECISION_DIGITS):
+        log_fact = _ln(math.factorial(n))
+        log_count = _ln(count)
         log_P = log_count - log_fact
-        nlogn = mpmath.mpf(n) * mpmath.ln(n)
-        log_K = mpmath.mpf(coeff.numerator) / coeff.denominator * nlogn
+        nlogn = n * _ln(n)
+        log_K = Decimal(coeff.numerator) / coeff.denominator * nlogn
         log_PK = log_P + log_K
-        ratio = log_count / log_fact if n > 1 else mpmath.mpf(1)
-        model = mpmath.mpf(model_coeff.numerator) / model_coeff.denominator * nlogn
+        ratio = log_count / log_fact if n > 1 else Decimal(1)
+        model = Decimal(model_coeff.numerator) / model_coeff.denominator * nlogn
     return HeuristicReport(
         n=n,
         k=k,
@@ -94,3 +98,11 @@ def heuristic_report(n: int, k: int, eps, eps_prime) -> HeuristicReport:
         pk_model_coeff=model_coeff,
         log_PK_model=model,
     )
+
+
+def _ln(N: int) -> Decimal:
+    """ln N for an integer N >= 1 in the current context: the log of its
+    leading :data:`_KEEP_BITS` bits, plus ln 2 per bit dropped.  A count at
+    n = 5000 has 16,000 digits, which ``Decimal(N)`` would convert whole."""
+    e = max(N.bit_length() - _KEEP_BITS, 0)
+    return Decimal(N >> e).ln() + e * _LN2

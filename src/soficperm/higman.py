@@ -199,7 +199,9 @@ def _check_p(p: int) -> None:
 
 
 def _check_table(p: int, table: Sequence[int], name: str) -> tuple[int, ...]:
-    if not hasattr(table, "__len__") or len(table) != p:
+    # a 0-d array has __len__ but no length, so an array must be 1-d too
+    if (not hasattr(table, "__len__") or getattr(table, "ndim", 1) != 1
+            or len(table) != p):
         raise ValueError(f"{name} must be a list of {p} integers")
     if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
            for v in table):

@@ -5,7 +5,8 @@ One walk, :func:`_obj`, encodes each value by its type:
 * exact rationals are ``[numerator, denominator]`` pairs;
 * permutations are image lists, words lists of ``[gen, exp]`` letters;
 * group elements are dicts tagged with their ``family``;
-* high-precision floats are decimal strings (30 significant digits);
+* the heuristic's ``Decimal`` logs are decimal strings (30 significant
+  digits);
 * a record (dataclass or named tuple) is a dict of its fields in
   declaration order;
 * a spec holds its family, its ``params()`` and its relabelling when set,
@@ -28,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
-import sys
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, get_args
 
@@ -82,8 +83,8 @@ def _obj(value) -> Any:
         return perm_to_obj(value)
     if isinstance(value, GenWord):
         return genword_to_obj(value)
-    if _is_mpf(value):
-        return mpf_to_obj(value)
+    if isinstance(value, Decimal):
+        return _decimal_to_obj(value)
     if isinstance(value, _ELEMENT_TYPES):
         return elem_to_obj(value)
     if isinstance(value, tuple) and hasattr(value, "_fields"):
@@ -156,19 +157,18 @@ def _opt(fn, value):
     return None if value is None else fn(value)
 
 
-def _is_mpf(value) -> bool:
-    """Whether value is an mpmath ``mpf``, without importing mpmath: no
-    mpf exists until something has imported it."""
-    mpmath = sys.modules.get("mpmath")
-    return mpmath is not None and isinstance(value, mpmath.mpf)
-
-
-def mpf_to_obj(x) -> str:
-    import mpmath
-
-    from .heuristic import PRECISION_BITS
-    with mpmath.workprec(PRECISION_BITS):
-        return mpmath.nstr(x, MPF_DIGITS)
+def _decimal_to_obj(x: Decimal) -> str:
+    """x rounded half up to :data:`MPF_DIGITS` significant digits, trailing
+    zeros stripped: in fixed notation when the leading digit's exponent
+    lies in (-10, 30), else as ``d.ddde+N`` or ``d.ddde-N``; zero is
+    ``0.0``."""
+    if not x:
+        return "0.0"
+    with localcontext(prec=MPF_DIGITS, rounding=ROUND_HALF_UP):
+        x = x.normalize()
+    fixed = -10 < x.adjusted() < MPF_DIGITS
+    mantissa, e, exponent = format(x, "f" if fixed else "e").partition("e")
+    return (mantissa if "." in mantissa else mantissa + ".0") + e + exponent
 
 
 # ---------------------------------------------------------------------------

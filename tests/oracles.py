@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is deliberately independent of the package under test:
-permutations are plain tuples, arithmetic is stdlib-only, and all searches
-are exhaustive.  Slow but unarguable.
+permutations are plain tuples, arithmetic is stdlib-only but for the
+heuristic's logs, which mpmath computes, and all searches are exhaustive.
+Slow but unarguable.
 """
 
 from __future__ import annotations
@@ -56,6 +57,46 @@ def t_hamming(f: tuple, g: tuple) -> Fraction:
 
 def order_divides_k(f: tuple, k: int) -> bool:
     return all(k % length == 0 for length in t_cycle_lengths(f))
+
+
+# ---------------------------------------------------------------------------
+# the counting heuristic's logs through mpmath
+# ---------------------------------------------------------------------------
+
+HEURISTIC_LOGS = ("log_P", "log_K", "log_PK", "log_factorial",
+                  "asymptotic_ratio", "log_PK_model")
+
+
+def heuristic_logs(n: int, k: int, eps: Fraction, eps_prime: Fraction,
+                   count: int) -> dict:
+    """The heuristic report's logs at (n, k, eps, eps_prime) for the exact
+    count, as mpmath mpf values at 200 bits: ln(count) - loggamma(n + 1),
+    (2 eps + eps_prime) n ln n, their sum, loggamma(n + 1), ln(count) /
+    loggamma(n + 1) (1 at n = 1) and (2 eps + eps_prime - 1/k) n ln n."""
+    import mpmath
+
+    coeff = 2 * eps + eps_prime
+    model_coeff = coeff - Fraction(1, k)
+    with mpmath.workprec(200):
+        log_fact = mpmath.loggamma(n + 1)
+        log_count = mpmath.ln(mpmath.mpf(count))
+        log_P = log_count - log_fact
+        nlogn = mpmath.mpf(n) * mpmath.ln(n)
+        log_K = mpmath.mpf(coeff.numerator) / coeff.denominator * nlogn
+        return dict(zip(HEURISTIC_LOGS, (
+            log_P, log_K, log_P + log_K, log_fact,
+            log_count / log_fact if n > 1 else mpmath.mpf(1),
+            mpmath.mpf(model_coeff.numerator) / model_coeff.denominator
+            * nlogn)))
+
+
+def mpf_text(x) -> str:
+    """x as ``mpmath.nstr(x, 30)`` prints it at 200 bits: the text a
+    record holds for each of the heuristic's logs."""
+    import mpmath
+
+    with mpmath.workprec(200):
+        return mpmath.nstr(x, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +225,19 @@ def brute_best_agreement(n: int, k: int, alpha: tuple, beta: tuple) -> int:
         score = sum(1 for x in range(n) if f[alpha[x]] == beta[f[x]])
         best = max(best, score)
     return best
+
+
+def agreement_ceiling(alpha: tuple, beta: tuple) -> int:
+    """An upper bound on |{x : f(alpha(x)) = beta(f(x))}| over all f in
+    Sym(n), whatever f's order: n - |c(alpha) - c(beta)| - 1 when the cycle
+    counts c differ, else n.
+
+    If f agrees at A points, sigma = f alpha f^-1 equals beta there, so
+    beta sigma^-1 moves at most D = n - A points and is a product of at
+    most D - 1 transpositions when D > 0; each changes the cycle count by
+    one, and sigma has as many cycles as alpha."""
+    gap = abs(len(t_cycle_lengths(alpha)) - len(t_cycle_lengths(beta)))
+    return len(alpha) - gap - 1 if gap else len(alpha)
 
 
 def translation_tuple(n: int, s: int) -> tuple:

@@ -15,7 +15,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,25 @@ def test_large_cli_bytes_pinned(inputs, name, fmt):
     argv = [a.replace("{tmp}", str(inputs)) for a in LARGE_CASES[name]]
     assert digest(inputs, argv + ["--format", fmt]) == \
         LARGE_DIGESTS[f"{name}/{fmt}"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_heuristic_bytes_without_mpmath(fmt):
+    """The heuristic golden, run in a child process where any import of
+    mpmath raises: the counting estimate needs no mpmath."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    argv = CASES["heuristic"] + ["--format", fmt]
+    code = ("import sys; sys.modules['mpmath'] = None; import soficperm.cli; "
+            f"sys.exit(soficperm.cli.run({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    text = f"0\n{proc.stdout.decode('utf-8')}\0"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        DIGESTS[f"heuristic/{fmt}"]
 
 
 def test_spec_table_threshold_placement():

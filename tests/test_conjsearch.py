@@ -175,6 +175,50 @@ class TestBruteForce:
             cj.brute_force(cj.translation_problem(10, 1, 2, 4))
 
 
+class TestAgreementCeiling:
+    """The oracle's ceiling n - |c(alpha) - c(beta)| - 1 (n when the cycle
+    counts are equal) on the agreement any f can reach."""
+
+    def test_cycle_count_gap(self):
+        n = 6
+        identity, rotation = tuple(range(n)), orc.translation_tuple(n, 1)
+        assert orc.agreement_ceiling(identity, rotation) == 0
+        assert orc.agreement_ceiling(rotation, rotation) == n
+        assert orc.brute_best_agreement(
+            n, math.factorial(n), identity, rotation) == 0
+
+    def test_never_exceeded_over_all_of_sym_n(self):
+        rng = random.Random(16)
+        pairs = []
+        for n in range(1, 8):
+            for _ in range(30):
+                alpha, beta = list(range(n)), list(range(n))
+                rng.shuffle(alpha)
+                rng.shuffle(beta)
+                pairs.append((tuple(alpha), tuple(beta)))
+        # every order in Sym(n) divides n!, so k = n! lets f range over all
+        best = [orc.brute_best_agreement(len(a), math.factorial(len(a)), a, b)
+                for a, b in pairs]
+        ceiling = [orc.agreement_ceiling(a, b) for a, b in pairs]
+        assert all(b <= c for b, c in zip(best, ceiling))
+        # and it is no loose bound: most pairs reach it
+        assert sum(b == c for b, c in zip(best, ceiling)) > 3 * len(pairs) // 4
+
+    @pytest.mark.parametrize("prob", [
+        cj.translation_problem(5, 1, 2, 2), cj.translation_problem(6, 1, 5, 2),
+        cj.translation_problem(6, 2, 3, 3), cj.translation_problem(7, 1, 3, 4),
+        cj.translation_problem(8, 2, 1, 4), cj.multiplication_problem(7, 3, 6),
+        cj.multiplication_problem(8, 3, 2), cj.multiplication_problem(9, 2, 4),
+        cj.multiplication_problem(9, 8, 2),
+    ], ids=["trans:n5:k2", "trans:n6:k2", "trans:n6:k3", "trans:n7:k4",
+            "trans:n8:k4", "mult:n7:k6", "mult:n8:k2", "mult:n9:k4",
+            "mult:n9:k2"])
+    def test_bounds_brute_force(self, prob):
+        ceiling = orc.agreement_ceiling(tuple(prob.alpha.tolist()),
+                                        tuple(prob.beta.tolist()))
+        assert cj.brute_force(prob).agreement_count <= ceiling
+
+
 class TestBestRestart:
     def test_restart_rng_is_seeded_by_restart(self):
         drawn = {}

@@ -1,20 +1,39 @@
-"""Counting-estimate report: exact ingredients, frozen n=100 values."""
+"""Counting-estimate report: exact ingredients, frozen n=100 values, and
+the logs against the mpmath oracle."""
 
-import os
-import subprocess
-import sys
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
+import oracles as orc
 import pytest
 
 from soficperm import heuristic as hr
 from soficperm import perm as pm
+from soficperm import serialize as ser
+
+
+def random_rate(rng) -> Fraction:
+    """A defect rate a/b with 0 <= a <= b and 1 <= b <= 100."""
+    return Fraction(*sorted((rng.randint(0, 100), rng.randint(1, 100))))
 
 
 def close(x, text, tol="1e-9"):
-    return abs(x - mpmath.mpf(text)) < mpmath.mpf(tol)
+    return abs(x - Decimal(text)) < Decimal(tol)
+
+
+def ln(x) -> Decimal:
+    with localcontext(prec=hr.PRECISION_DIGITS):
+        return Decimal(x).ln()
+
+
+def agree(x: Decimal, want, digits=40) -> bool:
+    """Whether x equals the 200-bit mpf want to the given significant
+    digits."""
+    with mpmath.workprec(200):
+        tol = abs(want) * mpmath.mpf(10) ** -digits
+        return abs(mpmath.mpf(str(x)) - want) <= tol
 
 
 class TestReport:
@@ -25,10 +44,9 @@ class TestReport:
     def test_log_identities(self):
         rep = hr.heuristic_report(30, 4, "1/100", "1/100")
         assert close(rep.log_PK, rep.log_P + rep.log_K)
-        assert close(rep.log_P, mpmath.ln(rep.count) - rep.log_factorial)
+        assert close(rep.log_P, ln(rep.count) - rep.log_factorial)
         # log K = (2 eps + eps') n ln n
-        want = mpmath.mpf(3) / 100 * 30 * mpmath.ln(30)
-        assert close(rep.log_K, want)
+        assert close(rep.log_K, Decimal(3) / 100 * 30 * ln(30))
 
     def test_frozen_n100(self):
         rep = hr.heuristic_report(100, 4, "1/100", "1/100")
@@ -42,8 +60,7 @@ class TestReport:
 
     def test_model_term(self):
         rep = hr.heuristic_report(100, 4, "1/100", "1/100")
-        want = mpmath.mpf(-22) / 100 * 100 * mpmath.ln(100)
-        assert close(rep.log_PK_model, want)
+        assert close(rep.log_PK_model, Decimal(-22) / 100 * 100 * ln(100))
 
     def test_coefficient_sign_flips_with_eps(self):
         tight = hr.heuristic_report(20, 4, "1/100", "1/100")
@@ -57,7 +74,7 @@ class TestReport:
     def test_ratio_drifts_toward_one_minus_one_over_k(self):
         r_small = hr.heuristic_report(20, 2, 0, 0).asymptotic_ratio
         r_big = hr.heuristic_report(400, 2, 0, 0).asymptotic_ratio
-        assert abs(r_big - mpmath.mpf("0.5")) < abs(r_small - mpmath.mpf("0.5"))
+        assert abs(r_big - Decimal("0.5")) < abs(r_small - Decimal("0.5"))
 
 
 class TestValidation:
@@ -88,22 +105,30 @@ class TestValidation:
             hr.heuristic_report(5001, 4, 0, 0)
 
     def test_precision_is_carried(self):
-        rep = hr.heuristic_report(100, 4, 0, 0)
-        # 200-bit values survive printing well past double precision
-        text = mpmath.nstr(rep.log_factorial, 40)
-        assert len(text.replace("-", "").replace(".", "")) >= 35
+        # every log matches the 200-bit oracle to 40 digits, well past a
+        # double's 17
+        for n, k in [(100, 4), (2500, 6)]:
+            rep = hr.heuristic_report(n, k, "1/100", "1/50")
+            want = orc.heuristic_logs(n, k, rep.eps, rep.eps_prime, rep.count)
+            for field in orc.HEURISTIC_LOGS:
+                assert agree(getattr(rep, field), want[field]), (n, k, field)
+                assert isinstance(getattr(rep, field), Decimal)
 
 
-def test_importing_the_cli_leaves_mpmath_unloaded():
-    """mpmath is imported only where an mpf is made or written, so the
-    subcommands that need none do not pay for it."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, soficperm, soficperm.cli; "
-            "print('mpmath' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_records_print_the_oracle_digits():
+    """Each log prints as mpmath's 200-bit value printed to 30 digits, on
+    n = 1..59 for k in {2, 3, 4, 6, 12} and 80 random n up to 5000, each
+    with random defect rates."""
+    rng = random.Random(2017)
+    grid = [(n, k) for n in range(1, 60) for k in (2, 3, 4, 6, 12)]
+    grid += [(rng.randint(60, 5000), rng.choice((2, 3, 4, 6, 12)))
+             for _ in range(80)]
+    mismatches = []
+    for n, k in grid:
+        rep = hr.heuristic_report(n, k, random_rate(rng), random_rate(rng))
+        got = ser.heuristic_report_to_obj(rep)
+        want = orc.heuristic_logs(n, k, rep.eps, rep.eps_prime, rep.count)
+        mismatches += [(n, k, field, got[field], orc.mpf_text(want[field]))
+                       for field in orc.HEURISTIC_LOGS
+                       if got[field] != orc.mpf_text(want[field])]
+    assert mismatches == []

@@ -137,7 +137,7 @@ class TestMakeAction:
         assert act.lambda_table == (1, 4, 2, 3, 4)
         assert all(type(v) is int for v in act.f_table + act.lambda_table)
 
-    @pytest.mark.parametrize("table", [3, None, 2.5])
+    @pytest.mark.parametrize("table", [3, None, 2.5, np.array(3)])
     def test_rejects_tables_without_length(self, table):
         with pytest.raises(ValueError, match="f_table must be a list of 5 integers"):
             hg.make_action(5, table, [1] * 5)

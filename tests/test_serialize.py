@@ -4,10 +4,13 @@ re-validate what they read."""
 import dataclasses
 import json
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
+import oracles as orc
 import pytest
 
 from soficperm import approx as ap
@@ -47,13 +50,37 @@ class TestScalars:
         w = gr.genword([("a", 2), ("b", -1)])
         assert ser.genword_from_obj(json_roundtrip(ser.genword_to_obj(w))) == w
 
-    def test_mpf(self):
-        import mpmath
-        with mpmath.workprec(200):
-            x = mpmath.ln(mpmath.mpf(7)) * 12345
-            text = ser.mpf_to_obj(x)
-            assert abs(mpmath.mpf(text) - x) < mpmath.mpf("1e-20")
-        assert text == mpmath.nstr(x, ser.MPF_DIGITS)
+    NINES = "9." + "9" * 30  # 31 nines: rounds up to the next power of ten
+
+    @pytest.mark.parametrize("text, want", [
+        ("0", "0.0"), ("-0E-70", "0.0"), ("1", "1.0"), ("-2.5", "-2.5"),
+        ("-1234.5678", "-1234.5678"), ("120.000", "120.0"),
+        ("1.5E-10", "1.5e-10"), ("-1.5E-10", "-1.5e-10"),
+        ("1.5E-9", "0.0000000015"), ("-1.5E-9", "-0.0000000015"),
+        ("1.5E+29", "150000000000000000000000000000.0"),
+        ("1.5E+30", "1.5e+30"), ("-1.5E+30", "-1.5e+30"),
+        (NINES, "10.0"), ("-" + NINES, "-10.0"),
+        (NINES + "E-11", "1.0e-10"), (NINES + "E-10", "0.000000001"),
+        (NINES + "E+28", "100000000000000000000000000000.0"),
+        (NINES + "E+29", "1.0e+30"),
+        ("9." + "9" * 29 + "49", "9." + "9" * 29),
+        ("1." + "0" * 29 + "5", "1.00000000000000000000000000001"),
+    ])
+    def test_decimal_text(self, text, want):
+        assert ser._decimal_to_obj(Decimal(text)) == want
+
+    @pytest.mark.parametrize("num, exp", [
+        (1, -33), (1, -30), (1, -29), (1, 96), (1, 99), (-1, -33),
+        ((1 << 110) - 1, -110), (-(1 << 110) + 1, -110),
+        ((10 ** 30 << 10) - 1, -10), (12345 * 7 ** 40, -60),
+    ])
+    def test_decimal_text_is_mpmath_text(self, num, exp):
+        """On exact binary values, where mpmath holds the very number,
+        the text is mpmath's nstr(x, 30): about the leading exponents
+        -10/-9 and 29/30, and where rounding carries to a power of ten."""
+        with localcontext(prec=200):
+            x = Decimal(num) * Decimal(2) ** exp
+        assert ser._decimal_to_obj(x) == orc.mpf_text(mpmath.ldexp(num, exp))
 
 
 ELEMENT_CASES = [
