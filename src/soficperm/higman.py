@@ -20,7 +20,10 @@ so that conjugation by t cycles a -> d -> c -> b -> a and each adjacent
 pair (base g, lamp h = g^t) of that cycle, listed in ``_PAIRS``,
 generates a wreath-like copy whose lamp conjugates h^{g^i} pairwise
 commute.  :func:`verify_action` checks the action against this fixed
-cycle.  Points are encoded as x*p^3 + y*p^2 + z*p + w.  An action is
+cycle.  Once the cycle holds, each copy is the t-conjugate of the one
+before, so the (a, d) copy's lamp conjugates decide the commutators of
+all four: the check composes O(window) permutations, not O(window^2) per
+copy.  Points are encoded as x*p^3 + y*p^2 + z*p + w.  An action is
 its tables: the five permutations are built on first read of ``perms``.
 
 The p^4 points and the probe depth are checked first against
@@ -230,23 +233,12 @@ def random_tables(p: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return f, lam
 
 
-def _relation(name: str, p: int, g: Perm, h: Perm) -> RelationCheck:
-    """The check that g = h; its witness is the first point where they
-    differ, as (x, y, z, w)."""
-    diff = np.flatnonzero(g.images != h.images)
-    witness = (tuple(int(v) for v in np.unravel_index(diff[0], (p,) * 4))
-               if len(diff) else None)
-    return RelationCheck(name, witness is None, witness)
-
-
-def _copy(base: Perm, lamp: Perm, reach: int) -> tuple[dict, dict]:
-    """The powers base^i and the lamp conjugates lamp^(base^i) =
-    base^-i lamp base^i of one copy, each keyed by i for |i| <= reach."""
-    span = range(-reach, reach + 1)
-    powers = {i: permmod.power(base, i) for i in span}
-    shifted = {i: permmod.compose(permmod.compose(powers[-i], lamp), powers[i])
-               for i in span}
-    return powers, shifted
+def _relation(name: str, p: int, differ: np.ndarray) -> RelationCheck:
+    """The check that the difference mask ``differ`` holds no point; its
+    witness is the first point it holds, as (x, y, z, w)."""
+    first = int(np.argmax(differ))
+    witness = tuple(int(v) for v in np.unravel_index(first, (p,) * 4))
+    return RelationCheck(name, not differ[first], witness if differ[first] else None)
 
 
 def verify_action(act: ActionTable, window: int) -> RelationReport:
@@ -254,34 +246,44 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     each generator to its successor in the construction's cycle
     a -> d -> c -> b -> a, and for each pair (g, h = g^t) of ``_PAIRS``
     the commutators [h^{g^i}, h^{g^j}] = id for all |i|, |j| <= window.
-    When the cycle check fails, only the pair (a, d) is checked."""
+    When the cycle check fails, only the pair (a, d) is checked.
+
+    One copy decides all four.  [h^{g^i}, h^{g^j}] is [h, h^{g^(j-i)}]
+    conjugated by g^i, so the (a, d) copy's lamp conjugates d^{a^m},
+    m = 1 .. 2*window, give one mask per m of the points where d and
+    d^{a^m} do not commute; once the cycle check passes, copy k is copy 0
+    conjugated by t^k, so its check (i, j) fails at x exactly when mask
+    j - i holds a^i(t^k(x)).  That point is gathered only when the mask
+    holds one."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    p = act.p
-    t = act.perms["t"]
-    t_order = _relation("t^4", p, permmod.power(t, 4), Perm.identity(p ** 4))
-    checks = [t_order]
+    p, perms = act.p, act.perms
+    t, a, d = perms["t"], perms["a"], perms["d"]
+    t_order = _relation("t^4", p, permmod.power(t, 4).images != np.arange(p ** 4))
+    a_t = _relation("a^t = d", p, permmod.conjugate(a, t).images != d.images)
+    cycled = a_t.ok and all(permmod.conjugate(perms[g], t) == perms[h]
+                            for g, h in _PAIRS[1:])
+    checks = [t_order, a_t, RelationCheck("t-conjugation is a 4-cycle on {a,b,c,d}",
+                                          cycled, None)]
 
-    conj = {g: permmod.conjugate(act.perms[g], t) for g, _ in _PAIRS}
-    checks.append(_relation("a^t = d", p, conj["a"], act.perms["d"]))
-    cycled = all(conj[g] == act.perms[h] for g, h in _PAIRS)
-    checks.append(RelationCheck("t-conjugation is a 4-cycle on {a,b,c,d}",
-                                cycled, None))
-
-    for base_name, lamp_name in _PAIRS if cycled else _PAIRS[:1]:
-        _, shifted = _copy(act.perms[base_name], act.perms[lamp_name], window)
+    a_inv, shifted, masks = permmod.inverse(a), d, {}
+    for m in range(1, 2 * window + 1):
+        shifted = permmod.compose(a_inv, permmod.compose(shifted, a))
+        masks[m] = d.images[shifted.images] != shifted.images[d.images]
+    for k, (base, lamp) in enumerate(_PAIRS if cycled else _PAIRS[:1]):
         for i in range(-window, window + 1):
+            at = None
             for j in range(i + 1, window + 1):
+                differ = masks[j - i]
+                if differ.any():
+                    if at is None:
+                        at = permmod.power(a, i).images[permmod.power(t, k).images]
+                    differ = differ[at]
                 checks.append(_relation(
-                    f"[{lamp_name}^({base_name}^{i}), {lamp_name}^({base_name}^{j})]",
-                    p,
-                    permmod.compose(shifted[i], shifted[j]),
-                    permmod.compose(shifted[j], shifted[i]),
-                ))
+                    f"[{lamp}^({base}^{i}), {lamp}^({base}^{j})]", p, differ))
 
-    passed = all(c.ok for c in checks)
     cycle = tuple(g for g, _ in _PAIRS) if cycled else None
-    return RelationReport(tuple(checks), t_order.ok, cycle, passed)
+    return RelationReport(tuple(checks), t_order.ok, cycle, all(c.ok for c in checks))
 
 
 def injectivity_probe(act: ActionTable, depth: int) -> list[WreathElem]:
@@ -293,7 +295,11 @@ def injectivity_probe(act: ActionTable, depth: int) -> list[WreathElem]:
     limits.check("probe_depth", depth)
     if depth == 0:
         return []
-    powers, shifted = _copy(act.perms["a"], act.perms["d"], depth)
+    base, lamp = act.perms["a"], act.perms["d"]
+    span = range(-depth, depth + 1)
+    powers = {i: permmod.power(base, i) for i in span}
+    shifted = {i: permmod.compose(permmod.compose(powers[-i], lamp), powers[i])
+               for i in span}
     ident = Perm.identity(act.p ** 4)
     offenders: list[WreathElem] = []
     for elem in groups.ball("zwrz", depth):

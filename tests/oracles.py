@@ -327,6 +327,54 @@ def wreath_conjugates_commute(p: int, f: list[int], lam: list[int],
     return True
 
 
+def verify_action_reference(p: int, perms: dict, window: int):
+    """higman.verify_action copy by copy on tuple permutations of p^4
+    points: for each copy (g, h) the powers g^i, the lamp conjugates
+    h^(g^i) = g^-i h g^i and both products of every pair i < j.  Returns
+    the checks as (name, ok, witness) triples, t_order_ok, t_cycle and
+    passed; a witness is the first differing point as (x, y, z, w)."""
+    n = p ** 4
+    ident = tuple(range(n))
+    t = perms["t"]
+
+    def power(f, e):
+        step = f if e >= 0 else t_inverse(f)
+        out = ident
+        for _ in range(abs(e)):
+            out = t_compose(step, out)
+        return out
+
+    def conj(f):
+        return t_compose(t_compose(t_inverse(t), f), t)
+
+    def relation(name, f, g):
+        diff = [x for x in range(n) if f[x] != g[x]]
+        if not diff:
+            return (name, True, None)
+        x = diff[0]
+        return (name, False, (x // p ** 3, x // p ** 2 % p, x // p % p, x % p))
+
+    pairs = [("a", "d"), ("d", "c"), ("c", "b"), ("b", "a")]
+    cycled = all(conj(perms[g]) == perms[h] for g, h in pairs)
+    checks = [relation("t^4", power(t, 4), ident),
+              relation("a^t = d", conj(perms["a"]), perms["d"]),
+              ("t-conjugation is a 4-cycle on {a,b,c,d}", cycled, None)]
+    for base, lamp in pairs if cycled else pairs[:1]:
+        g, h = perms[base], perms[lamp]
+        span = range(-window, window + 1)
+        powers = {i: power(g, i) for i in span}
+        shifted = {i: t_compose(t_compose(powers[-i], h), powers[i])
+                   for i in span}
+        for i in span:
+            for j in range(i + 1, window + 1):
+                checks.append(relation(
+                    f"[{lamp}^({base}^{i}), {lamp}^({base}^{j})]",
+                    t_compose(shifted[i], shifted[j]),
+                    t_compose(shifted[j], shifted[i])))
+    cycle = ("a", "d", "c", "b") if cycled else None
+    return checks, checks[0][1], cycle, all(ok for _, ok, _ in checks)
+
+
 # ---------------------------------------------------------------------------
 # sign-flip transport and ball constants, on plain tuples and attributes
 # ---------------------------------------------------------------------------

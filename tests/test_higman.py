@@ -1,5 +1,6 @@
 """Slot maps into G^k and the five-generator action on p^4 points."""
 
+import random
 import types
 
 import numpy as np
@@ -229,6 +230,77 @@ class TestVerifyAction:
         with pytest.raises(ValueError):
             hg.verify_action(act, window=0)
 
+    def test_matches_the_copy_by_copy_reference(self):
+        rng = random.Random(0)
+        all_four_fail = passed = broken = late_witnesses = 0
+        cases = 360
+        for case in range(cases):
+            perms = _hand_made_perms(rng, case)
+            window = 1 + case % 3
+            rep = hg.verify_action(types.SimpleNamespace(p=2, perms=perms),
+                                   window)
+            checks, t_order_ok, t_cycle, ref_passed = orc.verify_action_reference(
+                2, {name: tuple(g.tolist()) for name, g in perms.items()}, window)
+            assert [(c.name, c.ok, c.witness) for c in rep.checks] == checks
+            assert (rep.t_order_ok, rep.t_cycle, rep.passed) == (
+                t_order_ok, t_cycle, ref_passed)
+            failing = {c.name[:6] for c in rep.checks
+                       if c.name.startswith("[") and not c.ok}
+            all_four_fail += len(failing) == 4
+            passed += rep.passed
+            broken += rep.t_cycle is None
+            late_witnesses += any(c.witness for c in rep.checks
+                                  if c.name[:6] in ("[c^(d^", "[b^(c^", "[a^(b^"))
+        # the cases cover what the copies can do: failing commutators on
+        # all four copies, witnesses read through t, passing actions and
+        # broken cycles
+        assert all_four_fail > cases // 2
+        assert late_witnesses > cases // 2
+        assert passed > 0 and broken > 0
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_compositions_grow_linearly_with_the_window(self, window,
+                                                       monkeypatch):
+        act = hg.make_action(3, *hg.random_tables(3, seed=0))
+        act.perms   # built before the count starts
+        compose, calls = pm.compose, []
+
+        def spy(f, g):
+            calls.append((f, g))
+            return compose(f, g)
+
+        monkeypatch.setattr(pm, "compose", spy)
+        assert hg.verify_action(act, window).passed
+        assert len(calls) <= 4 * window + 8
+
+
+def _hand_made_perms(rng, case):
+    """Five permutations of 2^4 points: t of order dividing 4 made of
+    disjoint cycles, a random (a transposition in every fifth case) and
+    d, c, b its successive t-conjugates; in every fourth case b or d is
+    replaced by a random permutation, which breaks the cycle."""
+    order = rng.sample(range(16), 16)
+    t = list(range(16))
+    while order:
+        length = rng.choice([n for n in (1, 2, 4) if n <= len(order)])
+        cycle, order = order[:length], order[length:]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            t[x] = y
+    t = pm.Perm(t)
+    if case % 5 == 0:
+        x, y = rng.sample(range(16), 2)
+        a = list(range(16))
+        a[x], a[y] = y, x
+        a = pm.Perm(a)
+    else:
+        a = pm.Perm(rng.sample(range(16), 16))
+    perms = {"t": t, "a": a}
+    for prev, name in zip("adc", "dcb"):
+        perms[name] = pm.conjugate(perms[prev], t)
+    if case % 4 == 3:
+        perms[rng.choice("bd")] = pm.Perm(rng.sample(range(16), 16))
+    return perms
+
 
 def _probe_reference(act, depth):
     """injectivity_probe element by element: each lamp term is the power of
@@ -249,15 +321,6 @@ def _probe_reference(act, depth):
 
 
 class TestInjectivityProbe:
-    def test_copy_is_powers_and_lamp_conjugates(self):
-        act = hg.make_action(5, *hg.random_tables(5, seed=1))
-        base, lamp = act.perms["a"], act.perms["d"]
-        powers, shifted = hg._copy(base, lamp, 3)
-        assert sorted(powers) == sorted(shifted) == list(range(-3, 4))
-        for i in range(-3, 4):
-            assert powers[i] == pm.power(base, i)
-            assert shifted[i] == pm.conjugate(lamp, pm.power(base, i))
-
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("tables", ["random", "lambda one", "ones"])
     def test_matches_the_element_reference(self, p, tables):
