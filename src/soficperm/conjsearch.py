@@ -191,9 +191,9 @@ def brute_force(prob: ConjProblem) -> SearchReport:
     ``brute_force_n`` limit of :mod:`soficperm.limits`."""
     limits.check("brute_force_n", prob.n)
     F = permmod._order_dividing_rows(prob.n, prob.k)
-    scores = np.count_nonzero(
-        F[:, prob.alpha.images] == prob.beta.images[F], axis=1
-    )
+    # one contiguous row of F.T per point: f(alpha(x)) and f(x) for every f
+    columns, beta = F.T, prob.beta.images.astype(F.dtype)
+    scores = np.count_nonzero(columns[prob.alpha.images] == beta[columns], axis=0)
     best = min(F[scores == scores.max()].tolist())
     f = Perm(np.asarray(best, dtype=np.int64), _trusted=True)
     return _make_report(prob, "brute", None, f, len(F))

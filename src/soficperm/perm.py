@@ -17,9 +17,12 @@ remaining r - d points are filled the same way.  There are
 branches (:func:`count_order_dividing`, which runs the recurrence of
 :func:`_grow` over a window of the last max(d | k, d <= n) values, not a
 table of every a(j)); sampling walks one path, choosing each branch with
-probability proportional to its size (:func:`sample_order_k`); enumeration
-writes every leaf as a row (:func:`_order_dividing_rows`, the brute-force
-search space).
+probability proportional to its size (:func:`sample_order_k`), drawing
+each partner as ``rng.randrange`` would, by its ``getrandbits`` loop
+written out, into a Python list of images that becomes an array once;
+enumeration writes every leaf as a row (:func:`_order_dividing_rows`, the
+brute-force search space) in the smallest integer type that holds n - 1,
+so one byte per image under the ``brute_force_n`` limit.
 
 Sampling reads no exact table.  It walks on certified bounds
 lo * 2**e <= a(j) <= hi * 2**e with mantissas of 128 bits, grown by the
@@ -446,31 +449,41 @@ def _order_dividing_rows(n: int, k: int) -> np.ndarray:
     """Every f in Sym(n) with f^k = id as a row of images, one row per leaf
     of the cycle recursion, so there are count_order_dividing(n, k) rows.
 
-    The rows for r points come from the rows for r - d points, d | k: list
-    the points as ``labels`` (0, then d - 1 ordered partners, then the rest
-    ascending), and conjugate by that relabelling the row that cycles the
-    first d positions and acts on the others as the smaller row does.
+    The rows for r points come from the rows ``sub`` for r - d points,
+    d | k: list the points as the ``cycle`` (0, then d - 1 ordered
+    partners) and the ``rest`` ascending, and conjugate by that relabelling
+    the row that cycles the first d positions and acts on the others as
+    the smaller row does.  Such a row sends cycle[t] to cycle[t + 1 mod d]
+    and rest[t] to rest[sub[t]]; one scatter writes each part for every
+    label list and smaller row at once.  The rows are held by column, one
+    contiguous column per point (the return value is its transpose), in
+    the smallest integer type that holds n - 1: bytes up to 256 points.
     """
-    blocks = [np.zeros((1, 0), dtype=np.int64)]
+    dtype = np.min_scalar_type(n - 1)
+    columns = [np.zeros((0, 1), dtype=dtype)]
     for r in range(1, n + 1):
         parts = []
         for d in _divisors(k, n):
             if d > r:
                 break
-            labels = np.array([
-                (0, *p, *(x for x in range(1, r) if x not in p))
-                for p in itertools.permutations(range(1, r), d - 1)],
-                dtype=np.int64)
-            sub = blocks[r - d]
-            std = np.hstack([np.tile(np.roll(np.arange(d), -1), (len(sub), 1)),
-                             d + sub])
-            # row = labels o std o labels^-1, for every label list and std row
-            inv = np.argsort(labels, axis=1)
-            rows = std[np.arange(len(sub))[:, None], inv[:, None, :]]
-            parts.append(np.take_along_axis(labels[:, None, :], rows, axis=2)
-                         .reshape(-1, r))
-        blocks.append(np.concatenate(parts))
-    return blocks[n]
+            sub = columns[r - d]
+            lists = math.perm(r - 1, d - 1)
+            cycle = np.zeros((lists, d), dtype=dtype)
+            cycle[:, 1:] = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.permutations(range(1, r), d - 1)),
+                dtype, count=lists * (d - 1)).reshape(lists, d - 1)
+            each = np.arange(lists)[:, None]
+            free = np.ones((lists, r), dtype=bool)
+            free[each, cycle] = False
+            rest = np.nonzero(free)[1].astype(dtype).reshape(lists, r - d)
+            # part[x, l, s] is the image of x in row s of label list l
+            part = np.empty((r, lists, sub.shape[1]), dtype=dtype)
+            part[cycle, each] = np.roll(cycle, -1, axis=1)[:, :, None]
+            part[rest, each] = rest[:, sub]
+            parts.append(part.reshape(r, -1))
+        columns.append(np.concatenate(parts, axis=1))
+    return columns[n].T
 
 
 def sample_order_k(n: int, k: int, seed: int) -> Perm:
@@ -494,18 +507,25 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
     bounds = _bounds(n, k, bits)
     arithmetic = _arithmetic(bits)
     divisors = _divisors(k, n)
-    images = np.empty(n, dtype=np.int64)
+    getrandbits = rng.getrandbits
+    images = [0] * n
     free = list(range(n - 1, -1, -1))  # unplaced points, descending
     while free:
         chosen = _cycle_length(len(free), k, divisors, bits, bounds,
                                arithmetic, rng)
         cycle = [free.pop()]
         # ordered (d-1)-tuple of partners, uniform among remaining points;
-        # index i in ascending order is -1 - i in the descending list
-        for _ in range(chosen - 1):
-            cycle.append(free.pop(-1 - rng.randrange(len(free))))
+        # index i in ascending order is -1 - i in the descending list.  i is
+        # drawn as rng.randrange(r) would draw it, getrandbits(r.bit_length())
+        # until it is below r (tests/test_perm.py::
+        # test_randrange_is_the_getrandbits_loop pins the equivalence)
+        for r in range(len(free), len(free) - chosen + 1, -1):
+            i = getrandbits(r.bit_length())
+            while i >= r:
+                i = getrandbits(r.bit_length())
+            cycle.append(free.pop(-1 - i))
         _write_cycle(images, cycle)
-    return Perm(images, _trusted=True)
+    return Perm(np.array(images, dtype=np.int64), _trusted=True)
 
 
 def _cycle_length(r: int, k: int, divisors: tuple[int, ...], bits: int,

@@ -227,6 +227,19 @@ def brute_best_agreement(n: int, k: int, alpha: tuple, beta: tuple) -> int:
     return best
 
 
+def brute_best_f(n: int, k: int, alpha: tuple, beta: tuple) -> tuple:
+    """The lexicographically smallest f with f^k = id among those with the
+    largest |{x : f(alpha(x)) = beta(f(x))}|."""
+    best, best_f = -1, None
+    for f in permutations(range(n)):  # lexicographic order
+        if not order_divides_k(f, k):
+            continue
+        score = sum(1 for x in range(n) if f[alpha[x]] == beta[f[x]])
+        if score > best:
+            best, best_f = score, f
+    return best_f
+
+
 def agreement_ceiling(alpha: tuple, beta: tuple) -> int:
     """An upper bound on |{x : f(alpha(x)) = beta(f(x))}| over all f in
     Sym(n), whatever f's order: n - |c(alpha) - c(beta)| - 1 when the cycle

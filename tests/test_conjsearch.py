@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations as iterperms
+from itertools import islice, permutations as iterperms
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +173,28 @@ class TestBruteForce:
     def test_cap(self):
         with pytest.raises(ValueError):
             cj.brute_force(cj.translation_problem(10, 1, 2, 4))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
+    def test_f_matches_reference(self, k):
+        # every translation x -> x + q against x -> x + 1 and every unit's
+        # multiplication problem on at most 7 points
+        ties = 0
+        for n in range(1, 8):
+            probs = [cj.translation_problem(n, 1, q, k) for q in range(n)]
+            probs += [cj.multiplication_problem(n, u, k) for u in range(n)
+                      if math.gcd(u, n) == 1]
+            for prob in probs:
+                alpha = tuple(prob.alpha.tolist())
+                beta = tuple(prob.beta.tolist())
+                rep = cj.brute_force(prob)
+                assert tuple(rep.f.tolist()) == orc.brute_best_f(n, k, alpha, beta)
+                optima = (f for f in iterperms(range(n))
+                          if orc.order_divides_k(f, k)
+                          and sum(f[alpha[x]] == beta[f[x]] for x in range(n))
+                          == rep.agreement_count)
+                ties += len(list(islice(optima, 2))) == 2
+        # k = 1 leaves the identity alone; every other k has tied optima
+        assert (ties > 0) == (k > 1)
 
 
 class TestAgreementCeiling:

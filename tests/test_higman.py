@@ -169,14 +169,12 @@ class TestVerifyAction:
     def test_commutators_match_reference(self):
         p = 3
         f, lam = hg.random_tables(p, seed=3)
-        act = hg.make_action(p, f, lam)
-        base, lamp = act.perms["a"], act.perms["d"]
-        for i, j in [(-2, 1), (0, 2), (-1, -1)]:
-            si = pm.compose(pm.compose(pm.power(base, -i), lamp), pm.power(base, i))
-            sj = pm.compose(pm.compose(pm.power(base, -j), lamp), pm.power(base, j))
-            ours = pm.compose(si, sj) == pm.compose(sj, si)
-            assert ours == orc.wreath_conjugates_commute(p, list(f), list(lam), i, j)
-            assert ours
+        rep = hg.verify_action(hg.make_action(p, f, lam), 2)
+        checks = {c.name: c.ok for c in rep.checks}
+        for i in range(-2, 3):
+            for j in range(i + 1, 3):
+                assert checks[f"[d^(a^{i}), d^(a^{j})]"] == \
+                    orc.wreath_conjugates_commute(p, list(f), list(lam), i, j)
 
     @pytest.mark.parametrize("shift, chain, cycle", [
         (4, "adcb", ("a", "d", "c", "b")),  # the construction's cycle

@@ -386,6 +386,17 @@ def test_huge_k_scans_only_up_to_the_degree():
     assert k % order_of(sample_order_k(6, k, seed=1)) == 0
 
 
+# sha256 over the little-endian int64 rows, in row order, recorded from the
+# enumeration that conjugated each standard row by an argsort of its labels
+ROWS_DIGESTS = {
+    (9, 4): "be19146e816a981293c8de4508d3b35fb4ae300de5b623c8d302dd086145495a",
+    (9, 2): "a8c5e6586d125f9499ac9ff76f04d64244fdee0f4980be95281217efce75da09",
+    (8, 3): "6715746e7f3fed5fa836e3a17256c140e9a5019698e0df63509f5a63c6aa879a",
+    (7, 6): "5ac4caff1619fa3c96d762745cf0ed5ed356a9426a2e219752329d86dc3de8c6",
+    (9, 12): "13792b2e93f2b66d8a92ca9cee097bfc85811226e2757f9a3d3da34ba78f8e1f",
+}
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
     def test_rows_are_the_class(self, k):
@@ -395,6 +406,14 @@ class TestEnumeration:
             want = {f for f in permutations(range(n)) if orc.order_divides_k(f, k)}
             assert got == want
             assert len(got) == len(rows) == count_order_dividing(n, k)
+
+    @pytest.mark.parametrize("n,k", sorted(ROWS_DIGESTS))
+    def test_rows_pinned(self, n, k):
+        # the order of the rows is part of the result: brute_force breaks
+        # ties on it, and its iteration count is their number
+        rows = pm._order_dividing_rows(n, k)
+        digest = hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
+        assert digest == ROWS_DIGESTS[n, k]
 
 
 def _perm_memos():
@@ -527,6 +546,21 @@ def test_sampling_builds_no_exact_table():
     assert peak < 20 * 2**20
 
 
+def test_brute_force_rows_are_bytes():
+    # k = 2520 lets f range over all of Sym(9); its rows as int64, with the
+    # gathers that scored them, peaked at about 78 MiB
+    from soficperm import conjsearch as cj
+    prob = cj.translation_problem(9, 1, 2, 2520)
+    tracemalloc.start()
+    try:
+        rep = cj.brute_force(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == math.factorial(9)
+    assert peak < 24 * 2**20
+
+
 class _BitCounter(random.Random):
     """Sums the k of every getrandbits(k) call.  A subclass that defines
     getrandbits gets randrange's getrandbits loop, so randrange counts too."""
@@ -591,8 +625,10 @@ def test_a_word_across_the_threshold_reads_32_bits_more(bits, n, k, more,
     48, 64, 65, 100, 600, 1000, 1024, 1025, 2000, 2400])
 def test_randrange_is_the_getrandbits_loop(bound):
     # the climb writes rng.randrange(n) out as this loop (conjsearch._climb
-    # and its numpy scan); a Python whose randrange draws otherwise must fail
-    # here.  The bounds past 2**64 check the loop where a draw spans words.
+    # and its numpy scan), and so does the order-k sampler for each partner
+    # (perm._sample_order_k_rng); a Python whose randrange draws otherwise
+    # must fail here.  The bounds past 2**64 check the loop where a draw
+    # spans words.
     redraws = 0
     for seed in range(6):
         ours, theirs = random.Random(seed), random.Random(seed)
