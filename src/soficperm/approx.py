@@ -235,8 +235,7 @@ def make_approx(
     m: int | None = None,
 ) -> ApproxSpec:
     """Check the parameters of one family at modulus n and build its spec."""
-    if family not in groups.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    groups._check_family(family)
     if n < 1:
         raise ValueError("n must be >= 1")
     takes = {"z2": "pq", "heis": "", "bs": "m", "zwrz": "m",
@@ -266,20 +265,26 @@ def make_approx(
     return ApproxSpec("metab", n, n, p, q, None)
 
 
+# the digit of each unit letter of a metab word, as in its array form's key
+_METAB_DIGITS = {("a", 1): 1, ("a", -1): 2, ("b", 1): 3, ("b", -1): 4}
+
+
+def _metab_maps(spec: ApproxSpec) -> tuple[tuple[int, int], ...]:
+    """(u, v) of each digit's map x -> u*x + v: 0 the identity, then a: x ->
+    q^-1 (x + 1), a^-1: x -> q*x - 1, b: x -> p^-1 x and b^-1: x -> p*x."""
+    n = spec.n
+    qinv, pinv = pow(spec.q, -1, n), pow(spec.p, -1, n)
+    return ((1 % n, 0), (qinv, qinv), (spec.q % n, -1 % n), (pinv, 0),
+            (spec.p % n, 0))
+
+
 def _metab_image(spec: ApproxSpec, w: GenWord) -> AffineImage:
     """Fold a word over {a, b} into one affine map of Z/n."""
-    n = spec.n
-    qinv = pow(spec.q, -1, n)
-    pinv = pow(spec.p, -1, n)
-    gen_maps = {
-        ("a", 1): (qinv, qinv),             # x -> q^-1 (x + 1)
-        ("a", -1): (spec.q % n, (-1) % n),  # x -> q*x - 1
-        ("b", 1): (pinv, 0),
-        ("b", -1): (spec.p % n, 0),         # x -> p*x
-    }
-    acc = AffineImage(n, (1 % n, 0), spec.npoints)
+    maps = _metab_maps(spec)
+    acc = AffineImage(spec.n, maps[0], spec.npoints)
     for gen, exp in w.letters:
-        step = AffineImage(n, gen_maps[(gen, 1 if exp > 0 else -1)], spec.npoints)
+        digit = _METAB_DIGITS[gen, 1 if exp > 0 else -1]
+        step = AffineImage(spec.n, maps[digit], spec.npoints)
         # the accumulated word acts after the new letter's power, taken by
         # square-and-multiply: O(log |exp|) compositions
         e = abs(exp)
@@ -545,7 +550,7 @@ def _metab_form(elements):
     # one column past the longest word, so every row ends in a pad
     digits = np.zeros((len(elements), width + 1), dtype=np.int64)
     for k, x in enumerate(elements):
-        digits[k, :lengths[k]] = [(1 if g == "a" else 3) + (e < 0)
+        digits[k, :lengths[k]] = [_METAB_DIGITS[g, 1 if e > 0 else -1]
                                   for g, e in x.word.letters
                                   for _ in range(abs(e))]
     # a word's key is below 5^width: int64 when that fits, else exact ints
@@ -571,21 +576,15 @@ def _metab_form(elements):
                    + key % place[kept])
 
         def images(spec, dtype):
-            # each letter's map, as in _metab_image, with 0 (a pad, here up
-            # to a power of two columns) the identity; neighbouring maps are
-            # composed, the earlier letter acting last, halving the columns
-            # of every word at once until one is left
-            n = spec.n
-            qinv, pinv = pow(spec.q, -1, n), pow(spec.p, -1, n)
-            letters = np.pad(digits, ((0, 0), (0, (1 << width.bit_length())
-                                               - width - 1)))
-            u = np.array([1 % n, qinv, spec.q % n, pinv, spec.p % n],
-                         dtype)[letters]
-            v = np.array([0, qinv, -1 % n, 0, 0], dtype)[letters]
-            while u.shape[1] > 1:
-                u, v = _compose_coeffs(n, (u[:, 0::2], v[:, 0::2]),
-                                       (u[:, 1::2], v[:, 1::2]))
-            return [u[:, 0], v[:, 0]]
+            # each letter's map from _metab_maps, the pad 0 the identity,
+            # composed in word order as _metab_image folds a word: every
+            # word's prefix so far acts after its next letter
+            unit, shift = np.array(_metab_maps(spec), dtype).T
+            u, v = unit[digits[:, 0]], shift[digits[:, 0]]
+            for letter in digits[:, 1:width].T:
+                u, v = _compose_coeffs(spec.n, (u, v),
+                                       (unit[letter], shift[letter]))
+            return [u, v]
         return block, images
     # a product's key has up to 2 * width digits
     return [keys.tolist()], 5 ** (2 * width), build

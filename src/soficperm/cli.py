@@ -280,7 +280,8 @@ _SUBCOMMANDS = {
                        "help": "draw both tables from the seed"}),
          ("--check", {"action": "store_true",
                       "help": "verify relations; exit 1 if any fails"}),
-         ("--window", {"type": int, "default": 3}),
+         ("--window", {"type": int, "help": "the span of the relation "
+                       "checks, with --check only (default 3)"}),
          ("--probe-depth", {"type": int, "default": 0}))),
     "heuristic": (
         "independence estimate log(P*K) from the exact order count",
@@ -468,6 +469,10 @@ def _cmd_align(ns):
 
 
 def _cmd_higman_action(ns):
+    if ns.window is not None and not ns.check:
+        raise ValueError("--window applies only with --check")
+    if ns.window is None:
+        ns.window = 3
     from . import higman as higmod
     if ns.random:
         if ns.f_table or ns.lambda_table:

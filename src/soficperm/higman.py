@@ -59,8 +59,6 @@ __all__ = [
     "injectivity_probe",
 ]
 
-MUBAR_FAMILIES = ("z2", "heis", "zwrz", "metab")
-
 # the adjacent (base, lamp = base^t) pairs of the t-cycle a -> d -> c -> b
 _PAIRS = (("a", "d"), ("d", "c"), ("c", "b"), ("b", "a"))
 
@@ -98,8 +96,7 @@ class HigPresentation:
 def hig_presentation(k: int, family: str) -> HigPresentation:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if family not in groups.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    groups._check_family(family)
     relators = (
         genword([("t", k)]),
         genword([("t", -1), ("b", 1), ("t", 1), ("a", -1)]),
@@ -116,21 +113,19 @@ def mubar(g: GroupElem, l: int, k: int) -> tuple[GroupElem, ...]:
 
     Slot l holds g itself; slot l-1 holds b^(a-exponent-sum of g); slot l+1
     holds a^(b-exponent-sum of g); everything else is the identity.
-    Requires k >= 3 so the three slots are distinct, and a family with a
-    retraction onto <a> x <b> (BS(1,m) has none).
+    The exponent sums are those of the retraction onto <a> x <b>, which
+    :func:`groups.abelianization` refuses for BS(1,m), the one family
+    without it.  Requires k >= 3 so the three slots are distinct.
     """
-    family = groups.family_of(g)
-    if family not in MUBAR_FAMILIES:
-        raise ValueError(f"family {family!r} admits no retraction onto <a> x <b>")
+    a_sum, b_sum = groups.abelianization(g)
     if k < 3:
         raise ValueError("k must be >= 3 so adjacent slots do not collide")
-    a_sum, b_sum = groups.abelianization(g)
-    m = getattr(g, "m", None)
-    slots = [groups.identity(family, m=m) for _ in range(k)]
+    family = groups.family_of(g)
+    slots = [groups.identity(family) for _ in range(k)]
     slots[l % k] = g
     # phi^-1 of the a-shadow and phi of the b-shadow; exponent 0 gives e
-    slots[(l - 1) % k] = groups.generator(family, "b", a_sum, m=m)
-    slots[(l + 1) % k] = groups.generator(family, "a", b_sum, m=m)
+    slots[(l - 1) % k] = groups.generator(family, "b", a_sum)
+    slots[(l + 1) % k] = groups.generator(family, "a", b_sum)
     return tuple(slots)
 
 

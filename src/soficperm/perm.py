@@ -129,7 +129,7 @@ class Perm:
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Perm":
         """Build a permutation from disjoint cycles; unlisted points are fixed."""
-        images = np.arange(n, dtype=np.int64)
+        images = list(range(n))
         seen: set[int] = set()
         for cycle in cycles:
             for x in cycle:
@@ -249,19 +249,19 @@ def hamming(f: Perm, g: Perm) -> Fraction:
 
 
 def cycle_decomposition(f: Perm) -> CycleDecomposition:
-    images = f.images
-    seen = np.zeros(f.n, dtype=bool)
+    images = f.tolist()
+    seen = [False] * f.n
     cycles: list[tuple[int, ...]] = []
     for start in range(f.n):
         if seen[start]:
             continue
         cycle = [start]
         seen[start] = True
-        x = int(images[start])
+        x = images[start]
         while x != start:
             cycle.append(x)
             seen[x] = True
-            x = int(images[x])
+            x = images[x]
         cycles.append(tuple(cycle))
     return CycleDecomposition(f.n, tuple(cycles))
 
@@ -280,7 +280,7 @@ def project_to_order(f: Perm, k: int) -> Perm:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    images = np.arange(f.n, dtype=np.int64)
+    images = list(range(f.n))
     for cycle in cycle_decomposition(f).cycles:
         if k % len(cycle) == 0:
             _write_cycle(images, cycle)

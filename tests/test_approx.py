@@ -85,7 +85,8 @@ class TestMakeApprox:
         assert spec.psi_b.tolist() == [(pinv * x) % 7 for x in range(7)]
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown family 'nope'; "
+                           "expected one of "):
             ap.make_approx("nope", 5)
 
     @pytest.mark.parametrize("family,n,kw,name", [

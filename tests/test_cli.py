@@ -560,6 +560,24 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["result"]["probe"] is None
 
+    @pytest.mark.parametrize("window", ["2", "-7"])
+    def test_higman_action_window_without_check_is_2(self, capsys, window):
+        code, out, err = invoke(capsys, ["higman-action", "--p", "5",
+                                         "--random", "--window", window])
+        assert (code, out) == (2, "")
+        assert err == "error: --window applies only with --check\n"
+
+    def test_higman_action_window_defaults_to_3(self, capsys):
+        code, out, _ = invoke(capsys, ["higman-action", "--p", "3",
+                                       "--random"])
+        assert code == 0
+        assert json.loads(out)["config"]["options"]["window"] == 3
+        code, out, err = invoke(capsys, ["higman-action", "--p", "3",
+                                         "--random", "--check", "--window",
+                                         "0"])
+        assert (code, out) == (2, "")
+        assert "error: window must be >= 1" in err
+
     def test_higman_action_table_files(self, tmp_path, capsys):
         ftab = tmp_path / "f.json"
         ltab = tmp_path / "l.json"

@@ -32,6 +32,11 @@ class TestPresentation:
         with pytest.raises(ValueError):
             hg.hig_presentation(0, "z2")
 
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="^unknown family 'nope'; "
+                           "expected one of "):
+            hg.hig_presentation(3, "nope")
+
 
 MUBAR_CASES = [
     ("z2", None), ("heis", None), ("zwrz", None), ("metab", None),
@@ -78,7 +83,7 @@ class TestMubar:
             hg.mubar(gr.Z2Elem(1, 0), 0, 2)
 
     def test_bs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bs admits no retraction"):
             hg.mubar(gr.generator("bs", "a", m=2), 0, 4)
 
     def test_injective_on_ball_slotwise(self):

@@ -195,6 +195,51 @@ class TestProjectToOrder:
         assert project_to_order(g, k) == g
 
 
+def _seeded_perms(n):
+    """A uniform permutation of degree n and one built by from_cycles from
+    cycles of lengths 1..6, both seeded by n."""
+    rng = random.Random(n)
+    points = list(range(n))
+    rng.shuffle(points)
+    cycles, i = [], 0
+    while i < n:
+        d = rng.randint(1, 6)
+        cycles.append(points[i:i + d])
+        i += d
+    short = Perm.from_cycles(n, cycles)
+    want = list(range(n))
+    for c in cycles:
+        for j, x in enumerate(c):
+            want[x] = c[(j + 1) % len(c)]
+    assert short.tolist() == want
+    return [random_perm(n, rng), short]
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 2000])
+def test_cycles_match_the_reference(n):
+    """cycle_decomposition and order_of agree with the tuple oracles, and
+    project_to_order keeps a point's image exactly when the length of its
+    cycle divides k."""
+    for f in _seeded_perms(n):
+        images = tuple(f.tolist())
+        assert list(cycle_decomposition(f).lengths()) == \
+            orc.t_cycle_lengths(images)
+        assert order_of(f) == orc.t_order(images)
+        length = [0] * n
+        for start in range(n):
+            if length[start]:
+                continue
+            orbit, x = [start], images[start]
+            while x != start:
+                orbit.append(x)
+                x = images[x]
+            for x in orbit:
+                length[x] = len(orbit)
+        for k in (1, 2, 3, 4, 6, 12):
+            assert project_to_order(f, k).tolist() == [
+                images[x] if k % length[x] == 0 else x for x in range(n)]
+
+
 class TestAmplify:
     def test_block_structure(self):
         f = Perm([1, 2, 0])  # 3-cycle

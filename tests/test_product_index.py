@@ -674,6 +674,9 @@ COLUMN_CASES = [
      np.int64),
     ("z2", 101, dict(p=2, q=3), 3, "amplified", object),
     ("metab", 11, dict(p=2, q=3), 3, "conjugated", np.int64),
+    # the empty word alone, with no letter to fold, and 4373 words
+    ("metab", 1009, dict(p=2, q=3), 0, "plain", np.int64),
+    ("metab", 1009, dict(p=2, q=3), 7, "plain", np.int64),
 ]
 
 

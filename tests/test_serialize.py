@@ -134,6 +134,11 @@ class TestSpec:
         assert back.psi_a == spec.psi_a
         assert back.amplified and back.n == 11
 
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="^unknown family 'nope'; "
+                           "expected one of "):
+            ser.spec_from_obj({"family": "nope", "n": 5})
+
     def test_tampered_images_rejected(self):
         obj = ser.spec_to_obj(ap.make_approx("z2", 10, p=2, q=3))
         obj["psi_a"] = obj["psi_a"][::-1]
