@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from . import limits
@@ -36,7 +36,7 @@ PRECISION_DIGITS = 64
 _KEEP_BITS = 4 * PRECISION_DIGITS
 
 # ln 2 costs as much as a report's other logs together, so it is taken once
-with localcontext(prec=PRECISION_DIGITS):
+with localcontext(Context(prec=PRECISION_DIGITS)):
     _LN2 = Decimal(2).ln()
 
 
@@ -75,7 +75,7 @@ def heuristic_report(n: int, k: int, eps, eps_prime) -> HeuristicReport:
     count = permmod.count_order_dividing(n, k)
     coeff = 2 * eps + eps_prime
     model_coeff = coeff - Fraction(1, k)
-    with localcontext(prec=PRECISION_DIGITS):
+    with localcontext(Context(prec=PRECISION_DIGITS)):
         log_fact = _ln(math.factorial(n))
         log_count = _ln(count)
         log_P = log_count - log_fact

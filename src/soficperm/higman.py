@@ -8,23 +8,24 @@ Placing b at slot l and placing phi(b) = a at slot l+1 then produce the
 same tuple, which is what makes the map well defined on the amalgam.
 
 The action tables realize the k = 4 extension of Z wr Z on (F_p)^4: pick a
-prime p and two tables f, lambda: F_p -> F_p - {0}, and set
+prime p and two tables f, lambda: F_p -> F_p - {0}.  They give t and a;
+conjugation by t carries each copy to the next, so d, c and b are the
+successive t-conjugates of a round the cycle a -> d -> c -> b -> a:
 
     t: (x, y, z, w) -> (y, z, w, x)
     a: (x, y, z, w) -> (x * lambda(z), y, z, w + f(z))
-    b: (x, y, z, w) -> (x, y, z + f(y), w * lambda(y))
-    c: (x, y, z, w) -> (x, y + f(x), z * lambda(x), w)
-    d: (x, y, z, w) -> (x + f(w), y * lambda(w), z, w)
+    d = a^t: (x, y, z, w) -> (x + f(w), y * lambda(w), z, w)
+    c = d^t: (x, y, z, w) -> (x, y + f(x), z * lambda(x), w)
+    b = c^t: (x, y, z, w) -> (x, y, z + f(y), w * lambda(y))
 
-so that conjugation by t cycles a -> d -> c -> b -> a and each adjacent
-pair (base g, lamp h = g^t) of that cycle, listed in ``_PAIRS``,
-generates a wreath-like copy whose lamp conjugates h^{g^i} pairwise
-commute.  :func:`verify_action` checks the action against this fixed
-cycle.  Once the cycle holds, each copy is the t-conjugate of the one
-before, so the (a, d) copy's lamp conjugates decide the commutators of
-all four: the check composes O(window) permutations, not O(window^2) per
-copy.  Points are encoded as x*p^3 + y*p^2 + z*p + w.  An action is
-its tables: the five permutations are built on first read of ``perms``.
+Each adjacent pair (base g, lamp h = g^t) of that cycle, listed in
+``_PAIRS``, generates a wreath-like copy whose lamp conjugates h^{g^i}
+pairwise commute.  :func:`verify_action` checks the action against this
+fixed cycle.  Once the cycle holds, each copy is the t-conjugate of the one
+before, so the (a, d) copy's lamp conjugates decide the commutators of all
+four: the check composes O(window) permutations, not O(window^2) per copy.
+Points are encoded as x*p^3 + y*p^2 + z*p + w.  An action is its tables:
+the five permutations are built on first read of ``perms``.
 
 The p^4 points and the probe depth are checked first against
 :mod:`soficperm.limits` (see "Limits" in the README).
@@ -59,8 +60,9 @@ __all__ = [
     "injectivity_probe",
 ]
 
-# the adjacent (base, lamp = base^t) pairs of the t-cycle a -> d -> c -> b
-_PAIRS = (("a", "d"), ("d", "c"), ("c", "b"), ("b", "a"))
+# the t-orbit of a and its adjacent (base, lamp = base^t) pairs
+_ORBIT = ("a", "d", "c", "b")
+_PAIRS = tuple(zip(_ORBIT, _ORBIT[1:] + _ORBIT[:1]))
 
 _FAMILY_RELATOR_SCHEMA = {
     "z2": ("[a,b]",),
@@ -135,7 +137,8 @@ def mubar(g: GroupElem, l: int, k: int) -> tuple[GroupElem, ...]:
 
 @dataclass(frozen=True, eq=False)
 class ActionTable:
-    """p and the two value tables; the five ``perms`` build on first read."""
+    """p and the two value tables; the five ``perms`` build on first read:
+    t and a from the tables, then d, c and b as successive t-conjugates."""
 
     p: int
     f_table: tuple[int, ...]
@@ -146,22 +149,16 @@ class ActionTable:
         p = self.p
         f = np.asarray(self.f_table, dtype=np.int64)
         lam = np.asarray(self.lambda_table, dtype=np.int64)
-        idx = np.arange(p ** 4, dtype=np.int64)
-        w = idx % p
-        z = (idx // p) % p
-        y = (idx // p ** 2) % p
-        x = idx // p ** 3
-
-        def enc(xx, yy, zz, ww):
-            return ((xx % p) * p ** 3 + (yy % p) * p ** 2 + (zz % p) * p + (ww % p))
-
-        return {
-            "t": Perm(enc(y, z, w, x), _trusted=True),
-            "a": Perm(enc(x * lam[z], y, z, w + f[z]), _trusted=True),
-            "b": Perm(enc(x, y, z + f[y], w * lam[y]), _trusted=True),
-            "c": Perm(enc(x, y + f[x], z * lam[x], w), _trusted=True),
-            "d": Perm(enc(x + f[w], y * lam[w], z, w), _trusted=True),
-        }
+        x, yzw = np.divmod(np.arange(p ** 4, dtype=np.int64), p ** 3)
+        z, w = yzw // p % p, yzw % p
+        t = yzw * p + x                                # (y, z, w, x)
+        t_inv = w * p ** 3 + x * p ** 2 + yzw // p     # (w, x, y, z)
+        a = x * lam[z] % p * p ** 3 + yzw - w + (w + f[z]) % p
+        del x, yzw, z, w
+        images = {"t": t, "a": a}
+        for g, h in _PAIRS[:-1]:
+            images[h] = t_inv[images[g][t]]   # h = g^t = t^-1 g t
+        return {name: Perm(images[name], _trusted=True) for name in "tabcd"}
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,9 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     each generator to its successor in the construction's cycle
     a -> d -> c -> b -> a, and for each pair (g, h = g^t) of ``_PAIRS``
     the commutators [h^{g^i}, h^{g^j}] = id for all |i|, |j| <= window.
-    When the cycle check fails, only the pair (a, d) is checked.
+    When the cycle check fails, only the pair (a, d) is checked.  Conjugation
+    by t is a relabelling: g^t = h holds at x exactly when
+    g(t(x)) = t(h(x)), so the checks build neither t^-1 nor g^t.
 
     One copy decides all four.  [h^{g^i}, h^{g^j}] is [h, h^{g^(j-i)}]
     conjugated by g^i, so the (a, d) copy's lamp conjugates d^{a^m},
@@ -255,8 +254,9 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
     p, perms = act.p, act.perms
     t, a, d = perms["t"], perms["a"], perms["d"]
     t_order = _relation("t^4", p, permmod.power(t, 4).images != np.arange(p ** 4))
-    a_t = _relation("a^t = d", p, permmod.conjugate(a, t).images != d.images)
-    cycled = a_t.ok and all(permmod.conjugate(perms[g], t) == perms[h]
+    a_t = _relation("a^t = d", p, a.images[t.images] != t.images[d.images])
+    cycled = a_t.ok and all(np.array_equal(perms[g].images[t.images],
+                                           t.images[perms[h].images])
                             for g, h in _PAIRS[1:])
     checks = [t_order, a_t, RelationCheck("t-conjugation is a 4-cycle on {a,b,c,d}",
                                           cycled, None)]
@@ -277,8 +277,8 @@ def verify_action(act: ActionTable, window: int) -> RelationReport:
                 checks.append(_relation(
                     f"[{lamp}^({base}^{i}), {lamp}^({base}^{j})]", p, differ))
 
-    cycle = tuple(g for g, _ in _PAIRS) if cycled else None
-    return RelationReport(tuple(checks), t_order.ok, cycle, all(c.ok for c in checks))
+    return RelationReport(tuple(checks), t_order.ok, _ORBIT if cycled else None,
+                          all(c.ok for c in checks))
 
 
 def injectivity_probe(act: ActionTable, depth: int) -> list[WreathElem]:

@@ -33,6 +33,7 @@ branch sizes over a(r) (:func:`_cycle_length`).  The words it reads
 depend on the exact values alone; a test the bounds leave open is
 retried on bounds twice as wide, and again, until they settle it
 (:func:`_widened_side`), and at 128 bits that does not happen in practice.
+The wider bounds last one sample; only the 128-bit ones are memoized.
 
 The count and the tables of :func:`amplify` and :func:`_bounds` are
 checked against :mod:`soficperm.limits` before they grow (see "Limits" in
@@ -507,12 +508,13 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
     bounds = _bounds(n, k, bits)
     arithmetic = _arithmetic(bits)
     divisors = _divisors(k, n)
+    wider: dict = {}  # the wider widths' bounds, for this sample alone
     getrandbits = rng.getrandbits
     images = [0] * n
     free = list(range(n - 1, -1, -1))  # unplaced points, descending
     while free:
         chosen = _cycle_length(len(free), k, divisors, bits, bounds,
-                               arithmetic, rng)
+                               arithmetic, rng, wider)
         cycle = [free.pop()]
         # ordered (d-1)-tuple of partners, uniform among remaining points;
         # index i in ascending order is -1 - i in the descending list.  i is
@@ -529,7 +531,8 @@ def _sample_order_k_rng(n: int, k: int, rng: random.Random) -> Perm:
 
 
 def _cycle_length(r: int, k: int, divisors: tuple[int, ...], bits: int,
-                  bounds: list[_Bound], arithmetic, rng: random.Random) -> int:
+                  bounds: list[_Bound], arithmetic, rng: random.Random,
+                  wider: dict) -> int:
     """The length of the cycle through the smallest of r free points: the
     first d | k with U < C_d / a(r), where C_d sums (r-1)!/(r-d')! * a(r-d')
     over the divisors d' <= d and U is uniform in [0, 1).
@@ -552,7 +555,8 @@ def _cycle_length(r: int, k: int, divisors: tuple[int, ...], bits: int,
         while True:
             side = _side(x, m, c, bounds[r])
             if side is None:
-                side = _widened_side(x, m, r, k, divisors[:i + 1], bits)
+                side = _widened_side(x, m, r, k, divisors[:i + 1], bits,
+                                     wider)
             if side:
                 break
             x, m = x << 32 | rng.getrandbits(32), m + 32
@@ -562,16 +566,23 @@ def _cycle_length(r: int, k: int, divisors: tuple[int, ...], bits: int,
 
 
 def _widened_side(x: int, m: int, r: int, k: int, lengths: tuple[int, ...],
-                  bits: int) -> int:
+                  bits: int, wider: dict) -> int:
     """:func:`_side` of the word against C_d / a(r), d the last of
     ``lengths``, on bounds of 2, 4, 8, ... times ``bits`` until one settles
     it.  Every value the test reads is at most a(r), so once the width
     reaches a(r)'s bit length the bounds are exact, and exact values
-    always settle it."""
+    always settle it.
+
+    The wider bounds and their arithmetic are kept in ``wider``, keyed by
+    width, which the sampler holds for one sample: the memos of
+    :func:`_bounds` and :func:`_arithmetic` keep the base width alone, so
+    no widened table outlives the sample that grew it."""
     while True:
         bits *= 2
-        bounds = _bounds(r, k, bits)
-        step, gap = _arithmetic(bits)
+        if bits not in wider:
+            wider[bits] = [(1, 1, 0)], _arithmetic.__wrapped__(bits)
+        bounds, (step, gap) = wider[bits]
+        _grow(bounds, len(bounds), r, k, step, gap)
         c = (0, 0, 0)
         for d in lengths:
             c = step(c, gap(r - 1, d - 1), bounds[r - d])

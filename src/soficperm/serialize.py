@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, get_args
 
@@ -164,7 +164,7 @@ def _decimal_to_obj(x: Decimal) -> str:
     ``0.0``."""
     if not x:
         return "0.0"
-    with localcontext(prec=MPF_DIGITS, rounding=ROUND_HALF_UP):
+    with localcontext(Context(prec=MPF_DIGITS, rounding=ROUND_HALF_UP)):
         x = x.normalize()
     fixed = -10 < x.adjusted() < MPF_DIGITS
     mantissa, e, exponent = format(x, "f" if fixed else "e").partition("e")

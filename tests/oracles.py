@@ -340,6 +340,27 @@ def wreath_conjugates_commute(p: int, f: list[int], lam: list[int],
     return True
 
 
+def higman_generators(p: int, f: list[int], lam: list[int]) -> dict:
+    """The five generators on p^4 points, each by its coordinate formula
+    from the higman module docstring, as tuples over the encoding
+    x*p^3 + y*p^2 + z*p + w."""
+    formulas = {
+        "t": lambda x, y, z, w: (y, z, w, x),
+        "a": lambda x, y, z, w: (x * lam[z], y, z, w + f[z]),
+        "b": lambda x, y, z, w: (x, y, z + f[y], w * lam[y]),
+        "c": lambda x, y, z, w: (x, y + f[x], z * lam[x], w),
+        "d": lambda x, y, z, w: (x + f[w], y * lam[w], z, w),
+    }
+
+    def encode(pt):
+        x, y, z, w = (v % p for v in pt)
+        return ((x * p + y) * p + z) * p + w
+
+    return {name: tuple(encode(rule(*pt))
+                        for pt in product(range(p), repeat=4))
+            for name, rule in formulas.items()}
+
+
 def verify_action_reference(p: int, perms: dict, window: int):
     """higman.verify_action copy by copy on tuple permutations of p^4
     points: for each copy (g, h) the powers g^i, the lamp conjugates

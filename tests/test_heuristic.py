@@ -2,7 +2,7 @@
 the logs against the mpmath oracle."""
 
 import random
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -24,7 +24,7 @@ def close(x, text, tol="1e-9"):
 
 
 def ln(x) -> Decimal:
-    with localcontext(prec=hr.PRECISION_DIGITS):
+    with localcontext(Context(prec=hr.PRECISION_DIGITS)):
         return Decimal(x).ln()
 
 

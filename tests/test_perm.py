@@ -411,7 +411,7 @@ def test_widened_side_is_the_exact_side(k):
         for x in (lead - 1, lead, lead + 1):
             want = pm._side(x, m, (c, c, 0), (a[r], a[r], 0))
             assert want is not None
-            assert pm._widened_side(x, m, r, k, lengths[:i + 1], 3) == want
+            assert pm._widened_side(x, m, r, k, lengths[:i + 1], 3, {}) == want
 
 
 def test_divisors():
@@ -730,6 +730,31 @@ def test_sampler_matches_the_exact_table_sampler(bits, oracle_samples, monkeypat
         assert retries
     else:
         assert not retries
+
+
+def test_widened_bounds_stay_out_of_the_memos(monkeypatch):
+    # at 3 bits the bounds leave most tests open; the wider bounds that
+    # settle them last one sample, so the memos keep the base width alone:
+    # one arithmetic, and one table per k
+    retries = []
+    widened_side = pm._widened_side
+
+    def counting(*args):
+        retries.append(args)
+        return widened_side(*args)
+
+    monkeypatch.setattr(pm, "_MANTISSA_BITS", 3)
+    monkeypatch.setattr(pm, "_widened_side", counting)
+    _empty_package_caches()
+    try:
+        for k in (4, 12):
+            for seed in (1, 2):
+                sample_order_k(300, k, seed)
+        assert retries
+        assert pm._arithmetic.cache_info().currsize == 1
+        assert pm._order_dividing_bounds.cache_info().currsize == 2
+    finally:
+        _empty_package_caches()
 
 
 @pytest.mark.parametrize("k", sorted({k for _, k, _ in ORACLE_GRID}))

@@ -4,7 +4,7 @@ re-validate what they read."""
 import dataclasses
 import json
 import random
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,7 +78,7 @@ class TestScalars:
         """On exact binary values, where mpmath holds the very number,
         the text is mpmath's nstr(x, 30): about the leading exponents
         -10/-9 and 29/30, and where rounding carries to a power of ten."""
-        with localcontext(prec=200):
+        with localcontext(Context(prec=200)):
             x = Decimal(num) * Decimal(2) ** exp
         assert ser._decimal_to_obj(x) == orc.mpf_text(mpmath.ldexp(num, exp))
 
